@@ -1,31 +1,18 @@
 // Engine micro-benchmarks (google-benchmark): per-operator throughput of
-// the shared incremental operators, plus expression evaluation, LIKE
-// matching, and columnar-vs-row pairs for the vectorized execution core
-// (DESIGN.md §12). Not a paper figure; used to sanity-check that
-// work-unit costs track wall time.
-//
-// Beyond the normal google-benchmark CLI, `--speedup_gate` runs the
-// paired columnar-vs-row measurements (filter, project, hash-agg,
-// hash-join) with min-of-k timing and exits non-zero unless every pair
-// clears the 3x floor the columnar refactor is gated on (EXPERIMENTS.md
-// "Columnar vs. row operator speedups").
+// the shared incremental operators, plus expression evaluation and LIKE
+// matching. Not a paper figure; used to sanity-check that work-unit costs
+// track wall time. Speed claims come from the end-to-end benchmark
+// (perfbench/), not from these.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <new>
-#include <unordered_map>
 
 #include "ishare/exec/aggregate.h"
 #include "ishare/exec/hash_join.h"
 #include "ishare/exec/phys_op.h"
-#include "ishare/exec/vectorized.h"
-#include "ishare/storage/column_batch.h"
 #include "ishare/storage/delta_buffer.h"
 
 // Replaceable global operator new with an allocation counter, so the
@@ -163,52 +150,14 @@ void BM_ConsumeZeroCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_ConsumeZeroCopy);
 
-// ---- Columnar-vs-row pairs (DESIGN.md §12) ------------------------------
-
-// Shared fixtures for the paired benchmarks and the speedup gate. All
-// pairs time the operator kernel itself; the one-time row<->column
-// conversions at the subplan edges are excluded (they amortize over the
-// whole operator chain and are measured by the pipeline benches).
-
-PlanNodePtr FilterNode(const Schema& s, QuerySet qs) {
-  std::map<QueryId, ExprPtr> preds;
-  preds[0] = Gt(Col("v"), Lit(100.0));
-  preds[1] = Lt(Col("v"), Lit(400.0));
-  PlanNodePtr stub = PlanNode::MakeSubplanInput(0, s, qs);
-  return PlanNode::MakeFilter(stub, std::move(preds), qs);
-}
-
-PlanNodePtr ProjectNode(const Schema& s, QuerySet qs) {
+void BM_ProjectOp(benchmark::State& state) {
+  Schema s = TwoCol();
+  QuerySet qs = QuerySet::Single(0);
   PlanNodePtr stub = PlanNode::MakeSubplanInput(0, s, qs);
   std::vector<NamedExpr> projs;
   projs.push_back({Col("k"), "k"});
   projs.push_back({Add(Mul(Col("v"), Lit(2.0)), Col("k")), "w"});
-  return PlanNode::MakeProject(stub, std::move(projs), qs);
-}
-
-void BM_FilterOpColumnar(benchmark::State& state) {
-  Schema s = TwoCol();
-  QuerySet qs = QuerySet::FromIds({0, 1});
-  PlanNodePtr node = FilterNode(s, qs);
-  DeltaBatch in = MakeBatch(1024, 128, qs);
-  ColumnBatch cb0;
-  CHECK(ColumnBatch::FromDeltas(s, in, &cb0));
-  FilterOp op(node.get(), s);
-  CHECK(op.SupportsColumnar(0));
-  for (auto _ : state) {
-    ColumnBatch cb = cb0;  // the filter consumes its input batch
-    ColumnBatch out;
-    op.ProcessColumnar(0, std::move(cb), &out);
-    benchmark::DoNotOptimize(out.num_selected());
-  }
-  state.SetItemsProcessed(state.iterations() * in.size());
-}
-BENCHMARK(BM_FilterOpColumnar);
-
-void BM_ProjectOpRow(benchmark::State& state) {
-  Schema s = TwoCol();
-  QuerySet qs = QuerySet::Single(0);
-  PlanNodePtr node = ProjectNode(s, qs);
+  PlanNodePtr node = PlanNode::MakeProject(stub, std::move(projs), qs);
   DeltaBatch in = MakeBatch(1024, 128, qs);
   ProjectOp op(node.get(), s);
   for (auto _ : state) {
@@ -216,106 +165,7 @@ void BM_ProjectOpRow(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * in.size());
 }
-BENCHMARK(BM_ProjectOpRow);
-
-void BM_ProjectOpColumnar(benchmark::State& state) {
-  Schema s = TwoCol();
-  QuerySet qs = QuerySet::Single(0);
-  PlanNodePtr node = ProjectNode(s, qs);
-  DeltaBatch in = MakeBatch(1024, 128, qs);
-  ColumnBatch cb0;
-  CHECK(ColumnBatch::FromDeltas(s, in, &cb0));
-  ProjectOp op(node.get(), s);
-  CHECK(op.SupportsColumnar(0));
-  for (auto _ : state) {
-    ColumnBatch cb = cb0;
-    ColumnBatch out;
-    op.ProcessColumnar(0, std::move(cb), &out);
-    benchmark::DoNotOptimize(out.num_selected());
-  }
-  state.SetItemsProcessed(state.iterations() * in.size());
-}
-BENCHMARK(BM_ProjectOpColumnar);
-
-void BM_HashAggRow(benchmark::State& state) {
-  QuerySet qs = QuerySet::Single(0);
-  DeltaBatch in = MakeBatch(4096, static_cast<int>(state.range(0)), qs);
-  for (auto _ : state) {
-    // The row engine's grouping idiom: Row-keyed hash map over tagged
-    // Values (AggregateOp keys its groups exactly like this).
-    std::unordered_map<Row, double, RowHasher> agg;
-    for (const DeltaTuple& t : in) {
-      agg[ExtractColumns(t.row, {0})] +=
-          t.row[1].AsDouble() * static_cast<double>(t.weight);
-    }
-    benchmark::DoNotOptimize(agg.size());
-  }
-  state.SetItemsProcessed(state.iterations() * in.size());
-}
-BENCHMARK(BM_HashAggRow)->Arg(64)->Arg(2048);
-
-void BM_HashAggColumnar(benchmark::State& state) {
-  QuerySet qs = QuerySet::Single(0);
-  DeltaBatch in = MakeBatch(4096, static_cast<int>(state.range(0)), qs);
-  ColumnBatch cb;
-  CHECK(ColumnBatch::FromDeltas(TwoCol(), in, &cb));
-  const std::vector<int64_t>& keys = cb.cols[0].i64();
-  const std::vector<double>& vals = cb.cols[1].f64();
-  for (auto _ : state) {
-    ColumnarHashAgg agg;  // kAuto: picks flat or partitioned by sample
-    agg.Consume(keys.data(), vals.data(), cb.weights.data(),
-                static_cast<int64_t>(keys.size()));
-    agg.Finish();
-    benchmark::DoNotOptimize(agg.sums().size());
-  }
-  state.SetItemsProcessed(state.iterations() * in.size());
-}
-BENCHMARK(BM_HashAggColumnar)->Arg(64)->Arg(2048);
-
-void BM_HashJoinRowCore(benchmark::State& state) {
-  QuerySet qs = QuerySet::Single(0);
-  DeltaBatch build = MakeBatch(2048, 1024, qs);
-  DeltaBatch probe = MakeBatch(2048, 1024, qs);
-  for (auto _ : state) {
-    // The row engine's join-side idiom: Row-keyed map to match lists.
-    std::unordered_map<Row, std::vector<int32_t>, RowHasher> ht;
-    for (size_t i = 0; i < build.size(); ++i) {
-      ht[ExtractColumns(build[i].row, {0})].push_back(
-          static_cast<int32_t>(i));
-    }
-    int64_t pairs = 0;
-    for (size_t i = 0; i < probe.size(); ++i) {
-      auto it = ht.find(ExtractColumns(probe[i].row, {0}));
-      if (it != ht.end()) pairs += static_cast<int64_t>(it->second.size());
-    }
-    benchmark::DoNotOptimize(pairs);
-  }
-  state.SetItemsProcessed(state.iterations() * (build.size() + probe.size()));
-}
-BENCHMARK(BM_HashJoinRowCore);
-
-void BM_HashJoinColumnar(benchmark::State& state) {
-  QuerySet qs = QuerySet::Single(0);
-  DeltaBatch build = MakeBatch(2048, 1024, qs);
-  DeltaBatch probe = MakeBatch(2048, 1024, qs);
-  Schema s = TwoCol();
-  ColumnBatch cb_build, cb_probe;
-  CHECK(ColumnBatch::FromDeltas(s, build, &cb_build));
-  CHECK(ColumnBatch::FromDeltas(s, probe, &cb_probe));
-  const std::vector<int64_t>& bk = cb_build.cols[0].i64();
-  const std::vector<int64_t>& pk = cb_probe.cols[0].i64();
-  std::vector<int32_t> bo, po;
-  for (auto _ : state) {
-    ColumnarHashJoin join;
-    join.Build(bk.data(), static_cast<int64_t>(bk.size()));
-    bo.clear();
-    po.clear();
-    benchmark::DoNotOptimize(
-        join.Probe(pk.data(), static_cast<int64_t>(pk.size()), &bo, &po));
-  }
-  state.SetItemsProcessed(state.iterations() * (build.size() + probe.size()));
-}
-BENCHMARK(BM_HashJoinColumnar);
+BENCHMARK(BM_ProjectOp);
 
 void BM_LikeMatch(benchmark::State& state) {
   std::string text = "carefully final ironic special packages requests";
@@ -337,178 +187,7 @@ void BM_CompiledExprEval(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledExprEval);
 
-// ---- Speedup gate (--speedup_gate) --------------------------------------
-
-// Minimum wall time over `reps` runs after one warm-up — paired min-of-k
-// is robust to scheduler noise where means are not.
-template <typename F>
-double MinTimeNs(F&& f, int reps = 7) {
-  f();
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    auto t0 = std::chrono::steady_clock::now();
-    f();
-    auto t1 = std::chrono::steady_clock::now();
-    double ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
-    if (ns < best) best = ns;
-  }
-  return best;
-}
-
-struct GatePair {
-  const char* name;
-  double row_ns = 0;
-  double col_ns = 0;
-  int64_t rows = 0;
-
-  double Speedup() const { return col_ns > 0 ? row_ns / col_ns : 0.0; }
-};
-
-GatePair GateFilter() {
-  constexpr int kRows = 65536;
-  Schema s = TwoCol();
-  QuerySet qs = QuerySet::FromIds({0, 1});
-  PlanNodePtr node = FilterNode(s, qs);
-  DeltaBatch in = MakeBatch(kRows, 1024, qs);
-  ColumnBatch cb0;
-  CHECK(ColumnBatch::FromDeltas(s, in, &cb0));
-  FilterOp row_op(node.get(), s);
-  FilterOp col_op(node.get(), s);
-  CHECK(col_op.SupportsColumnar(0));
-  GatePair g{"filter"};
-  g.rows = kRows;
-  g.row_ns = MinTimeNs([&] { benchmark::DoNotOptimize(row_op.Process(0, in)); });
-  g.col_ns = MinTimeNs([&] {
-    ColumnBatch cb = cb0;
-    ColumnBatch out;
-    col_op.ProcessColumnar(0, std::move(cb), &out);
-    benchmark::DoNotOptimize(out.num_selected());
-  });
-  return g;
-}
-
-GatePair GateProject() {
-  constexpr int kRows = 65536;
-  Schema s = TwoCol();
-  QuerySet qs = QuerySet::Single(0);
-  PlanNodePtr node = ProjectNode(s, qs);
-  DeltaBatch in = MakeBatch(kRows, 1024, qs);
-  ColumnBatch cb0;
-  CHECK(ColumnBatch::FromDeltas(s, in, &cb0));
-  ProjectOp row_op(node.get(), s);
-  ProjectOp col_op(node.get(), s);
-  CHECK(col_op.SupportsColumnar(0));
-  GatePair g{"project"};
-  g.rows = kRows;
-  g.row_ns = MinTimeNs([&] { benchmark::DoNotOptimize(row_op.Process(0, in)); });
-  g.col_ns = MinTimeNs([&] {
-    ColumnBatch cb = cb0;
-    ColumnBatch out;
-    col_op.ProcessColumnar(0, std::move(cb), &out);
-    benchmark::DoNotOptimize(out.num_selected());
-  });
-  return g;
-}
-
-GatePair GateHashAgg() {
-  constexpr int kRows = 65536;
-  QuerySet qs = QuerySet::Single(0);
-  DeltaBatch in = MakeBatch(kRows, 4096, qs);
-  ColumnBatch cb;
-  CHECK(ColumnBatch::FromDeltas(TwoCol(), in, &cb));
-  const std::vector<int64_t>& keys = cb.cols[0].i64();
-  const std::vector<double>& vals = cb.cols[1].f64();
-  GatePair g{"hash-agg"};
-  g.rows = kRows;
-  g.row_ns = MinTimeNs([&] {
-    std::unordered_map<Row, double, RowHasher> agg;
-    for (const DeltaTuple& t : in) {
-      agg[ExtractColumns(t.row, {0})] +=
-          t.row[1].AsDouble() * static_cast<double>(t.weight);
-    }
-    benchmark::DoNotOptimize(agg.size());
-  });
-  g.col_ns = MinTimeNs([&] {
-    ColumnarHashAgg agg;
-    agg.Consume(keys.data(), vals.data(), cb.weights.data(),
-                static_cast<int64_t>(keys.size()));
-    agg.Finish();
-    benchmark::DoNotOptimize(agg.sums().size());
-  });
-  return g;
-}
-
-GatePair GateHashJoin() {
-  constexpr int kRows = 32768;
-  QuerySet qs = QuerySet::Single(0);
-  DeltaBatch build = MakeBatch(kRows, 8192, qs);
-  DeltaBatch probe = MakeBatch(kRows, 8192, qs);
-  Schema s = TwoCol();
-  ColumnBatch cb_build, cb_probe;
-  CHECK(ColumnBatch::FromDeltas(s, build, &cb_build));
-  CHECK(ColumnBatch::FromDeltas(s, probe, &cb_probe));
-  const std::vector<int64_t>& bk = cb_build.cols[0].i64();
-  const std::vector<int64_t>& pk = cb_probe.cols[0].i64();
-  GatePair g{"hash-join"};
-  g.rows = 2 * kRows;
-  g.row_ns = MinTimeNs([&] {
-    std::unordered_map<Row, std::vector<int32_t>, RowHasher> ht;
-    for (size_t i = 0; i < build.size(); ++i) {
-      ht[ExtractColumns(build[i].row, {0})].push_back(
-          static_cast<int32_t>(i));
-    }
-    int64_t pairs = 0;
-    for (size_t i = 0; i < probe.size(); ++i) {
-      auto it = ht.find(ExtractColumns(probe[i].row, {0}));
-      if (it != ht.end()) pairs += static_cast<int64_t>(it->second.size());
-    }
-    benchmark::DoNotOptimize(pairs);
-  });
-  std::vector<int32_t> bo, po;
-  g.col_ns = MinTimeNs([&] {
-    ColumnarHashJoin join;
-    join.Build(bk.data(), static_cast<int64_t>(bk.size()));
-    bo.clear();
-    po.clear();
-    int64_t pairs =
-        join.Probe(pk.data(), static_cast<int64_t>(pk.size()), &bo, &po);
-    benchmark::DoNotOptimize(pairs);
-  });
-  return g;
-}
-
-// Runs the four paired measurements and enforces the 3x floor. Exit code
-// 0 iff every pair clears it; ci.sh bench mode runs this.
-int RunSpeedupGate() {
-  constexpr double kFloor = 3.0;
-  GatePair pairs[] = {GateFilter(), GateProject(), GateHashAgg(),
-                      GateHashJoin()};
-  std::printf("%-10s %14s %14s %10s\n", "kernel", "row ns/row", "col ns/row",
-              "speedup");
-  bool ok = true;
-  for (const GatePair& g : pairs) {
-    double n = static_cast<double>(g.rows);
-    std::printf("%-10s %14.2f %14.2f %9.2fx\n", g.name, g.row_ns / n,
-                g.col_ns / n, g.Speedup());
-    ok = ok && g.Speedup() >= kFloor;
-  }
-  std::printf("speedup gate (>= %.1fx on all kernels): %s\n", kFloor,
-              ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
-}
-
 }  // namespace
 }  // namespace ishare
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--speedup_gate") == 0) {
-      return ishare::RunSpeedupGate();
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

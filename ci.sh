@@ -25,9 +25,7 @@ case "$mode" in
     # the DeltaBuffer concurrent-append regression (storage_test), and
     # the chaos suite whose worker-stall injection and mid-wave crash
     # cycles run parallel waves under fault (chaos_test,
-    # crash_recovery_test), the columnar-vs-row equivalence property
-    # whose 4-thread seeds drive the columnar pump through the morsel
-    # scheduler (columnar_test), and the churn property sweep whose
+    # crash_recovery_test), and the churn property sweep whose
     # 4-thread seeds rebuild engines mid-window around the worker pool
     # (churn_test), and the sharded-group property whose 4-thread seeds
     # run every shard's executor on a pool while the group merges their
@@ -39,13 +37,12 @@ case "$mode" in
     cmake --preset tsan
     cmake --build --preset tsan -j "$(nproc)" \
       --target sched_test flow_test storage_test chaos_test \
-      crash_recovery_test columnar_test churn_test shard_test arrange_test
+      crash_recovery_test churn_test shard_test arrange_test
     ./build-tsan/tests/sched_test
     ./build-tsan/tests/flow_test
     ./build-tsan/tests/storage_test
     ./build-tsan/tests/chaos_test
     ./build-tsan/tests/crash_recovery_test
-    ./build-tsan/tests/columnar_test --gtest_filter='ColumnarEquivalence.*'
     ./build-tsan/tests/churn_test
     ./build-tsan/tests/shard_test
     ./build-tsan/tests/arrange_test --gtest_filter='ArrangeEquivalence.*'
@@ -56,7 +53,6 @@ case "$mode" in
       --target bench_robustness bench_operators bench_obs_overhead bench_recovery bench_overload bench_chaos bench_churn bench_shards bench_arrange
     ./build/bench/bench_robustness --quick
     ./build/bench/bench_operators --benchmark_filter=ConsumeZeroCopy --benchmark_min_time=0.05
-    ./build/bench/bench_operators --speedup_gate
     ./build/bench/bench_obs_overhead --quick
     ./build/bench/bench_recovery --quick
     ./build/bench/bench_overload --quick

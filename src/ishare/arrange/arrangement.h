@@ -58,8 +58,7 @@ struct FoldedEntry {
 };
 
 // Open-addressing map from Row key to dense id in first-touch order, on
-// the shared xx-mix probe loop (common/hash_probe.h) — the third user of
-// that loop after FlatIndexI64 and the columnar join partitioner.
+// the xx-mix probe loop it shares with FlatIndexI64 (common/hash_probe.h).
 class FlatRowIndex {
  public:
   FlatRowIndex() : slots_(16, -1), mask_(15) {}

@@ -1,8 +1,7 @@
-// Flat open-addressing integer hash index for the vectorized fast paths
-// (DESIGN.md §12.5). Maps int64 keys to dense ids [0, n) with linear
-// probing over a power-of-two slot array and an xxhash-style avalanche
-// finalizer — the flat_hash_map/robin_map idiom of the parallel-groupby
-// exemplar, specialized to the only thing the columnar kernels need:
+// Flat open-addressing integer hash index (DESIGN.md §12.2). Maps int64
+// keys to dense ids [0, n) with linear probing over a power-of-two slot
+// array and an xxhash-style avalanche finalizer — the flat_hash_map/
+// robin_map idiom of the parallel-groupby exemplar, specialized to
 // find-or-insert returning a dense id to index accumulator arrays.
 // The mix + probe loop live in common/hash_probe.h, shared with the
 // arrangement row index (DESIGN.md §15).
@@ -19,9 +18,8 @@
 namespace ishare {
 
 // Open-addressing map from int64 key to dense id, assigned in first-touch
-// order. No erase (the kernels only grow an index within a window; dead
-// groups are skipped at emission). Load factor is kept under ~0.7 by
-// doubling the slot array.
+// order. No erase: an index only grows (Clear() resets it). Load factor
+// is kept under ~0.7 by doubling the slot array.
 class FlatIndexI64 {
  public:
   explicit FlatIndexI64(int64_t expected_keys = 0) {

@@ -1,9 +1,6 @@
 // Shared xx-mix hash finalizer and linear-probe loop for the flat
-// open-addressing indexes (DESIGN.md §12.5, §15.4). Before this header the
-// avalanche mix + probe loop existed twice — in `FlatIndexI64`
-// (common/flat_hash.h) and in the columnar join/agg partitioning kernels
-// (exec/vectorized.cc) — and the arrangement row index would have been a
-// third copy. All three now share this one implementation.
+// open-addressing indexes: `FlatIndexI64` (common/flat_hash.h) and the
+// arrangement row index `FlatRowIndex` (DESIGN.md §15.1).
 
 #ifndef ISHARE_COMMON_HASH_PROBE_H_
 #define ISHARE_COMMON_HASH_PROBE_H_

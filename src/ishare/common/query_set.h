@@ -23,13 +23,11 @@ using QueryId = int;
 // case: the paper's sessions top out at 22 queries, and per-tuple
 // annotations stay one machine word). Sessions with higher ids spill into
 // a word vector (word i covers ids [64*i, 64*i+64)), kept normalized —
-// no trailing zero words — so value comparison stays word-wise. The
-// columnar path's per-row `qbits` stays a raw u64 and is gated on
-// fits_inline(); wider sets degrade per-batch to the row pump.
+// no trailing zero words — so value comparison stays word-wise.
 class QuerySet {
  public:
-  // Capacity of the inline word; NOT a cap on ids. Columnar kernels and
-  // other u64 fast paths are gated on fits_inline(), i.e. ids < this.
+  // Capacity of the inline word; NOT a cap on ids. u64 fast paths are
+  // gated on fits_inline(), i.e. ids < this.
   static constexpr int kInlineQueries = 64;
   // Sanity bound on ids: large enough for any real session (the churn
   // stress allocates ~1k ids), small enough to catch garbage (negative

@@ -75,7 +75,7 @@ void AggregateOp::ApplyTuple(const DeltaTuple& t, GroupState* g,
   }
 }
 
-DeltaBatch AggregateOp::Process(int child_idx, DeltaSpan in) {
+DeltaBatch AggregateOp::Process(int child_idx, DeltaBatch in) {
   CHECK_EQ(child_idx, 0);
   EnsureDecided();
   if (arr_ != nullptr) {

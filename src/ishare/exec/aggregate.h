@@ -44,7 +44,7 @@ class AggregateOp : public PhysOp {
               const ExecOptions::ArrangeOptions& arrange = {});
   ~AggregateOp() override;
 
-  DeltaBatch Process(int child_idx, DeltaSpan in) override;
+  DeltaBatch Process(int child_idx, DeltaBatch in) override;
   DeltaBatch EndExecution() override;
 
   // Morsel-driven parallelism (DESIGN.md §10): batches of at least

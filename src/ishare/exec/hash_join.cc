@@ -268,26 +268,26 @@ void HashJoinOp::BindScheduler(sched::WorkerPool* pool,
   morsel_min_tuples_ = opts.morsel_min_tuples;
 }
 
-void HashJoinOp::UpdateBucket(std::vector<Entry>* bucket,
-                              const DeltaTuple& t, int64_t* entry_counter) {
+void HashJoinOp::UpdateBucket(std::vector<Entry>* bucket, DeltaTuple* t,
+                              int64_t* entry_counter) {
   Entry* entry = nullptr;
   for (Entry& e : *bucket) {
-    if (e.row == t.row) {
+    if (e.row == t->row) {
       entry = &e;
       break;
     }
   }
   if (entry == nullptr) {
-    CHECK_GT(t.weight, 0) << "delete of a row absent from join state";
+    CHECK_GT(t->weight, 0) << "delete of a row absent from join state";
     bucket->push_back(
-        Entry{t.row, std::vector<int64_t>(query_ids_.size(), 0)});
+        Entry{std::move(t->row), std::vector<int64_t>(query_ids_.size(), 0)});
     entry = &bucket->back();
     ++*entry_counter;
   }
   bool all_zero = true;
   for (size_t pos = 0; pos < query_ids_.size(); ++pos) {
-    if (t.qset.Contains(query_ids_[pos])) {
-      entry->counts[pos] += t.weight;
+    if (t->qset.Contains(query_ids_[pos])) {
+      entry->counts[pos] += t->weight;
       CHECK_GE(entry->counts[pos], 0) << "negative multiplicity in join state";
     }
     if (entry->counts[pos] != 0) all_zero = false;
@@ -299,11 +299,11 @@ void HashJoinOp::UpdateBucket(std::vector<Entry>* bucket,
   }
 }
 
-void HashJoinOp::UpdateState(SideState* state, const Row& key,
-                             const DeltaTuple& t, int64_t* entry_counter) {
-  std::vector<Entry>& bucket = (*state)[key];
-  UpdateBucket(&bucket, t, entry_counter);
-  if (bucket.empty()) state->erase(key);
+void HashJoinOp::UpdateState(SideState* state, Row key, DeltaTuple* t,
+                             int64_t* entry_counter) {
+  auto it = state->try_emplace(std::move(key)).first;
+  UpdateBucket(&it->second, t, entry_counter);
+  if (it->second.empty()) state->erase(it);
 }
 
 void HashJoinOp::EmitMatches(const DeltaTuple& t, const Entry& e,
@@ -317,30 +317,31 @@ void HashJoinOp::EmitMatches(const DeltaTuple& t, const Entry& e,
     by_weight[w].Add(q);
   }
   if (by_weight.empty()) return;
+  const Row& first = t_is_left ? t.row : e.row;
+  const Row& second = t_is_left ? e.row : t.row;
   Row joined;
-  joined.reserve(t.row.size() + e.row.size());
-  if (t_is_left) {
-    joined = t.row;
-    joined.insert(joined.end(), e.row.begin(), e.row.end());
-  } else {
-    joined = e.row;
-    joined.insert(joined.end(), t.row.begin(), t.row.end());
+  joined.reserve(first.size() + second.size());
+  joined.insert(joined.end(), first.begin(), first.end());
+  joined.insert(joined.end(), second.begin(), second.end());
+  // Every weight group but the last gets a copy; the last takes the row.
+  const auto last = std::prev(by_weight.end());
+  for (auto it = by_weight.begin(); it != last; ++it) {
+    out->emplace_back(joined, it->second, static_cast<int32_t>(it->first));
   }
-  for (const auto& [w, qset] : by_weight) {
-    out->emplace_back(joined, qset, static_cast<int32_t>(w));
-    work->out += 1;
-  }
+  out->emplace_back(std::move(joined), last->second,
+                    static_cast<int32_t>(last->first));
+  work->out += static_cast<double>(by_weight.size());
 }
 
-DeltaBatch HashJoinOp::Process(int child_idx, DeltaSpan in) {
+DeltaBatch HashJoinOp::Process(int child_idx, DeltaBatch in) {
   CHECK(child_idx == 0 || child_idx == 1);
   if (node_->join_type == JoinType::kInner) {
-    return ProcessInner(child_idx, in);
+    return ProcessInner(child_idx, &in);
   }
-  return ProcessSemiAnti(child_idx, in);
+  return ProcessSemiAnti(child_idx, &in);
 }
 
-DeltaBatch HashJoinOp::ProcessInner(int child_idx, DeltaSpan in) {
+DeltaBatch HashJoinOp::ProcessInner(int child_idx, DeltaBatch* in) {
   EnsureDecided();
   DeltaBatch out;
   const bool from_left = (child_idx == 0);
@@ -356,28 +357,29 @@ DeltaBatch HashJoinOp::ProcessInner(int child_idx, DeltaSpan in) {
 
   if (!own_arranged && !other_arranged && pool_ != nullptr &&
       pool_->num_threads() > 1 &&
-      static_cast<int64_t>(in.size()) >= morsel_min_tuples_) {
+      static_cast<int64_t>(in->size()) >= morsel_min_tuples_) {
     return ProcessInnerParallel(own, other, own_entries, own_keys, from_left,
                                 in);
   }
 
-  // Serially, the build interleaves with the probe per tuple — but probes
-  // only read the *other* side, which this call never mutates, so an
-  // arranged own side may apply the whole batch up front. A probe against
-  // an arranged other side folds at that reader's version, which excludes
+  // Per tuple the probe runs before the build: probes only read the
+  // *other* side, which this call never mutates, so the order is
+  // invisible — and probing first lets the build move the row into the
+  // state once the probe is done with it. For the same reason an arranged
+  // own side may apply the whole batch up front. A probe against an
+  // arranged other side folds at that reader's version, which excludes
   // everything applied here — including a self-join sharing one
   // arrangement for both sides.
   if (own_arranged) {
-    work_.in += static_cast<double>(in.size());
-    arr_[own_side]->Advance(reader_[own_side], in);
-    version_[own_side] += static_cast<int64_t>(in.size());
+    work_.in += static_cast<double>(in->size());
+    arr_[own_side]->Advance(reader_[own_side], *in);
+    version_[own_side] += static_cast<int64_t>(in->size());
   }
 
   std::vector<Entry> folded;
-  for (const DeltaTuple& t : in) {
+  for (DeltaTuple& t : *in) {
     if (!own_arranged) work_.in += 1;
     Row key = ExtractColumns(t.row, own_keys);
-    if (!own_arranged) UpdateState(own, key, t, own_entries);
     if (other_arranged) {
       arr_[other_side]->FoldBucket(key, version_[other_side],
                                    query_ids_.size(), &folded);
@@ -385,74 +387,56 @@ DeltaBatch HashJoinOp::ProcessInner(int child_idx, DeltaSpan in) {
         work_.state += 1;  // probe cost
         EmitMatches(t, e, from_left, &work_, &out);
       }
-    } else {
-      auto it = other->find(key);
-      if (it == other->end()) continue;
+    } else if (auto it = other->find(key); it != other->end()) {
       for (const Entry& e : it->second) {
         work_.state += 1;  // probe cost
         EmitMatches(t, e, from_left, &work_, &out);
       }
     }
+    if (!own_arranged) UpdateState(own, std::move(key), &t, own_entries);
   }
   return out;
 }
 
 // Parallel inner-join execution (DESIGN.md §10). The serial loop
-// interleaves build (UpdateState on `own`) and probe (`other` lookups)
+// interleaves probe (`other` lookups) and build (UpdateState on `own`)
 // per tuple, but a tuple's probe results depend only on `other` — which
-// this call never mutates — so splitting into a full build phase then a
-// full probe phase emits exactly the serial output.
+// this call never mutates — so splitting into a full probe phase then a
+// full build phase emits exactly the serial output. Probing first lets
+// the build move rows into the state, as the serial loop does.
 //
-// Build: keys are extracted serially (fixing group/bucket creation order
-// and all map structure mutation on the driver thread), then workers
-// update buckets partitioned by key hash — each key is owned by exactly
-// one worker, so per-key entry order matches the serial input-order walk.
-// Keys whose buckets empty out are erased in a serial post-pass; serial
-// execution erases them mid-batch, but map membership of empty buckets is
-// not observable (probes skip them, snapshots sort keys, byte accounting
-// sums integers).
+// Keys are extracted serially (fixing group/bucket creation order and all
+// map structure mutation on the driver thread).
 //
 // Probe: contiguous morsels with one output slot per tuple; slots are
 // concatenated in input order and per-morsel work partials folded in
 // morsel order, keeping both the emitted batch and the work meter
 // bit-identical to serial.
+//
+// Build: workers update buckets partitioned by key hash — each key is
+// owned by exactly one worker, so per-key entry order matches the serial
+// input-order walk. Keys whose buckets empty out are erased in a serial
+// post-pass; serial execution erases them mid-batch, but map membership
+// of empty buckets is not observable (probes skip them, snapshots sort
+// keys, byte accounting sums integers).
 DeltaBatch HashJoinOp::ProcessInnerParallel(SideState* own, SideState* other,
                                             int64_t* own_entries,
                                             const std::vector<int>& own_keys,
-                                            bool from_left, DeltaSpan in) {
-  const size_t n = in.size();
+                                            bool from_left, DeltaBatch* in) {
+  const size_t n = in->size();
   const int workers = pool_->num_threads();
   std::vector<Row> keys(n);
   std::vector<int> part(n);
   std::vector<std::vector<Entry>*> bucket_of(n);
   for (size_t i = 0; i < n; ++i) {
     work_.in += 1;
-    keys[i] = ExtractColumns(in[i].row, own_keys);
+    keys[i] = ExtractColumns((*in)[i].row, own_keys);
     part[i] =
         static_cast<int>(HashRow(keys[i]) % static_cast<size_t>(workers));
     // try_emplace pre-creates the bucket so workers never mutate map
     // structure; element addresses are stable across later insertions,
     // so the cached bucket pointers survive the rest of the pre-pass.
     bucket_of[i] = &own->try_emplace(keys[i]).first->second;
-  }
-
-  std::vector<int64_t> entry_delta(static_cast<size_t>(workers), 0);
-  pool_->ParallelFor(workers, [&](int64_t p) {
-    int64_t delta = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (part[i] != p) continue;
-      UpdateBucket(bucket_of[i], in[i], &delta);
-    }
-    entry_delta[static_cast<size_t>(p)] = delta;
-  });
-  for (int64_t d : entry_delta) *own_entries += d;
-  // Serial execution erases a key the moment its bucket empties; sweep
-  // every key this batch touched so the final map membership matches
-  // (snapshots serialize all keys, so an empty leftover bucket would
-  // break checkpoint bit-exactness).
-  for (size_t i = 0; i < n; ++i) {
-    auto it = own->find(keys[i]);
-    if (it != own->end() && it->second.empty()) own->erase(it);
   }
 
   std::vector<DeltaBatch> slots(n);
@@ -468,11 +452,31 @@ DeltaBatch HashJoinOp::ProcessInnerParallel(SideState* own, SideState* other,
       if (it == other->end()) continue;
       for (const Entry& e : it->second) {
         pw->state += 1;  // probe cost
-        EmitMatches(in[i], e, from_left, pw, &slots[i]);
+        EmitMatches((*in)[i], e, from_left, pw, &slots[i]);
       }
     }
   });
   for (const OpWork& w : partial) work_ += w;
+
+  std::vector<int64_t> entry_delta(static_cast<size_t>(workers), 0);
+  pool_->ParallelFor(workers, [&](int64_t p) {
+    int64_t delta = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (part[i] != p) continue;
+      UpdateBucket(bucket_of[i], &(*in)[i], &delta);
+    }
+    entry_delta[static_cast<size_t>(p)] = delta;
+  });
+  for (int64_t d : entry_delta) *own_entries += d;
+  // Serial execution erases a key the moment its bucket empties; sweep
+  // every key this batch touched so the final map membership matches
+  // (snapshots serialize all keys, so an empty leftover bucket would
+  // break checkpoint bit-exactness).
+  for (size_t i = 0; i < n; ++i) {
+    auto it = own->find(keys[i]);
+    if (it != own->end() && it->second.empty()) own->erase(it);
+  }
+
   DeltaBatch out;
   for (DeltaBatch& s : slots) {
     out.insert(out.end(), std::make_move_iterator(s.begin()),
@@ -481,17 +485,17 @@ DeltaBatch HashJoinOp::ProcessInnerParallel(SideState* own, SideState* other,
   return out;
 }
 
-DeltaBatch HashJoinOp::ProcessSemiAnti(int child_idx, DeltaSpan in) {
+DeltaBatch HashJoinOp::ProcessSemiAnti(int child_idx, DeltaBatch* in) {
   const bool semi = (node_->join_type == JoinType::kLeftSemi);
   DeltaBatch out;
 
   if (child_idx == 0) {
-    // Left deltas: store, then emit for the queries whose current right
-    // match count satisfies the semi/anti condition.
-    for (const DeltaTuple& t : in) {
+    // Left deltas: emit for the queries whose current right match count
+    // satisfies the semi/anti condition, then store (the state update
+    // does not touch the right counts, so the order is invisible).
+    for (DeltaTuple& t : *in) {
       work_.in += 1;
       Row key = ExtractColumns(t.row, left_key_idx_);
-      UpdateState(&left_state_, key, t, &left_entries_);
       auto it = right_counts_.find(key);
       QuerySet pass;
       for (QueryId q : t.qset.ToIds()) {
@@ -501,16 +505,18 @@ DeltaBatch HashJoinOp::ProcessSemiAnti(int child_idx, DeltaSpan in) {
         if (matched == semi) pass.Add(q);
       }
       work_.state += 1;
-      if (pass.empty()) continue;
-      out.emplace_back(t.row, pass, t.weight);
-      work_.out += 1;
+      if (!pass.empty()) {
+        out.emplace_back(t.row, pass, t.weight);
+        work_.out += 1;
+      }
+      UpdateState(&left_state_, std::move(key), &t, &left_entries_);
     }
     return out;
   }
 
   // Right deltas: maintain per-(key, query) counts; when a count crosses
   // zero, (re-)emit or retract the stored left tuples for that query.
-  for (const DeltaTuple& t : in) {
+  for (const DeltaTuple& t : *in) {
     work_.in += 1;
     Row key = ExtractColumns(t.row, right_key_idx_);
     std::vector<int64_t>& counts = right_counts_[key];

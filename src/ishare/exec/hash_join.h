@@ -46,7 +46,9 @@ class HashJoinOp : public PhysOp {
              const ExecOptions::ArrangeOptions& arrange = {});
   ~HashJoinOp() override;
 
-  DeltaBatch Process(int child_idx, DeltaSpan in) override;
+  // New build-side rows move from `in` into the side's state; a row the
+  // state already holds only updates its counters.
+  DeltaBatch Process(int child_idx, DeltaBatch in) override;
 
   // Morsel-driven parallelism (DESIGN.md §10), inner joins only: the
   // build is hash-partitioned by join key (each worker owns the keys
@@ -99,20 +101,21 @@ class HashJoinOp : public PhysOp {
   using MatchCounts =
       std::unordered_map<Row, std::vector<int64_t>, RowHasher>;
 
-  DeltaBatch ProcessInner(int child_idx, DeltaSpan in);
+  DeltaBatch ProcessInner(int child_idx, DeltaBatch* in);
   DeltaBatch ProcessInnerParallel(SideState* own, SideState* other,
                                   int64_t* own_entries,
                                   const std::vector<int>& own_keys,
-                                  bool from_left, DeltaSpan in);
-  DeltaBatch ProcessSemiAnti(int child_idx, DeltaSpan in);
+                                  bool from_left, DeltaBatch* in);
+  DeltaBatch ProcessSemiAnti(int child_idx, DeltaBatch* in);
 
   // Applies the tuple's weight to the matching stored row's per-query
-  // counters, creating the entry as needed; swap-removes an entry whose
-  // counts all reach zero. The caller erases the key once its bucket
-  // empties (serially — the parallel build defers that to a post-pass).
-  void UpdateBucket(std::vector<Entry>* bucket, const DeltaTuple& t,
+  // counters, creating the entry (from `t.row`, moved) as needed;
+  // swap-removes an entry whose counts all reach zero. The caller erases
+  // the key once its bucket empties (serially — the parallel build defers
+  // that to a post-pass).
+  void UpdateBucket(std::vector<Entry>* bucket, DeltaTuple* t,
                     int64_t* entry_counter);
-  void UpdateState(SideState* state, const Row& key, const DeltaTuple& t,
+  void UpdateState(SideState* state, Row key, DeltaTuple* t,
                    int64_t* entry_counter);
 
   // Emits join results of `t` against entry `e`, grouping queries with

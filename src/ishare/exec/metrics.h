@@ -63,14 +63,6 @@ struct ExecOptions {
   // but not eliminated by Drizzle-style scheduling [47]).
   double startup_cost = 32.0;
 
-  // Columnar/vectorized execution (DESIGN.md §12). On by default: the
-  // subplan pump converts leaf deltas to column batches and keeps them
-  // columnar across every operator that claims SupportsColumnar, falling
-  // back to row-at-a-time Process anywhere it cannot (unsupported
-  // expression shapes, ill-typed sources, stateful operators). Results
-  // are bit-exact either way; `false` forces the legacy row pump.
-  bool columnar = true;
-
   // Transient storage faults (Status::IsTransient) hit while draining leaf
   // buffers are retried under this policy with virtual exponential backoff
   // (DESIGN.md §8); permanent faults propagate on the first attempt.

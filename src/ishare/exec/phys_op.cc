@@ -7,39 +7,12 @@
 
 namespace ishare {
 
-namespace {
-
-// Drops rows whose query set emptied: keeps `sel`-selected rows with
-// non-zero qbits, preserving input order, and keeps the all-selected
-// representation when nothing was dropped.
-SelectionVector CompactSelection(const ColumnBatch& b) {
-  std::vector<int32_t> keep;
-  keep.reserve(static_cast<size_t>(b.num_selected()));
-  const uint64_t* q = b.qbits.data();
-  b.sel.ForEach([&](int32_t i) {
-    if (q[i] != 0) keep.push_back(i);
-  });
-  if (static_cast<int64_t>(keep.size()) == b.num_rows()) {
-    return SelectionVector::All(b.num_rows());
-  }
-  return SelectionVector::FromIndices(std::move(keep));
-}
-
-}  // namespace
-
-// Row shim: any operator can be driven columnar through its row
-// implementation. The pump never takes this path (SupportsColumnar
-// defaults to false); it exists so the contract "ProcessColumnar ==
-// convert ∘ Process ∘ convert" is executable in tests.
-void PhysOp::ProcessColumnar(int child_idx, ColumnBatch in, ColumnBatch* out) {
-  DeltaBatch rows = in.ToDeltas();
-  DeltaBatch orows = Process(child_idx, rows);
-  CHECK(ColumnBatch::FromDeltas(node_->output_schema, orows, out))
-      << "row shim: operator output does not conform to its declared schema";
-}
-
-DeltaBatch ScanOp::Process(int child_idx, DeltaSpan in) {
+DeltaBatch LeafOp::Process(int child_idx, DeltaBatch in) {
   CHECK_EQ(child_idx, 0);
+  return Read(in);
+}
+
+DeltaBatch ScanOp::Read(DeltaSpan in) {
   DeltaBatch out;
   out.reserve(in.size());
   for (const DeltaTuple& t : in) {
@@ -51,25 +24,7 @@ DeltaBatch ScanOp::Process(int child_idx, DeltaSpan in) {
   return out;
 }
 
-bool ScanOp::SupportsColumnar(int child_idx) const {
-  // The columnar qbits lane is one raw u64 per row; query sets beyond the
-  // inline word run the row pump (DESIGN.md §12 degradation contract).
-  return child_idx == 0 && node_->queries.fits_inline();
-}
-
-void ScanOp::ProcessColumnar(int child_idx, ColumnBatch in, ColumnBatch* out) {
-  CHECK_EQ(child_idx, 0);
-  const double n_sel = static_cast<double>(in.num_selected());
-  work_.in += n_sel;
-  // Base tuples are valid for every query sharing this scan; splatting
-  // the scan's bits over dead slots too is harmless (they stay dead).
-  in.qbits.assign(in.qbits.size(), node_->queries.bits());
-  work_.out += n_sel;
-  *out = std::move(in);
-}
-
-DeltaBatch SubplanInputOp::Process(int child_idx, DeltaSpan in) {
-  CHECK_EQ(child_idx, 0);
+DeltaBatch SubplanInputOp::Read(DeltaSpan in) {
   DeltaBatch out;
   out.reserve(in.size());
   for (const DeltaTuple& t : in) {
@@ -80,23 +35,6 @@ DeltaBatch SubplanInputOp::Process(int child_idx, DeltaSpan in) {
     work_.out += 1;
   }
   return out;
-}
-
-bool SubplanInputOp::SupportsColumnar(int child_idx) const {
-  return child_idx == 0 && node_->queries.fits_inline();
-}
-
-void SubplanInputOp::ProcessColumnar(int child_idx, ColumnBatch in,
-                                     ColumnBatch* out) {
-  CHECK_EQ(child_idx, 0);
-  work_.in += static_cast<double>(in.num_selected());
-  const uint64_t mask = node_->queries.bits();
-  uint64_t* q = in.qbits.data();
-  const int64_t n = in.num_rows();
-  for (int64_t i = 0; i < n; ++i) q[i] &= mask;  // σ_filter, branch-free
-  in.sel = CompactSelection(in);
-  work_.out += static_cast<double>(in.num_selected());
-  *out = std::move(in);
 }
 
 FilterOp::FilterOp(const PlanNode* node, const Schema& input_schema)
@@ -113,111 +51,51 @@ FilterOp::FilterOp(const PlanNode* node, const Schema& input_schema)
   }
   groups_.reserve(by_pred.size());
   for (const auto& [ptr, slot] : by_pred) {
-    VectorExpr vpred = VectorExpr::Compile(slot.first, input_schema);
-    // Predicates are evaluated in boolean context, so a string-typed root
-    // is a row-path programming error too; stay on rows for it. Group
-    // query sets beyond the inline u64 word also pin the row path (the
-    // columnar bit-clear uses the raw word).
-    columnar_ok_ = columnar_ok_ && vpred.supported() &&
-                   vpred.output_type() != DataType::kString &&
-                   slot.second.fits_inline();
     groups_.push_back(PredGroup{CompiledExpr::Compile(slot.first, input_schema),
-                                std::move(vpred), slot.second});
+                                slot.second});
   }
 }
 
-DeltaBatch FilterOp::Process(int child_idx, DeltaSpan in) {
+DeltaBatch FilterOp::Process(int child_idx, DeltaBatch in) {
   CHECK_EQ(child_idx, 0);
-  DeltaBatch out;
-  out.reserve(in.size());
-  for (const DeltaTuple& t : in) {
+  // Compacts survivors to the front of `in`, preserving their order.
+  size_t kept = 0;
+  for (DeltaTuple& t : in) {
     work_.in += 1;
-    QuerySet qset = t.qset;
     for (const PredGroup& g : groups_) {
-      if (!qset.Intersects(g.queries)) continue;
-      if (!g.pred.EvalBool(t.row)) qset = qset.Minus(g.queries);
+      if (!t.qset.Intersects(g.queries)) continue;
+      if (!g.pred.EvalBool(t.row)) t.qset = t.qset.Minus(g.queries);
     }
-    if (qset.empty()) continue;
-    out.emplace_back(t.row, qset, t.weight);
+    if (t.qset.empty()) continue;
+    if (&in[kept] != &t) in[kept] = std::move(t);
+    ++kept;
     work_.out += 1;
   }
-  return out;
-}
-
-bool FilterOp::SupportsColumnar(int child_idx) const {
-  return child_idx == 0 && columnar_ok_;
-}
-
-void FilterOp::ProcessColumnar(int child_idx, ColumnBatch in,
-                               ColumnBatch* out) {
-  CHECK_EQ(child_idx, 0);
-  const int64_t n = in.num_rows();
-  work_.in += static_cast<double>(in.num_selected());
-  uint64_t* q = in.qbits.data();
-  std::vector<uint8_t> mask;
-  for (const PredGroup& g : groups_) {
-    g.vpred.EvalBoolMask(in.cols, n, &mask);
-    const uint64_t gbits = g.queries.bits();
-    const uint8_t* m = mask.data();
-    // Clearing the bits of a non-intersecting query set is a no-op, so
-    // the row path's Intersects() skip needs no branch here: clear gbits
-    // exactly where the predicate fails.
-    for (int64_t i = 0; i < n; ++i) {
-      q[i] &= ~(gbits & (0 - static_cast<uint64_t>(m[i] == 0)));
-    }
-  }
-  in.sel = CompactSelection(in);
-  work_.out += static_cast<double>(in.num_selected());
-  *out = std::move(in);
+  in.erase(in.begin() + static_cast<std::ptrdiff_t>(kept), in.end());
+  return in;
 }
 
 ProjectOp::ProjectOp(const PlanNode* node, const Schema& input_schema)
     : PhysOp(node) {
   exprs_.reserve(node->projections.size());
-  vexprs_.reserve(node->projections.size());
   for (const NamedExpr& ne : node->projections) {
     exprs_.push_back(CompiledExpr::Compile(ne.expr, input_schema));
-    vexprs_.push_back(VectorExpr::Compile(ne.expr, input_schema));
-    columnar_ok_ = columnar_ok_ && vexprs_.back().supported();
   }
 }
 
-DeltaBatch ProjectOp::Process(int child_idx, DeltaSpan in) {
+DeltaBatch ProjectOp::Process(int child_idx, DeltaBatch in) {
   CHECK_EQ(child_idx, 0);
   DeltaBatch out;
   out.reserve(in.size());
-  for (const DeltaTuple& t : in) {
+  for (DeltaTuple& t : in) {
     work_.in += 1;
     Row row;
     row.reserve(exprs_.size());
     for (const CompiledExpr& e : exprs_) row.push_back(e.Eval(t.row));
-    out.emplace_back(std::move(row), t.qset, t.weight);
+    out.emplace_back(std::move(row), std::move(t.qset), t.weight);
     work_.out += 1;
   }
   return out;
-}
-
-bool ProjectOp::SupportsColumnar(int child_idx) const {
-  return child_idx == 0 && columnar_ok_;
-}
-
-void ProjectOp::ProcessColumnar(int child_idx, ColumnBatch in,
-                                ColumnBatch* out) {
-  CHECK_EQ(child_idx, 0);
-  const int64_t n = in.num_rows();
-  const double n_sel = static_cast<double>(in.num_selected());
-  work_.in += n_sel;
-  out->cols.clear();
-  out->cols.reserve(vexprs_.size());
-  for (const VectorExpr& v : vexprs_) {
-    ColumnVector c;
-    v.Eval(in.cols, n, &c);
-    out->cols.push_back(std::move(c));
-  }
-  out->qbits = std::move(in.qbits);
-  out->weights = std::move(in.weights);
-  out->sel = std::move(in.sel);
-  work_.out += n_sel;
 }
 
 std::unique_ptr<PhysOp> CreatePhysOp(const PlanNode* node) {

@@ -3,6 +3,12 @@
 // bitvectors and signed multiplicities, and meter their own OpWork. Scan,
 // marking select (σ*), and project live here; stateful operators are in
 // hash_join.h and aggregate.h.
+//
+// Ownership (DESIGN.md §12): a tuple is copied once on its way through a
+// subplan — when a leaf reads it out of a shared DeltaBuffer. From there
+// every operator takes its input batch by value and may reuse the rows:
+// filters re-tag and drop in place, joins move new build rows into their
+// state, and the driver moves the root's output into the subplan's buffer.
 
 #ifndef ISHARE_EXEC_PHYS_OP_H_
 #define ISHARE_EXEC_PHYS_OP_H_
@@ -12,10 +18,8 @@
 
 #include "ishare/common/status.h"
 #include "ishare/exec/metrics.h"
-#include "ishare/expr/vector_expr.h"
 #include "ishare/plan/plan.h"
 #include "ishare/recovery/serializer.h"
-#include "ishare/storage/column_batch.h"
 #include "ishare/storage/delta.h"
 
 namespace ishare {
@@ -36,29 +40,10 @@ class PhysOp {
 
   const PlanNode* node() const { return node_; }
 
-  // Processes one delta batch arriving from child `child_idx`.
-  virtual DeltaBatch Process(int child_idx, DeltaSpan in) = 0;
-
-  // ---- Columnar fast path (DESIGN.md §12) -------------------------------
-  // True when ProcessColumnar has a real vectorized implementation for
-  // input `child_idx`. The columnar pump only routes batches through
-  // ProcessColumnar when this returns true; everything else stays on the
-  // row interface above, which remains the engine's compatibility shim
-  // (buffers, checkpoints, flow trimming and morsel partitioning all
-  // keep speaking rows).
-  virtual bool SupportsColumnar(int child_idx) const {
-    (void)child_idx;
-    return false;
-  }
-
-  // Processes one column batch from child `child_idx`. Must produce, for
-  // the selected rows, exactly the deltas (values, query sets, weights,
-  // order) that Process would for the same input, and meter identical
-  // OpWork. The default is the row shim: convert, Process, convert back —
-  // it exists so tests can drive any operator columnar, but the pump
-  // never uses it (SupportsColumnar is false unless overridden).
-  virtual void ProcessColumnar(int child_idx, ColumnBatch in,
-                               ColumnBatch* out);
+  // Processes one delta batch arriving from child `child_idx`. The batch
+  // is the operator's to consume: it may re-tag or drop its tuples or
+  // move out of them, and may return `in` itself as the output.
+  virtual DeltaBatch Process(int child_idx, DeltaBatch in) = 0;
 
   // Offers the operator a worker pool for morsel-driven intra-operator
   // parallelism (DESIGN.md §10). Called once by SubplanExecutor after
@@ -137,66 +122,59 @@ class PhysOp {
   OpWork work_;
 };
 
-// Pass-through that re-tags scanned base tuples with the scan's query set.
-class ScanOp : public PhysOp {
+// A subplan leaf (kScan / kSubplanInput). Its input is a view of a
+// DeltaBuffer that other consumers read too, so it cannot own it: Read
+// copies out exactly the tuples this subplan needs — the one copy a tuple
+// pays in a subplan. SubplanExecutor drives leaves through Read; Process
+// (an already-owned batch, as in unit tests) is the same operation.
+class LeafOp : public PhysOp {
  public:
-  explicit ScanOp(const PlanNode* node) : PhysOp(node) {}
-  DeltaBatch Process(int child_idx, DeltaSpan in) override;
-  bool SupportsColumnar(int child_idx) const override;
-  void ProcessColumnar(int child_idx, ColumnBatch in,
-                       ColumnBatch* out) override;
+  using PhysOp::PhysOp;
+  virtual DeltaBatch Read(DeltaSpan in) = 0;
+  DeltaBatch Process(int child_idx, DeltaBatch in) final;
+};
+
+// Pass-through that re-tags scanned base tuples with the scan's query set.
+class ScanOp : public LeafOp {
+ public:
+  explicit ScanOp(const PlanNode* node) : LeafOp(node) {}
+  DeltaBatch Read(DeltaSpan in) override;
 };
 
 // Masks tuples pulled from a child subplan's buffer down to this subplan's
-// query set; drops tuples that no longer matter (the σ_filter of Fig. 2).
-class SubplanInputOp : public PhysOp {
+// query set; drops tuples that no longer matter (the σ_filter of Fig. 2)
+// without copying them.
+class SubplanInputOp : public LeafOp {
  public:
-  explicit SubplanInputOp(const PlanNode* node) : PhysOp(node) {}
-  DeltaBatch Process(int child_idx, DeltaSpan in) override;
-  bool SupportsColumnar(int child_idx) const override;
-  void ProcessColumnar(int child_idx, ColumnBatch in,
-                       ColumnBatch* out) override;
+  explicit SubplanInputOp(const PlanNode* node) : LeafOp(node) {}
+  DeltaBatch Read(DeltaSpan in) override;
 };
 
 // Shared select: evaluates each distinct predicate once per tuple and
 // clears the query bits whose predicate rejects the tuple (marking select
-// σ*). Tuples with no surviving bits are dropped. The columnar path
-// evaluates each predicate as one vectorized mask over the whole batch
-// and clears query bits branch-free.
+// σ*). Tuples with no surviving bits are dropped. Works in place on its
+// input batch: survivors keep their rows, only query sets change.
 class FilterOp : public PhysOp {
  public:
   FilterOp(const PlanNode* node, const Schema& input_schema);
-  DeltaBatch Process(int child_idx, DeltaSpan in) override;
-  bool SupportsColumnar(int child_idx) const override;
-  void ProcessColumnar(int child_idx, ColumnBatch in,
-                       ColumnBatch* out) override;
+  DeltaBatch Process(int child_idx, DeltaBatch in) override;
 
  private:
   struct PredGroup {
     CompiledExpr pred;
-    VectorExpr vpred;
     QuerySet queries;
   };
   std::vector<PredGroup> groups_;
-  bool columnar_ok_ = true;  // every predicate vector-compiled
 };
 
-// Computes the merged projection list (union over sharing queries). The
-// columnar path evaluates each projection as one vectorized kernel over
-// the whole batch and passes query sets, weights and selection through
-// untouched.
+// Computes the merged projection list (union over sharing queries).
 class ProjectOp : public PhysOp {
  public:
   ProjectOp(const PlanNode* node, const Schema& input_schema);
-  DeltaBatch Process(int child_idx, DeltaSpan in) override;
-  bool SupportsColumnar(int child_idx) const override;
-  void ProcessColumnar(int child_idx, ColumnBatch in,
-                       ColumnBatch* out) override;
+  DeltaBatch Process(int child_idx, DeltaBatch in) override;
 
  private:
   std::vector<CompiledExpr> exprs_;
-  std::vector<VectorExpr> vexprs_;
-  bool columnar_ok_ = true;  // every projection vector-compiled
 };
 
 // Builds the physical operator tree for a subplan's plan tree. Leaves

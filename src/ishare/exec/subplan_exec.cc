@@ -1,11 +1,28 @@
 #include "ishare/exec/subplan_exec.h"
 
 #include <chrono>
+#include <iterator>
+#include <utility>
 
 #include "ishare/flow/memory_budget.h"
 #include "ishare/obs/obs.h"
 
 namespace ishare {
+
+namespace {
+
+// Moves `more` onto the end of `into`; takes the whole vector when `into`
+// is still empty (the single-input operators' only contribution).
+void AppendMoved(DeltaBatch* into, DeltaBatch more) {
+  if (into->empty()) {
+    *into = std::move(more);
+    return;
+  }
+  into->insert(into->end(), std::make_move_iterator(more.begin()),
+               std::make_move_iterator(more.end()));
+}
+
+}  // namespace
 
 SubplanExecutor::SubplanExecutor(
     const Subplan& sp, StreamSource* source,
@@ -26,10 +43,6 @@ SubplanExecutor::SubplanExecutor(
   tuples_out_counter_ = &reg.GetCounter("exec.subplan.tuples_out");
   subplan_work_counter_ =
       &reg.GetCounter("exec.subplan.work#" + output->name());
-  path_col_batches_counter_ = &reg.GetCounter("exec.path.columnar_batches");
-  path_col_tuples_counter_ = &reg.GetCounter("exec.path.columnar_tuples");
-  path_row_batches_counter_ = &reg.GetCounter("exec.path.row_batches");
-  path_row_tuples_counter_ = &reg.GetCounter("exec.path.row_tuples");
   if (opts_.flow.budget != nullptr) {
     state_component_ = opts_.flow.budget->Register("state:" + output->name());
   }
@@ -45,6 +58,10 @@ SubplanExecutor::OpNode SubplanExecutor::BuildTree(const PlanNodePtr& node) {
   OpNode n;
   n.op = CreatePhysOp(node.get(), opts_);
   n.op->BindScheduler(opts_.sched_pool, opts_.sched);
+  if (node->kind == PlanKind::kScan || node->kind == PlanKind::kSubplanInput) {
+    // CreatePhysOp builds ScanOp / SubplanInputOp for exactly these kinds.
+    n.leaf = static_cast<LeafOp*>(n.op.get());
+  }
   if (node->kind == PlanKind::kScan) {
     n.input_buffer = source_->buffer(node->table_name);
     if (n.input_buffer == nullptr) {
@@ -107,114 +124,21 @@ Result<DeltaSpan> SubplanExecutor::ConsumeLeafWithRetry(OpNode& n) {
   }
 }
 
-Result<DeltaBatch> SubplanExecutor::Pump(OpNode& n, int64_t* tuples_in,
-                                         ExecRecord* rec) {
-  DeltaBatch collected;
+Result<DeltaBatch> SubplanExecutor::Pump(OpNode& n, int64_t* tuples_in) {
   if (n.input_buffer != nullptr) {
     ISHARE_ASSIGN_OR_RETURN(DeltaSpan raw, ConsumeLeafWithRetry(n));
     if (raw.empty()) return DeltaBatch{};
     *tuples_in += static_cast<int64_t>(raw.size());
-    rec->row_batches += 1;
-    rec->row_tuples += static_cast<int64_t>(raw.size());
-    return n.op->Process(0, raw);
+    return n.leaf->Read(raw);  // the one copy out of the shared buffer
   }
+  DeltaBatch collected;
   for (size_t i = 0; i < n.children.size(); ++i) {
-    ISHARE_ASSIGN_OR_RETURN(DeltaBatch b,
-                            Pump(n.children[i], tuples_in, rec));
+    ISHARE_ASSIGN_OR_RETURN(DeltaBatch b, Pump(n.children[i], tuples_in));
     if (b.empty()) continue;
-    rec->row_batches += 1;
-    rec->row_tuples += static_cast<int64_t>(b.size());
-    DeltaBatch o = n.op->Process(static_cast<int>(i), b);
-    collected.insert(collected.end(), std::make_move_iterator(o.begin()),
-                     std::make_move_iterator(o.end()));
+    AppendMoved(&collected, n.op->Process(static_cast<int>(i), std::move(b)));
   }
-  DeltaBatch flush = n.op->EndExecution();
-  collected.insert(collected.end(), std::make_move_iterator(flush.begin()),
-                   std::make_move_iterator(flush.end()));
+  AppendMoved(&collected, n.op->EndExecution());
   return collected;
-}
-
-// Columnar twin of Pump (DESIGN.md §12.6): identical traversal and
-// identical operator semantics, but batches stay in column layout across
-// every SupportsColumnar operator. Conversions happen only at the edges —
-// leaf deltas lift to columns once, and results lower back to rows at the
-// first operator that needs them (or at the subplan root). Any lift that
-// fails (ill-typed source rows) degrades that batch to the row path; the
-// two paths are interchangeable per batch because both compute the same
-// deltas in the same order.
-Result<SubplanExecutor::PumpBatch> SubplanExecutor::PumpColumnar(
-    OpNode& n, int64_t* tuples_in, ExecRecord* rec) {
-  PumpBatch result;
-  if (n.input_buffer != nullptr) {
-    ISHARE_ASSIGN_OR_RETURN(DeltaSpan raw, ConsumeLeafWithRetry(n));
-    if (raw.empty()) return result;
-    *tuples_in += static_cast<int64_t>(raw.size());
-    // Leaf operators are pass-through on the row payload, so their input
-    // schema is their own output schema.
-    ColumnBatch cb;
-    if (n.op->SupportsColumnar(0) &&
-        ColumnBatch::FromDeltas(n.op->node()->output_schema, raw, &cb)) {
-      rec->columnar_batches += 1;
-      rec->columnar_tuples += cb.num_selected();
-      result.columnar = true;
-      n.op->ProcessColumnar(0, std::move(cb), &result.cols);
-      return result;
-    }
-    rec->row_batches += 1;
-    rec->row_tuples += static_cast<int64_t>(raw.size());
-    result.rows = n.op->Process(0, raw);
-    return result;
-  }
-  for (size_t i = 0; i < n.children.size(); ++i) {
-    ISHARE_ASSIGN_OR_RETURN(PumpBatch b,
-                            PumpColumnar(n.children[i], tuples_in, rec));
-    if (b.IsEmpty()) continue;
-    if (n.op->SupportsColumnar(static_cast<int>(i))) {
-      ColumnBatch cb;
-      bool lifted = false;
-      if (b.columnar) {
-        cb = std::move(b.cols);
-        lifted = true;
-      } else {
-        lifted = ColumnBatch::FromDeltas(
-            n.children[i].op->node()->output_schema, b.rows, &cb);
-      }
-      if (lifted) {
-        rec->columnar_batches += 1;
-        rec->columnar_tuples += cb.num_selected();
-        ColumnBatch ob;
-        n.op->ProcessColumnar(static_cast<int>(i), std::move(cb), &ob);
-        if (!result.columnar && result.rows.empty()) {
-          // First contribution (the only one for the single-input
-          // operators that support columns): stay columnar.
-          result.cols = std::move(ob);
-          result.columnar = true;
-        } else {
-          result.LowerToRows();
-          DeltaBatch o = ob.ToDeltas();
-          result.rows.insert(result.rows.end(),
-                             std::make_move_iterator(o.begin()),
-                             std::make_move_iterator(o.end()));
-        }
-        continue;
-      }
-    }
-    DeltaBatch in_rows = b.TakeRows();
-    rec->row_batches += 1;
-    rec->row_tuples += static_cast<int64_t>(in_rows.size());
-    DeltaBatch o = n.op->Process(static_cast<int>(i), in_rows);
-    result.LowerToRows();
-    result.rows.insert(result.rows.end(), std::make_move_iterator(o.begin()),
-                       std::make_move_iterator(o.end()));
-  }
-  DeltaBatch flush = n.op->EndExecution();
-  if (!flush.empty()) {
-    result.LowerToRows();
-    result.rows.insert(result.rows.end(),
-                       std::make_move_iterator(flush.begin()),
-                       std::make_move_iterator(flush.end()));
-  }
-  return result;
 }
 
 double SubplanExecutor::TotalOpWork(const OpNode& n) const {
@@ -327,33 +251,20 @@ Result<ExecRecord> SubplanExecutor::ExecuteOnce() {
   ISHARE_RETURN_NOT_OK(init_status_);
   auto start = std::chrono::steady_clock::now();
   int64_t tuples_in = 0;
-  ExecRecord path_rec;
-  DeltaBatch out;
-  if (opts_.columnar) {
-    ISHARE_ASSIGN_OR_RETURN(PumpBatch pb,
-                            PumpColumnar(root_, &tuples_in, &path_rec));
-    out = pb.TakeRows();  // output buffers speak rows (the shim boundary)
-  } else {
-    ISHARE_ASSIGN_OR_RETURN(out, Pump(root_, &tuples_in, &path_rec));
-  }
-  output_->AppendBatch(out);
+  ISHARE_ASSIGN_OR_RETURN(DeltaBatch out, Pump(root_, &tuples_in));
+  const int64_t tuples_out = static_cast<int64_t>(out.size());
+  last_output_bytes_ = output_->AppendBatch(std::move(out));
   auto end = std::chrono::steady_clock::now();
 
   ++executions_;
   last_input_consumed_ = tuples_in;
-  last_output_bytes_ = 0;
-  for (const DeltaTuple& t : out) last_output_bytes_ += ApproxDeltaBytes(t);
   PublishStateBytes();
   double total = TotalOpWork(root_);
   ExecRecord rec;
   rec.work = (total - last_total_work_) + opts_.startup_cost;
   rec.seconds = std::chrono::duration<double>(end - start).count();
   rec.tuples_in = tuples_in;
-  rec.tuples_out = static_cast<int64_t>(out.size());
-  rec.columnar_batches = path_rec.columnar_batches;
-  rec.columnar_tuples = path_rec.columnar_tuples;
-  rec.row_batches = path_rec.row_batches;
-  rec.row_tuples = path_rec.row_tuples;
+  rec.tuples_out = tuples_out;
   last_total_work_ = total;
   return rec;
 }
@@ -364,14 +275,6 @@ void SubplanExecutor::PublishExecMetrics(const ExecRecord& rec) {
   tuples_in_counter_->Add(static_cast<double>(rec.tuples_in));
   tuples_out_counter_->Add(static_cast<double>(rec.tuples_out));
   subplan_work_counter_->Add(rec.work);
-  if (rec.columnar_batches > 0) {
-    path_col_batches_counter_->Add(static_cast<double>(rec.columnar_batches));
-    path_col_tuples_counter_->Add(static_cast<double>(rec.columnar_tuples));
-  }
-  if (rec.row_batches > 0) {
-    path_row_batches_counter_->Add(static_cast<double>(rec.row_batches));
-    path_row_tuples_counter_->Add(static_cast<double>(rec.row_tuples));
-  }
   obs::GlobalTracer().Record("exec.subplan.exec", rec.seconds);
 }
 

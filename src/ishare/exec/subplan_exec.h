@@ -4,6 +4,10 @@
 // results to the subplan's output buffer. Work is metered in the paper's
 // cost-model units (see exec/metrics.h for the OpWork unit contract);
 // every execution also feeds the exec.subplan.* observability series.
+//
+// The pump copies each tuple once (DESIGN.md §12): leaves copy what they
+// need out of the shared input buffers, batches then move from operator
+// to operator, and the root's batch moves into the output buffer.
 
 #ifndef ISHARE_EXEC_SUBPLAN_EXEC_H_
 #define ISHARE_EXEC_SUBPLAN_EXEC_H_
@@ -27,14 +31,6 @@ struct ExecRecord {
   double seconds = 0;  // wall-clock time of this execution
   int64_t tuples_in = 0;   // input deltas drained from the leaf buffers
   int64_t tuples_out = 0;
-  // Path accounting (DESIGN.md §12): per operator-batch processed, which
-  // interface carried it. Accumulated thread-locally during the pump and
-  // published with the other exec.path.* counters in PublishExecMetrics,
-  // keeping parallel runs' metric sums order-identical to serial ones.
-  int64_t columnar_batches = 0;  // batches through ProcessColumnar
-  int64_t columnar_tuples = 0;   // selected tuples in those batches
-  int64_t row_batches = 0;       // batches through row Process
-  int64_t row_tuples = 0;        // tuples in those batches
 };
 
 // Runs one subplan: builds the physical operator tree from the plan tree,
@@ -148,41 +144,16 @@ class SubplanExecutor {
   struct OpNode {
     std::unique_ptr<PhysOp> op;
     std::vector<OpNode> children;
-    // Leaf wiring; null for interior nodes.
+    // Leaf wiring; null for interior nodes. `leaf` is `op` itself.
+    LeafOp* leaf = nullptr;
     DeltaBuffer* input_buffer = nullptr;
     int consumer_id = -1;
   };
 
-  // What flows between operators in the columnar pump: a batch in exactly
-  // one of the two layouts. The row form is the compatibility shim's
-  // interchange format; the columnar form stays live across consecutive
-  // SupportsColumnar operators and is lowered back to rows at the subplan
-  // root (and anywhere an operator can't take columns).
-  struct PumpBatch {
-    DeltaBatch rows;
-    ColumnBatch cols;
-    bool columnar = false;
-
-    bool IsEmpty() const {
-      return columnar ? cols.num_selected() == 0 : rows.empty();
-    }
-    DeltaBatch TakeRows() {
-      return columnar ? cols.ToDeltas() : std::move(rows);
-    }
-    // Demotes a columnar accumulation to row layout in place (appending
-    // row output to columns is a layout mix the pump never keeps).
-    void LowerToRows() {
-      if (!columnar) return;
-      rows = cols.ToDeltas();
-      cols = ColumnBatch{};
-      columnar = false;
-    }
-  };
-
   OpNode BuildTree(const PlanNodePtr& node);
-  Result<DeltaBatch> Pump(OpNode& n, int64_t* tuples_in, ExecRecord* rec);
-  Result<PumpBatch> PumpColumnar(OpNode& n, int64_t* tuples_in,
-                                 ExecRecord* rec);
+  // Drains the subtree's leaves and runs its operators; returns the
+  // subtree root's output for this execution.
+  Result<DeltaBatch> Pump(OpNode& n, int64_t* tuples_in);
   Result<DeltaSpan> ConsumeLeafWithRetry(OpNode& n);
   void CollectWork(const OpNode& n, std::vector<OpWork>* out) const;
   void CollectPending(const OpNode& n, int64_t* out) const;
@@ -217,10 +188,6 @@ class SubplanExecutor {
   obs::Counter* tuples_in_counter_ = nullptr;
   obs::Counter* tuples_out_counter_ = nullptr;
   obs::Counter* subplan_work_counter_ = nullptr;
-  obs::Counter* path_col_batches_counter_ = nullptr;
-  obs::Counter* path_col_tuples_counter_ = nullptr;
-  obs::Counter* path_row_batches_counter_ = nullptr;
-  obs::Counter* path_row_tuples_counter_ = nullptr;
 };
 
 }  // namespace ishare

@@ -163,7 +163,9 @@ std::string BenchReportJson(
   //     counters (DESIGN.md §14).
   // v9: added the top-level "arrange" block with the shared-arrangement
   //     counters, and flow.state_bytes_per_query (DESIGN.md §15).
-  w.Int(9);
+  // v10: removed the v6 "exec" block: with one row pump there is no
+  //      execution path left to report (DESIGN.md §12).
+  w.Int(10);
   w.Key("generator");
   w.String("ishare");
   w.Key("bench");
@@ -258,24 +260,6 @@ std::string BenchReportJson(
   SafeNumber(w, CounterOr0(metrics, "sched.pool.parallel_for"));
   w.Key("step_waves");
   SafeNumber(w, CounterOr0(metrics, "sched.step.waves"));
-  w.EndObject();
-
-  // Execution-path rollup, from the exec.path.* metrics (DESIGN.md §12):
-  // how many delta batches (and their tuples) rode the columnar pump vs
-  // the row interface. Both are zero only when nothing executed; a pure
-  // row run (ExecOptions::columnar = false, or a plan whose operators
-  // all decline SupportsColumnar) reports only row batches. Kept
-  // unconditionally, like the other rollups, so the schema is stable.
-  w.Key("exec");
-  w.BeginObject();
-  w.Key("columnar_batches");
-  SafeNumber(w, CounterOr0(metrics, "exec.path.columnar_batches"));
-  w.Key("columnar_tuples");
-  SafeNumber(w, CounterOr0(metrics, "exec.path.columnar_tuples"));
-  w.Key("row_batches");
-  SafeNumber(w, CounterOr0(metrics, "exec.path.row_batches"));
-  w.Key("row_tuples");
-  SafeNumber(w, CounterOr0(metrics, "exec.path.row_tuples"));
   w.EndObject();
 
   // Chaos/supervision rollup, from the chaos.* metrics (DESIGN.md §11).

@@ -5,12 +5,11 @@ namespace ishare {
 bool ColumnBatch::FromDeltas(const Schema& schema, DeltaSpan deltas,
                              ColumnBatch* out) {
   const int nf = schema.num_fields();
-  // Validate before building: any ill-typed value sends the caller back
-  // to the row path with *out untouched work-wise.
+  // Validate before building, so a rejected span leaves no partial work.
   for (const DeltaTuple& t : deltas) {
     if (static_cast<int>(t.row.size()) != nf) return false;
     // qbits is one raw u64 per row: a query set beyond the inline word
-    // cannot be lifted, so the batch degrades to the row pump.
+    // cannot be lifted.
     if (!t.qset.fits_inline()) return false;
     for (int c = 0; c < nf; ++c) {
       if (t.row[static_cast<size_t>(c)].type() != schema.field(c).type) {
@@ -56,15 +55,6 @@ DeltaBatch ColumnBatch::ToDeltas() const {
     batch.push_back(std::move(t));
   });
   return batch;
-}
-
-int64_t ColumnBatch::ApproxBytes() const {
-  int64_t bytes = static_cast<int64_t>(sizeof(ColumnBatch));
-  for (const ColumnVector& c : cols) bytes += c.ApproxBytes();
-  bytes += static_cast<int64_t>(qbits.size() * sizeof(uint64_t) +
-                                weights.size() * sizeof(int32_t) +
-                                sel.indices().size() * sizeof(int32_t));
-  return bytes;
 }
 
 }  // namespace ishare

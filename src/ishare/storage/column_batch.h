@@ -1,10 +1,10 @@
-// Columnar delta batches — the batch layout of the vectorized execution
-// core (DESIGN.md §12.1). A ColumnBatch is the column-major twin of a
-// DeltaBatch: one typed ColumnVector per schema field, plus flat qset-bit
-// and weight arrays, plus a SelectionVector marking which rows are still
-// live. Conversion at the row-shim boundary is lossless and
-// order-preserving in both directions, which is what makes the
-// columnar-vs-row bit-exactness gate (tests/columnar_test.cc) possible.
+// Column-major delta batches (DESIGN.md §12.2). A ColumnBatch is the
+// column-major twin of a DeltaBatch: one typed ColumnVector per schema
+// field, plus flat qset-bit and weight arrays, plus a SelectionVector
+// marking which rows are still live. Conversion is lossless and
+// order-preserving in both directions. No operator consumes this layout
+// (the engine's one pump is row-based, §12); it is kept as the starting
+// point for a single-layout columnar redesign.
 
 #ifndef ISHARE_STORAGE_COLUMN_BATCH_H_
 #define ISHARE_STORAGE_COLUMN_BATCH_H_
@@ -22,8 +22,7 @@ namespace ishare {
 // Column-major representation of a run of delta tuples. All columns,
 // qbits, and weights have the same length (num_rows); sel indexes into
 // that range and only selected rows are logically present. The batch
-// owns its columns; kernels hand off whole batches, never aliased
-// columns (ownership rules in DESIGN.md §12.4).
+// owns its columns.
 struct ColumnBatch {
   std::vector<ColumnVector> cols;
   std::vector<uint64_t> qbits;    // QuerySet::bits() per row
@@ -35,17 +34,14 @@ struct ColumnBatch {
 
   // Builds a column batch from row deltas, verifying every value's
   // runtime type against `schema`. Returns false (leaving *out
-  // unspecified) on any mismatch — the caller then stays on the row
-  // path, so a type-sloppy source degrades performance, never results.
+  // unspecified) on any mismatch, on a wrong arity, or on a query set
+  // beyond the inline word: deltas are never coerced.
   static bool FromDeltas(const Schema& schema, DeltaSpan deltas,
                          ColumnBatch* out);
 
   // Emits the selected rows, in selection (= input) order, as row deltas.
   // Exact inverse of FromDeltas restricted to the selection.
   DeltaBatch ToDeltas() const;
-
-  // Deterministic approximate footprint (same units as ApproxDeltaBytes).
-  int64_t ApproxBytes() const;
 };
 
 }  // namespace ishare

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,11 +102,19 @@ class DeltaBuffer {
     PublishSize();
     PublishBytes();
   }
-  void AppendBatch(const DeltaBatch& batch) {
-    for (const DeltaTuple& t : batch) retained_bytes_ += ApproxDeltaBytes(t);
-    log_.insert(log_.end(), batch.begin(), batch.end());
+  // Appends `batch` (moved in when the caller passes an rvalue) and
+  // returns the bytes it added (see ApproxDeltaBytes). The tuples move
+  // into the log rather than the log adopting `batch`'s storage, which
+  // may carry the slack of a batch filtered in place.
+  int64_t AppendBatch(DeltaBatch batch) {
+    int64_t bytes = 0;
+    for (const DeltaTuple& t : batch) bytes += ApproxDeltaBytes(t);
+    retained_bytes_ += bytes;
+    log_.insert(log_.end(), std::make_move_iterator(batch.begin()),
+                std::make_move_iterator(batch.end()));
     PublishSize();
     PublishBytes();
+    return bytes;
   }
 
   // Registers a new consumer starting at offset 0; returns its id.

@@ -1,10 +1,11 @@
-// Typed column arrays — the storage half of the columnar batch-layout
-// contract (DESIGN.md §12). A ColumnVector holds one column of a
-// DeltaBatch as a flat typed array so the vectorized operator kernels
-// (exec/vectorized.h) run tight, branch-free inner loops instead of
-// switching on tagged Values per tuple. The engine is null-free (paper
-// Sec. 2.3 operates on complete tuples), so every slot is valid; the
-// contract reserves a validity bitmap for future nullable sources.
+// Typed column arrays — the storage half of the column-batch layout
+// (DESIGN.md §12.2). A ColumnVector holds one column of a DeltaBatch as a
+// flat typed array instead of a run of tagged Values. The engine does not
+// execute on this layout (its one pump is row-based, §12); the layout is
+// kept, with its exact row conversion (storage/column_batch.h), as the
+// starting point for a single-layout columnar redesign. The engine is
+// null-free (paper Sec. 2.3 operates on complete tuples), so every slot is
+// valid.
 
 #ifndef ISHARE_TYPES_COLUMN_H_
 #define ISHARE_TYPES_COLUMN_H_
@@ -18,9 +19,8 @@
 namespace ishare {
 
 // One column of tuples as a flat typed array. Exactly one of the three
-// payload vectors is active, selected by type(); the accessors CHECK.
-// Growth is append-only within a batch; kernels never mutate a column
-// they did not create (ownership rules in DESIGN.md §12.4).
+// payload vectors is active, selected by type(); the accessors DCHECK.
+// Growth is append-only.
 class ColumnVector {
  public:
   ColumnVector() : type_(DataType::kInt64) {}
@@ -54,30 +54,8 @@ class ColumnVector {
     }
   }
 
-  // Resizes to n slots (new slots zero/empty). Used by kernels that write
-  // results positionally instead of appending.
-  void Resize(int64_t n) {
-    switch (type_) {
-      case DataType::kInt64:
-        i64_.resize(static_cast<size_t>(n));
-        return;
-      case DataType::kFloat64:
-        f64_.resize(static_cast<size_t>(n));
-        return;
-      case DataType::kString:
-        str_.resize(static_cast<size_t>(n));
-        return;
-    }
-  }
-
-  void Clear() {
-    i64_.clear();
-    f64_.clear();
-    str_.clear();
-  }
-
   // Typed payload access. Mutable accessors are for the column's owner
-  // (the batch or kernel that is building it); consumers take const refs.
+  // (the batch that is building it); consumers take const refs.
   std::vector<int64_t>& i64() {
     DCHECK(type_ == DataType::kInt64);
     return i64_;
@@ -103,13 +81,10 @@ class ColumnVector {
     return str_;
   }
 
-  // Row-at-a-time bridge used at the shim boundary (DeltaBatch <->
-  // ColumnBatch conversion) and by slow-path kernels; the hot loops go
-  // through the typed accessors above.
+  // Row-at-a-time bridge used by DeltaBatch <-> ColumnBatch conversion.
   void AppendValue(const Value& v);
   Value GetValue(int64_t i) const;
-  // Appends other[i] (types must match). Gather primitive for join output
-  // materialization.
+  // Appends other[i] (types must match): the gather primitive.
   void AppendFrom(const ColumnVector& other, int64_t i);
 
   // Deterministic approximate footprint in the same accounting units as

@@ -1,10 +1,10 @@
-// Selection vectors — the liveness half of the columnar batch-layout
-// contract (DESIGN.md §12.2). Filtering never moves column data: a
-// kernel that drops tuples shrinks the selection instead, so downstream
-// kernels iterate only surviving slots and conversion back to rows emits
-// them in input order. The all-selected representation materializes no
-// index array at all, which keeps the common no-filter path allocation-
-// free and lets inner loops run over a contiguous [0, n) range.
+// Selection vectors — the liveness half of the column-batch layout
+// (DESIGN.md §12.2). Filtering a column batch never moves column data: it
+// shrinks the selection instead, so later passes iterate only surviving
+// slots and conversion back to rows emits them in input order. The
+// all-selected representation materializes no index array at all, which
+// keeps the no-filter case allocation-free and lets loops run over a
+// contiguous [0, n) range.
 
 #ifndef ISHARE_TYPES_SELECTION_H_
 #define ISHARE_TYPES_SELECTION_H_
@@ -16,10 +16,9 @@
 
 namespace ishare {
 
-// An ordered set of live row indices into a columnar batch. Invariants
-// (DESIGN.md §12.2): indices are strictly ascending and in [0, n) of the
-// owning batch, so selection order IS input order and re-selection can
-// only shrink the set.
+// An ordered set of live row indices into a column batch. Invariants:
+// indices are strictly ascending and in [0, n) of the owning batch, so
+// selection order IS input order and re-selection can only shrink the set.
 class SelectionVector {
  public:
   SelectionVector() = default;

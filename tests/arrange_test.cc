@@ -317,8 +317,8 @@ QueryPlan MakeArrangeQuery(const Catalog& catalog, QueryId q, int shape) {
 
 using ResultMap = std::unordered_map<Row, int64_t, RowHasher>;
 
-// Bit-exact scalar equality (same idiom as columnar_test): the numeric
-// tolerance of Value::operator== is exactly what this suite must NOT use.
+// Bit-exact scalar equality: the numeric tolerance of Value::operator== is
+// exactly what this suite must NOT use.
 ::testing::AssertionResult BitExactValue(const Value& a, const Value& b) {
   if (a.type() != b.type()) {
     return ::testing::AssertionFailure()

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <unordered_map>
+#include <vector>
+
+#include "ishare/common/flat_hash.h"
 #include "ishare/common/hash.h"
 #include "ishare/common/query_set.h"
 #include "ishare/common/rng.h"
@@ -220,6 +225,56 @@ TEST(HashTest, MixingChangesValue) {
   EXPECT_NE(Mix64(1), Mix64(2));
   EXPECT_NE(HashCombine(0, 1), HashCombine(1, 0));
   EXPECT_NE(HashString("a"), HashString("b"));
+}
+
+// FlatIndexI64 / XxMix64 (common/flat_hash.h, common/hash_probe.h)
+
+TEST(FlatHashTest, FindOrInsertAssignsFirstTouchDenseIds) {
+  FlatIndexI64 idx;
+  EXPECT_EQ(idx.FindOrInsert(42), 0);
+  EXPECT_EQ(idx.FindOrInsert(-1), 1);
+  EXPECT_EQ(idx.FindOrInsert(42), 0);  // duplicate keeps its id
+  EXPECT_EQ(idx.FindOrInsert(0), 2);
+  EXPECT_EQ(idx.size(), 3);
+  EXPECT_EQ(idx.keys(), (std::vector<int64_t>{42, -1, 0}));
+  EXPECT_EQ(idx.Find(-1), 1);
+  EXPECT_EQ(idx.Find(7), -1);
+}
+
+TEST(FlatHashTest, GrowthPreservesIdsAgainstReferenceMap) {
+  Rng rng(99);
+  FlatIndexI64 idx;  // default capacity, forces several grows
+  std::unordered_map<int64_t, int32_t> ref;
+  for (int i = 0; i < 20000; ++i) {
+    int64_t key = rng.UniformInt(-5000, 5000);
+    int32_t id = idx.FindOrInsert(key);
+    auto [it, fresh] = ref.emplace(key, id);
+    if (fresh) {
+      EXPECT_EQ(id, static_cast<int32_t>(ref.size()) - 1) << "dense ids";
+    } else {
+      EXPECT_EQ(id, it->second) << "key " << key;
+    }
+  }
+  EXPECT_EQ(idx.size(), static_cast<int64_t>(ref.size()));
+  for (const auto& [key, id] : ref) EXPECT_EQ(idx.Find(key), id);
+  idx.Clear();
+  EXPECT_EQ(idx.size(), 0);
+  EXPECT_EQ(idx.Find(0), -1);
+  EXPECT_EQ(idx.FindOrInsert(123), 0);
+}
+
+TEST(FlatHashTest, XxMixIsABijectionOnASample) {
+  // Sanity: no two of 4k consecutive ints collide after mixing, and the
+  // high bits spread.
+  std::set<uint64_t> seen;
+  std::set<uint64_t> high;
+  for (uint64_t i = 0; i < 4096; ++i) {
+    uint64_t h = XxMix64(i);
+    seen.insert(h);
+    high.insert(h >> 60);
+  }
+  EXPECT_EQ(seen.size(), 4096u);
+  EXPECT_EQ(high.size(), 16u);
 }
 
 }  // namespace

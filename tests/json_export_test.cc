@@ -77,10 +77,6 @@ std::string GoldenDocument() {
   obs::MetricsSnapshot metrics;
   metrics.counters["exec.subplan.executions"] = 96.0;
   metrics.counters["exec.subplan.work#subplan_0"] = 512.0;
-  metrics.counters["exec.path.columnar_batches"] = 64.0;
-  metrics.counters["exec.path.columnar_tuples"] = 4096.0;
-  metrics.counters["exec.path.row_batches"] = 32.0;
-  metrics.counters["exec.path.row_tuples"] = 768.0;
   metrics.counters["churn.registrations"] = 6.0;
   metrics.counters["churn.deregistrations"] = 2.0;
   metrics.counters["churn.epochs"] = 4.0;
@@ -161,7 +157,7 @@ TEST(JsonExportGoldenTest, GoldenDocumentParsesBack) {
   ASSERT_TRUE(obs::ParseJson(GoldenDocument(), &v, &err)) << err;
   ASSERT_EQ(v.kind, obs::JsonValue::Kind::kObject);
   // Top-level key order is part of the schema contract.
-  ASSERT_GE(v.obj.size(), 15u);
+  ASSERT_GE(v.obj.size(), 14u);
   EXPECT_EQ(v.obj[0].first, "schema_version");
   EXPECT_EQ(v.obj[1].first, "generator");
   EXPECT_EQ(v.obj[2].first, "bench");
@@ -170,14 +166,15 @@ TEST(JsonExportGoldenTest, GoldenDocumentParsesBack) {
   EXPECT_EQ(v.obj[5].first, "recovery");
   EXPECT_EQ(v.obj[6].first, "flow");
   EXPECT_EQ(v.obj[7].first, "sched");
-  EXPECT_EQ(v.obj[8].first, "exec");
-  EXPECT_EQ(v.obj[9].first, "chaos");
-  EXPECT_EQ(v.obj[10].first, "churn");
-  EXPECT_EQ(v.obj[11].first, "shard");
-  EXPECT_EQ(v.obj[12].first, "arrange");
-  EXPECT_EQ(v.obj[13].first, "metrics");
-  EXPECT_EQ(v.obj[14].first, "spans");
-  EXPECT_DOUBLE_EQ(v.Find("schema_version")->num, 9.0);
+  EXPECT_EQ(v.obj[8].first, "chaos");
+  EXPECT_EQ(v.obj[9].first, "churn");
+  EXPECT_EQ(v.obj[10].first, "shard");
+  EXPECT_EQ(v.obj[11].first, "arrange");
+  EXPECT_EQ(v.obj[12].first, "metrics");
+  EXPECT_EQ(v.obj[13].first, "spans");
+  // v10 dropped the execution-path ("exec") block with the columnar pump.
+  EXPECT_EQ(v.Find("exec"), nullptr);
+  EXPECT_DOUBLE_EQ(v.Find("schema_version")->num, 10.0);
   EXPECT_DOUBLE_EQ(v.Find("config")->Find("threads")->num, 4.0);
 
   // The recovery rollup is present (all zeros here: the hand-crafted
@@ -219,21 +216,6 @@ TEST(JsonExportGoldenTest, GoldenDocumentParsesBack) {
   EXPECT_EQ(sched->obj[2].first, "parallel_fors");
   EXPECT_EQ(sched->obj[3].first, "step_waves");
   EXPECT_DOUBLE_EQ(sched->Find("pool_tasks")->num, 0.0);
-
-  // v6: the execution-path rollup, populated here (the hand-crafted
-  // snapshot carries exec.path.* counters) to pin the counter plumbing,
-  // not just the key set.
-  const obs::JsonValue* exec = v.Find("exec");
-  ASSERT_NE(exec, nullptr);
-  ASSERT_EQ(exec->obj.size(), 4u);
-  EXPECT_EQ(exec->obj[0].first, "columnar_batches");
-  EXPECT_EQ(exec->obj[1].first, "columnar_tuples");
-  EXPECT_EQ(exec->obj[2].first, "row_batches");
-  EXPECT_EQ(exec->obj[3].first, "row_tuples");
-  EXPECT_DOUBLE_EQ(exec->Find("columnar_batches")->num, 64.0);
-  EXPECT_DOUBLE_EQ(exec->Find("columnar_tuples")->num, 4096.0);
-  EXPECT_DOUBLE_EQ(exec->Find("row_batches")->num, 32.0);
-  EXPECT_DOUBLE_EQ(exec->Find("row_tuples")->num, 768.0);
 
   // v5: the chaos/supervision rollup, same always-present contract
   // (zeros here: the hand-crafted snapshot has no chaos.* metrics).
