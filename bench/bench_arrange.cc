@@ -26,7 +26,7 @@
 #include "ishare/arrange/arrangement.h"
 #include "ishare/common/check.h"
 #include "ishare/common/rng.h"
-#include "ishare/exec/pace_executor.h"
+#include "ishare/exec/adaptive_executor.h"
 #include "ishare/flow/memory_budget.h"
 #include "ishare/obs/obs.h"
 
@@ -122,9 +122,9 @@ RunOutput RunPopulation(SalesDb* db, const SubplanGraph& g,
     opts.arrange.catalog = &cat;
     opts.arrange.chain_compact_threshold = chain_threshold;
   }
-  PaceExecutor exec(&g, &src, opts);
+  AdaptiveExecutor exec(&g, &src, opts);
   auto t0 = std::chrono::steady_clock::now();
-  Result<RunResult> r = exec.Run(paces);
+  Result<AdaptiveRunResult> r = exec.Run(paces);
   auto t1 = std::chrono::steady_clock::now();
   CHECK(r.ok()) << r.status().ToString();
   RunOutput out;

@@ -42,7 +42,7 @@ double TimedWindow(const SubplanGraph& g, const StreamSource& dataset,
                    const PaceConfig& paces, bool supervised) {
   StreamSource src;
   CHECK(dataset.CloneTablesInto(&src).ok());
-  PaceExecutor exec(&g, &src);
+  AdaptiveExecutor exec(&g, &src);
   recovery::MemoryCheckpointStore store;
   recovery::CheckpointManagerOptions mopts;
   mopts.epoch_len = 2;
@@ -59,7 +59,7 @@ double TimedWindow(const SubplanGraph& g, const StreamSource& dataset,
     return sup.OnStepComplete(step, exec);
   });
   auto t0 = std::chrono::steady_clock::now();
-  Result<RunResult> run = exec.Run(paces);
+  Result<AdaptiveRunResult> run = exec.Run(paces);
   auto t1 = std::chrono::steady_clock::now();
   CHECK(run.ok()) << run.status().ToString();
   return std::chrono::duration<double>(t1 - t0).count();

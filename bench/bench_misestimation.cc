@@ -52,8 +52,8 @@ int Main(int argc, char** argv) {
           OptimizePlan(a, queries, perturbed, rel, cfg.MakeOptions());
       // ...execute on the true data, judge against true batch work.
       db.Reset();
-      PaceExecutor exec(&plan.graph, &db.source, cfg.MakeOptions().exec);
-      RunResult run = exec.Run(plan.paces).value();
+      AdaptiveExecutor exec(&plan.graph, &db.source, cfg.MakeOptions().exec);
+      RunResult run = exec.Run(plan.paces).value().run;
       Experiment truth_ex(&db.catalog, &db.source, queries, rel,
                           cfg.MakeOptions());
       const std::vector<double>& bfw = truth_ex.BatchFinalWork();

@@ -35,14 +35,14 @@ namespace {
 double RunWindow(TpchDb* db, const SubplanGraph& g, const PaceConfig& paces,
                  recovery::CheckpointManager* mgr, double* sink) {
   db->source.Reset();
-  PaceExecutor exec(&g, &db->source);
+  AdaptiveExecutor exec(&g, &db->source);
   if (mgr != nullptr) {
     exec.set_after_step_hook([mgr, &exec](int64_t step) {
       return mgr->OnStepComplete(step, exec);
     });
   }
   auto t0 = std::chrono::steady_clock::now();
-  RunResult r = exec.Run(paces).value();
+  RunResult r = exec.Run(paces).value().run;
   double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -2,9 +2,9 @@
 // adaptive runtime. The optimizer sees a catalog whose statistics are
 // uniformly deflated 2x (so every plan is paced too lazily), and execution
 // runs through a PerturbedStreamSource with a seeded burst + stall plan.
-// The static executor replays the stale schedule; the adaptive executor
-// observes the work drift, re-derives paces mid-window and absorbs the
-// burst with catch-up executions.
+// The static schedule (no estimator) replays the stale paces; the
+// adaptive executor observes the work drift, re-derives paces mid-window
+// and absorbs the burst with catch-up executions.
 //
 // Acceptance (checked at the bottom, non-zero exit on failure):
 //   - adaptive max missed latency strictly below static,
@@ -88,7 +88,7 @@ int Main(int argc, char** argv) {
                                     rel_for_opt, opts);
 
   // Seeded fault plan: a mid-window burst and a stall, applied identically
-  // to both executors.
+  // to both runs.
   FaultPlan fp;
   fp.seed = cfg.seed;
   fp.events.push_back({FaultEvent::Kind::kBurst, 0.25, 0, 0.35, ""});
@@ -98,8 +98,8 @@ int Main(int argc, char** argv) {
   // Static: replay the stale schedule.
   PerturbedStreamSource static_src(fp);
   CHECK(db.source.CloneTablesInto(&static_src).ok());
-  PaceExecutor static_exec(&plan.graph, &static_src, opts.exec);
-  RunResult static_run = static_exec.Run(plan.paces).value();
+  AdaptiveExecutor static_exec(&plan.graph, &static_src, opts.exec);
+  RunResult static_run = static_exec.Run(plan.paces).value().run;
   Eval st = Evaluate(static_run, queries, goals);
 
   // Adaptive: same initial paces, same fault trace, estimator sees the

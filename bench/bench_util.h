@@ -1,7 +1,11 @@
 #ifndef ISHARE_BENCH_BENCH_UTIL_H_
 #define ISHARE_BENCH_BENCH_UTIL_H_
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -15,13 +19,16 @@
 namespace ishare {
 
 // Command-line knobs shared by every bench binary:
-//   --sf=<double>        TPC-H scale factor (default 0.01)
-//   --max_pace=<int>     J, the pace cap (default 50; paper uses 100)
-//   --seed=<int>         data generator seed
-//   --threads=<int>      scheduler worker threads (default 1 = serial;
-//                        any value keeps results byte-identical)
+//   --sf=<double>        TPC-H scale factor, > 0 (default 0.01)
+//   --max_pace=<int>     J, the pace cap, >= 1 (default 50; paper uses 100)
+//   --seed=<digits>      data generator seed
+//   --threads=<int>      scheduler worker threads, >= 1 (default 1 =
+//                        serial; any value keeps results byte-identical)
 //   --quick              shrink everything for a fast smoke run
 //   --json=<path>        also write the structured export (json_export.h)
+// A malformed or out-of-range value, or an unknown flag, prints the usage
+// line and exits 2 before any work starts: numbers from a misread
+// configuration are worse than none.
 struct BenchConfig {
   double sf = 0.01;
   int max_pace = 50;
@@ -34,20 +41,29 @@ struct BenchConfig {
     BenchConfig c;
     for (int i = 1; i < argc; ++i) {
       const char* a = argv[i];
+      bool ok = true;
       if (std::strncmp(a, "--sf=", 5) == 0) {
-        c.sf = std::atof(a + 5);
+        ok = ParseDouble(a + 5, &c.sf) && c.sf > 0;
       } else if (std::strncmp(a, "--max_pace=", 11) == 0) {
-        c.max_pace = std::atoi(a + 11);
+        ok = ParseInt(a + 11, &c.max_pace) && c.max_pace >= 1;
       } else if (std::strncmp(a, "--seed=", 7) == 0) {
-        c.seed = std::strtoull(a + 7, nullptr, 10);
+        ok = ParseSeed(a + 7, &c.seed);
       } else if (std::strncmp(a, "--threads=", 10) == 0) {
-        c.threads = std::max(1, std::atoi(a + 10));
+        ok = ParseInt(a + 10, &c.threads) && c.threads >= 1;
       } else if (std::strcmp(a, "--quick") == 0) {
         c.quick = true;
       } else if (std::strncmp(a, "--json=", 7) == 0) {
         c.json_path = a + 7;
       } else {
-        std::fprintf(stderr, "unknown flag %s\n", a);
+        ok = false;
+      }
+      if (!ok) {
+        std::fprintf(stderr,
+                     "bad flag %s\nusage: %s [--sf=<double > 0>] "
+                     "[--max_pace=<int >= 1>] [--seed=<digits>] "
+                     "[--threads=<int >= 1>] [--quick] [--json=<path>]\n",
+                     a, argv[0]);
+        std::exit(2);
       }
     }
     if (c.quick) {
@@ -55,6 +71,40 @@ struct BenchConfig {
       c.max_pace = std::min(c.max_pace, 16);
     }
     return c;
+  }
+
+  // Whole-string parsers: trailing junk, empty input and overflow fail.
+  static bool ParseDouble(const char* s, double* out) {
+    char* end = nullptr;
+    errno = 0;
+    double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || errno != 0 || !std::isfinite(v)) {
+      return false;
+    }
+    *out = v;
+    return true;
+  }
+  static bool ParseInt(const char* s, int* out) {
+    char* end = nullptr;
+    errno = 0;
+    long v = std::strtol(s, &end, 10);
+    if (end == s || *end != '\0' || errno != 0 || v < INT_MIN ||
+        v > INT_MAX) {
+      return false;
+    }
+    *out = static_cast<int>(v);
+    return true;
+  }
+  static bool ParseSeed(const char* s, uint64_t* out) {
+    if (*s == '\0') return false;
+    for (const char* p = s; *p != '\0'; ++p) {
+      if (*p < '0' || *p > '9') return false;
+    }
+    errno = 0;
+    unsigned long long v = std::strtoull(s, nullptr, 10);
+    if (errno != 0) return false;
+    *out = static_cast<uint64_t>(v);
+    return true;
   }
 
   ApproachOptions MakeOptions() const {

@@ -50,12 +50,13 @@ case "$mode" in
   bench)
     cmake --preset default
     cmake --build --preset default -j "$(nproc)" \
-      --target bench_robustness bench_operators bench_obs_overhead bench_recovery bench_overload bench_chaos bench_churn bench_shards bench_arrange
+      --target bench_robustness bench_operators bench_obs_overhead bench_recovery bench_overload bench_parallel bench_chaos bench_churn bench_shards bench_arrange
     ./build/bench/bench_robustness --quick
     ./build/bench/bench_operators --benchmark_filter=ConsumeZeroCopy --benchmark_min_time=0.05
     ./build/bench/bench_obs_overhead --quick
     ./build/bench/bench_recovery --quick
     ./build/bench/bench_overload --quick
+    ./build/bench/bench_parallel --quick
     ./build/bench/bench_chaos --quick
     ./build/bench/bench_churn --quick
     ./build/bench/bench_shards --quick

@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "ishare/exec/pace_executor.h"
+#include "ishare/exec/adaptive_executor.h"
 #include "ishare/mqo/mqo_optimizer.h"
 #include "ishare/common/rng.h"
 #include "ishare/plan/builder.h"
@@ -61,8 +61,8 @@ int main() {
   paces[graph.query_root(0)] = 10;
   for (int c : graph.subplan(graph.query_root(0)).children) paces[c] = 10;
 
-  PaceExecutor exec(&graph, &source);
-  RunResult run = exec.Run(paces).value();
+  AdaptiveExecutor exec(&graph, &source);
+  RunResult run = exec.Run(paces).value().run;
 
   std::printf("executions per subplan:");
   for (const SubplanRunStats& s : run.subplans) {

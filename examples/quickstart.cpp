@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "ishare/exec/pace_executor.h"
+#include "ishare/exec/adaptive_executor.h"
 #include "ishare/harness/experiment.h"
 #include "ishare/common/rng.h"
 #include "ishare/plan/builder.h"
@@ -65,8 +65,8 @@ int main() {
   for (int p : plan.paces) std::printf("%d ", p);
   std::printf("\n\n");
 
-  PaceExecutor exec(&plan.graph, &source);
-  RunResult run = exec.Run(plan.paces).value();
+  AdaptiveExecutor exec(&plan.graph, &source);
+  RunResult run = exec.Run(plan.paces).value().run;
 
   std::printf("total work: %.0f units over %.3f s\n", run.total_work,
               run.total_seconds);

@@ -1,5 +1,5 @@
 // ishare::chaos — supervised execution (DESIGN.md §11). The Supervisor
-// wraps a PaceExecutor/AdaptiveExecutor window and unifies the engine's
+// wraps an AdaptiveExecutor window and unifies the engine's
 // fault reactions behind one policy spine keyed off the status taxonomy:
 //
 //   IsTransient (kUnavailable)            → retry, capped deterministic

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "ishare/exec/pace_executor.h"
 #include "ishare/flow/memory_budget.h"
 #include "ishare/obs/obs.h"
 #include "ishare/recovery/serializer.h"

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "ishare/cost/simulator.h"
-#include "ishare/exec/pace_executor.h"
+#include "ishare/plan/subplan_graph.h"
 #include "ishare/obs/obs.h"
 
 namespace ishare {

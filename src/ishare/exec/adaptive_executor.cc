@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "ishare/arrange/arrangement.h"
-#include "ishare/common/fraction.h"
 #include "ishare/flow/shedding.h"
 #include "ishare/obs/obs.h"
 #include "ishare/sched/wave.h"
@@ -13,30 +12,238 @@
 namespace ishare {
 
 namespace {
+
 constexpr double kEps = 1e-9;
+
+// Checkpoint serde for RunResult. `include_timings = false` skips every
+// wall-clock field and is what StateFingerprint() uses: timings differ
+// run to run by nature and must not break bit-exact equivalence checks.
+// Restore always expects the full (timings included) layout checkpoints
+// are written with.
+void SnapshotRunStats(recovery::CheckpointWriter* w, const RunResult& r,
+                      bool include_timings) {
+  w->F64(r.total_work);
+  if (include_timings) w->F64(r.total_seconds);
+  w->U64(r.subplans.size());
+  for (const SubplanRunStats& st : r.subplans) {
+    w->U64(st.work_per_exec.size());
+    for (double v : st.work_per_exec) w->F64(v);
+    if (include_timings) {
+      for (double v : st.secs_per_exec) w->F64(v);
+    }
+    for (double v : st.exec_fraction) w->F64(v);
+    w->F64(st.total_work);
+    if (include_timings) w->F64(st.total_seconds);
+    w->F64(st.final_work);
+    if (include_timings) w->F64(st.final_seconds);
+    w->I64(st.tuples_out);
+  }
+  w->U64(r.query_final_work.size());
+  for (double v : r.query_final_work) w->F64(v);
+  if (include_timings) {
+    for (double v : r.query_latency_seconds) w->F64(v);
+  }
+}
+
+Status RestoreRunStats(recovery::CheckpointReader* r, RunResult* out) {
+  out->total_work = r->F64();
+  out->total_seconds = r->F64();
+  uint64_t n = r->U64();
+  if (n > r->remaining()) {
+    r->Fail("run-stats subplan count " + std::to_string(n) +
+            " exceeds payload");
+    return r->status();
+  }
+  out->subplans.assign(n, SubplanRunStats{});
+  for (SubplanRunStats& st : out->subplans) {
+    uint64_t ne = r->U64();
+    if (ne > r->remaining()) {
+      r->Fail("run-stats execution count exceeds payload");
+      return r->status();
+    }
+    st.work_per_exec.resize(ne);
+    st.secs_per_exec.resize(ne);
+    st.exec_fraction.resize(ne);
+    for (double& v : st.work_per_exec) v = r->F64();
+    for (double& v : st.secs_per_exec) v = r->F64();
+    for (double& v : st.exec_fraction) v = r->F64();
+    st.total_work = r->F64();
+    st.total_seconds = r->F64();
+    st.final_work = r->F64();
+    st.final_seconds = r->F64();
+    st.tuples_out = r->I64();
+  }
+  uint64_t nq = r->U64();
+  if (nq > r->remaining()) {
+    r->Fail("run-stats query count exceeds payload");
+    return r->status();
+  }
+  out->query_final_work.resize(nq);
+  out->query_latency_seconds.resize(nq);
+  for (double& v : out->query_final_work) v = r->F64();
+  for (double& v : out->query_latency_seconds) v = r->F64();
+  return r->status();
+}
+
+// Serde for the execution substrate: base-buffer consumer offsets (keyed
+// by sorted table name; base logs are regenerated by replaying the source
+// to the checkpointed fraction), full subplan output buffers, and every
+// SubplanExecutor's state. `canonical` selects the operators'
+// representation-independent snapshot bytes — the fingerprint layout
+// (DESIGN.md §15.5), not restorable when arrangements are enabled.
+Status SnapshotEngineState(
+    recovery::CheckpointWriter* w, const StreamSource& source,
+    const std::vector<std::unique_ptr<DeltaBuffer>>& buffers,
+    const std::vector<std::unique_ptr<SubplanExecutor>>& executors,
+    bool canonical) {
+  std::vector<std::string> names = source.TableNames();  // sorted
+  w->U64(names.size());
+  for (const std::string& name : names) {
+    w->Str(name);
+    source.buffer(name)->SnapshotOffsets(w);
+  }
+  w->U64(buffers.size());
+  for (const auto& buf : buffers) {
+    CHECK(buf != nullptr);
+    buf->Snapshot(w);
+  }
+  for (const auto& ex : executors) {
+    CHECK(ex != nullptr);
+    ISHARE_RETURN_NOT_OK(ex->Snapshot(w, canonical));
+  }
+  return Status::OK();
+}
+
+Status RestoreEngineState(
+    recovery::CheckpointReader* r, const StreamSource& source,
+    const std::vector<std::unique_ptr<DeltaBuffer>>& buffers,
+    const std::vector<std::unique_ptr<SubplanExecutor>>& executors) {
+  std::vector<std::string> names = source.TableNames();
+  uint64_t num_tables = r->U64();
+  if (num_tables != names.size()) {
+    r->Fail("checkpoint has " + std::to_string(num_tables) +
+            " base tables, source has " + std::to_string(names.size()));
+    return r->status();
+  }
+  for (const std::string& name : names) {
+    std::string stored = r->Str();
+    if (stored != name) {
+      r->Fail("checkpoint base table '" + stored +
+              "' does not match source table '" + name + "'");
+      return r->status();
+    }
+    ISHARE_RETURN_NOT_OK(source.buffer(name)->RestoreOffsets(r));
+  }
+  uint64_t num_buffers = r->U64();
+  if (num_buffers != buffers.size()) {
+    r->Fail("checkpoint has " + std::to_string(num_buffers) +
+            " subplan buffers, executor has " +
+            std::to_string(buffers.size()));
+    return r->status();
+  }
+  for (const auto& buf : buffers) {
+    ISHARE_RETURN_NOT_OK(buf->Restore(r));
+  }
+  for (const auto& ex : executors) {
+    ISHARE_RETURN_NOT_OK(ex->Restore(r));
+  }
+  return r->status();
+}
+
+// Reclaims fully-consumed prefixes of every trimmable engine buffer: all
+// base-relation buffers plus every subplan output buffer that is not a
+// query root. Roots never trim — they hold the query results that
+// MaterializeResult reads out-of-band, so no consumer offset proves
+// their tuples were seen. Returns the number of tuples reclaimed. Called
+// at pace boundaries when ExecOptions::flow.trim_at_boundaries is set
+// (DESIGN.md §9).
+int64_t TrimEngineBuffers(
+    const SubplanGraph& graph, StreamSource* source,
+    const std::vector<std::unique_ptr<DeltaBuffer>>& buffers) {
+  std::vector<bool> is_root(buffers.size(), false);
+  for (QueryId q = 0; q < graph.num_queries(); ++q) {
+    int root = graph.query_root(q);
+    if (root >= 0 && root < static_cast<int>(buffers.size())) {
+      is_root[static_cast<size_t>(root)] = true;
+    }
+  }
+  int64_t reclaimed = 0;
+  for (size_t s = 0; s < buffers.size(); ++s) {
+    if (buffers[s] != nullptr && !is_root[s]) {
+      reclaimed += buffers[s]->TrimConsumed();
+    }
+  }
+  for (const std::string& name : source->TableNames()) {
+    reclaimed += source->buffer(name)->TrimConsumed();
+  }
+  return reclaimed;
+}
+
+// Publishes the `flow.state_bytes_per_query` gauge: total operator-state
+// bytes in the arbiter (the "state:" components plus the shared "arr:"
+// arrangement components) divided by the number of registered queries —
+// the paper's memory-per-query headline, comparable between private and
+// arranged runs. No-op without a budget or with no queries.
+void PublishStateBytesPerQuery(const flow::MemoryBudget* budget,
+                               int num_queries) {
+  if (budget == nullptr || num_queries <= 0) return;
+  int64_t bytes = 0;
+  const int n = budget->num_components();
+  for (int id = 0; id < n; ++id) {
+    const std::string name = budget->component_name(id);
+    if (name.rfind("state:", 0) == 0 || name.rfind("arr:", 0) == 0) {
+      bytes += budget->component_bytes(id);
+    }
+  }
+  obs::Registry()
+      .GetGauge("flow.state_bytes_per_query")
+      .Set(static_cast<double>(bytes) / static_cast<double>(num_queries));
+}
+
 }  // namespace
+
+AdaptiveExecutor::AdaptiveExecutor(const SubplanGraph* graph,
+                                   StreamSource* source, ExecOptions opts)
+    : AdaptiveExecutor(graph, nullptr, source, {}, AdaptivePolicy(), opts,
+                       PaceOptimizerOptions()) {}
 
 AdaptiveExecutor::AdaptiveExecutor(CostEstimator* estimator,
                                    StreamSource* source,
                                    std::vector<double> abs_constraints,
                                    AdaptivePolicy policy, ExecOptions opts,
                                    PaceOptimizerOptions opt_opts)
-    : graph_(&estimator->graph()),
+    : AdaptiveExecutor(&estimator->graph(), estimator, source,
+                       std::move(abs_constraints), policy, opts, opt_opts) {
+  CHECK_EQ(static_cast<int>(constraints_.size()), graph_->num_queries());
+}
+
+AdaptiveExecutor::AdaptiveExecutor(const SubplanGraph* graph,
+                                   CostEstimator* estimator,
+                                   StreamSource* source,
+                                   std::vector<double> abs_constraints,
+                                   AdaptivePolicy policy, ExecOptions opts,
+                                   PaceOptimizerOptions opt_opts)
+    : graph_(graph),
       source_(source),
       estimator_(estimator),
       constraints_(std::move(abs_constraints)),
       policy_(policy),
       opts_(opts),
-      opt_opts_(opt_opts) {
-  CHECK(estimator != nullptr && source != nullptr);
-  CHECK_EQ(static_cast<int>(constraints_.size()), graph_->num_queries());
+      opt_opts_(opt_opts),
+      topo_(graph->TopoChildrenFirst()) {
+  CHECK(graph != nullptr && source != nullptr);
   // Pool creation precedes the executor loop: BuildTree binds operators
-  // to opts_.sched_pool. With a memory budget attached the executor runs
-  // serial regardless of num_threads (see RunLevelsParallel's contract).
-  if (opts_.sched.num_threads > 1 && opts_.flow.budget == nullptr) {
+  // to opts_.sched_pool. With both a memory budget and an estimator the
+  // executor runs serial regardless of num_threads: admission and
+  // shedding decisions read budget state that every execution changes,
+  // so each must see the executions topo-ordered before it.
+  if (opts_.sched.num_threads > 1 &&
+      (opts_.flow.budget == nullptr || estimator_ == nullptr)) {
     pool_ = std::make_unique<sched::WorkerPool>(opts_.sched.num_threads);
     opts_.sched_pool = pool_.get();
     levels_ = sched::StaticLevels(*graph_);
+  } else {
+    for (int s : topo_) levels_.push_back({s});
   }
   int n = graph_->num_subplans();
   buffers_.resize(n);
@@ -47,7 +254,11 @@ AdaptiveExecutor::AdaptiveExecutor(CostEstimator* estimator,
   slack_.resize(constraints_.size(), 0.0);
   subplan_slack_.resize(n, 0.0);
   sheddable_.resize(n, false);
-  for (int i : graph_->TopoChildrenFirst()) {
+  // Children-first so a parent's SubplanInput consumers find live buffers.
+  // This order is deterministic, which recovery relies on: a freshly
+  // constructed executor registers the same consumer ids on the same
+  // buffers as the one that wrote the checkpoint.
+  for (int i : topo_) {
     const Subplan& sp = graph_->subplan(i);
     buffers_[i] = std::make_unique<DeltaBuffer>(
         sp.root->output_schema, "subplan_" + std::to_string(i));
@@ -170,16 +381,18 @@ Status AdaptiveExecutor::BeginWindowAt(const PaceConfig& paces,
   paces_ = paces;
   corrected_ratio_ = 1.0;
   zero_slack_sticky_.assign(constraints_.size(), false);
-  RecomputePredictions();
-  for (size_t q = 0; q < slack_.size() && q < zero_slack_sticky_.size();
-       ++q) {
-    zero_slack_sticky_[q] = slack_[q] <= 1e-9;
+  if (estimator_ != nullptr) {
+    RecomputePredictions();
+    for (size_t q = 0; q < slack_.size() && q < zero_slack_sticky_.size();
+         ++q) {
+      zero_slack_sticky_[q] = slack_[q] <= 1e-9;
+    }
   }
   ws_ = WindowState{};
   ws_.out.run.subplans.resize(graph_->num_subplans());
   ws_.out.stats.pace_history.push_back(paces_);
-  ws_.out.flow.query_deferred.assign(constraints_.size(), 0);
-  ws_.out.flow.query_dropped.assign(constraints_.size(), 0);
+  ws_.out.flow.query_deferred.assign(graph_->num_queries(), 0);
+  ws_.out.flow.query_dropped.assign(graph_->num_queries(), 0);
   ws_.last_point = from;
   ws_.step = completed_steps;
   RebuildPoints(from);
@@ -219,48 +432,110 @@ Status AdaptiveExecutor::ShedDropPass(const std::vector<int>& shed_order) {
   return Status::OK();
 }
 
-// Parallel twin of StepOnce's decision/execution loop. Only reachable
-// when no memory budget is attached (pool_ is not created otherwise), so
-// the shed/defer/backpressure branches of the serial loop are vacuous
-// here and deliberately absent. Serial equivalence (DESIGN.md §10):
-// decisions fire level by level — a catch-up test reads PendingInput(),
-// which a child's same-step append changes, and every child sits in a
-// strictly lower level, so each subplan sees exactly the state the serial
-// topo loop would have shown it. Executions within a level touch disjoint
-// executor/buffer state (no parent-child pairs share a level), and all
-// float accumulation — metrics, run stats, drift — is applied after the
-// levels strictly in topo order, reproducing the serial summation order
-// bit for bit. Divergences, both on paths the equivalence tests do not
-// exercise: before-subplan hooks fire per level ahead of that level's
-// executions instead of interleaved per subplan, and a failed level
-// publishes nothing for the torn step.
-Status AdaptiveExecutor::RunLevelsParallel(const Fraction& f, int64_t step,
-                                           bool is_trigger, bool overloaded) {
+// One event point. Decisions run level by level: a catch-up test reads
+// PendingInput() and a backpressure test reads buffer and budget state,
+// both of which a child's same-step execution changes, and every child
+// sits in a strictly lower level, so each subplan's decision sees exactly
+// the state a children-first serial loop would show it. Executions within
+// a level touch disjoint executor/buffer state (no parent-child pair
+// shares a level). All float accumulation — metrics, run stats, drift —
+// is applied after the levels strictly in topo order, so a run with a
+// pool reproduces the serial summation order bit for bit (DESIGN.md
+// §10). A failed step publishes nothing.
+Status AdaptiveExecutor::StepOnce() {
   AdaptiveRunResult& out = ws_.out;
-  int n = graph_->num_subplans();
+  const bool adaptive = estimator_ != nullptr;
+  const int n = graph_->num_subplans();
+
+  Fraction f = *ws_.points.begin();
+  ws_.points.erase(ws_.points.begin());
+  ISHARE_RETURN_NOT_OK(source_->AdvanceToStep(f.num, f.den));
+  PublishBaseBytes();
+  const bool is_trigger = (f.num == f.den);
+  const int64_t step = ws_.step + 1;  // 1-based step being executed
+
+  // Flow control (DESIGN.md §9): enforce the hard budget by dropping
+  // slackest-first if enabled, and compute this step's deferral set from
+  // the current pressure. The shed set is decided before any execution so
+  // the decision depends only on checkpointed state plus the
+  // (deterministic) stream — replayable.
+  std::vector<char> shed(n, 0);
+  flow::MemoryBudget* mem = adaptive ? opts_.flow.budget : nullptr;
+  if (mem != nullptr) {
+    std::vector<int> shed_order = flow::ShedOrder(subplan_slack_, sheddable_);
+    if (policy_.enable_shed_drop && mem->limited() &&
+        mem->Pressure() >= policy_.drop_pressure_target) {
+      ISHARE_RETURN_NOT_OK(ShedDropPass(shed_order));
+    }
+    if (policy_.enable_shed_defer && mem->limited() && !is_trigger) {
+      int quota = flow::ShedQuota(mem->Pressure(), policy_.shed_pressure_start,
+                                  static_cast<int>(shed_order.size()));
+      for (int i = 0; i < quota; ++i) shed[shed_order[i]] = 1;
+    }
+  }
+
+  // Overload: cumulative work has outrun the drift-corrected pro-rata
+  // budget for the window progress so far.
+  const bool overloaded =
+      adaptive && ws_.sched_execs >= policy_.min_drift_samples &&
+      ws_.observed_total > DriftRatio() * pred_total_ * f.ToDouble() *
+                               policy_.overload_factor;
+
   std::vector<char> ran(n, 0);
   std::vector<char> was_catchup(n, 0);
   std::vector<Status> statuses(n);
   std::vector<ExecRecord> records(n);
+  std::vector<int> to_run;
   int wave = 0;  // 0-based index among this step's dispatched levels
   for (const std::vector<int>& level : levels_) {
-    std::vector<int> to_run;
+    to_run.clear();
     for (int s : level) {
-      bool scheduled = f.IsStepOf(paces_[s]);
-      bool skip = scheduled && !is_trigger && overloaded && !protective_[s];
+      const bool scheduled = f.IsStepOf(paces_[s]);
       bool catchup = false;
-      if (!scheduled && !is_trigger && policy_.enable_catchup &&
-          protective_[s] && executors_[s]->executions() > 0) {
+      if (adaptive && !is_trigger && scheduled) {
+        // Degradation: an overloaded window skips the scheduled
+        // intermediate executions of subplans whose queries have slack,
+        // merging their input into the next execution.
+        if (overloaded && !protective_[s]) {
+          ++out.stats.skipped_execs;
+          obs::Registry().GetCounter("exec.adaptive.skip").Add(1);
+          continue;
+        }
+        // Slackness-aware deferral: a sheddable subplan's scheduled
+        // intermediate execution is pushed to a later point, either by
+        // the pressure quota or because its output buffer / the budget
+        // refuses admission. The trigger is exempt, so results are
+        // unchanged.
+        bool defer = shed[s] != 0;
+        if (!defer && sheddable_[s] && mem != nullptr) {
+          defer = !buffers_[s]->AdmitStatus().ok() ||
+                  (mem->limited() &&
+                   mem->GrantHeadroom(executors_[s]->last_output_bytes())
+                       .IsRetryableBackpressure());
+          if (defer) {
+            ++out.flow.backpressure_events;
+            obs::Registry().GetCounter("flow.backpressure.defer").Add(1);
+          }
+        }
+        if (defer) {
+          ++out.flow.shed_deferred;
+          for (QueryId q : graph_->subplan(s).queries.ToIds()) {
+            if (q < static_cast<QueryId>(out.flow.query_deferred.size())) {
+              ++out.flow.query_deferred[q];
+            }
+          }
+          obs::Registry().GetCounter("flow.shed.deferred").Add(1);
+          continue;
+        }
+      } else if (adaptive && !is_trigger && protective_[s] &&
+                 executors_[s]->executions() > 0) {
+        // Catch-up: an unscheduled execution when the input backlog has
+        // outgrown what the last execution consumed.
         int64_t baseline =
             std::max<int64_t>(1, executors_[s]->last_input_consumed());
         catchup = executors_[s]->PendingInput() >=
                   static_cast<int64_t>(policy_.backlog_factor *
                                        static_cast<double>(baseline));
-      }
-      if (skip) {
-        ++out.stats.skipped_execs;
-        obs::Registry().GetCounter("exec.adaptive.skip").Add(1);
-        continue;
       }
       if (!scheduled && !catchup) continue;
       was_catchup[s] = catchup ? 1 : 0;
@@ -270,7 +545,7 @@ Status AdaptiveExecutor::RunLevelsParallel(const Fraction& f, int64_t step,
     if (before_subplan_) {
       for (int s : to_run) ISHARE_RETURN_NOT_OK(before_subplan_(step, s));
     }
-    pool_->ParallelFor(static_cast<int64_t>(to_run.size()), [&](int64_t i) {
+    auto execute = [&](int64_t i) {
       int s = to_run[static_cast<size_t>(i)];
       Result<ExecRecord> r = executors_[s]->ExecuteOnce();
       if (r.ok()) {
@@ -279,20 +554,24 @@ Status AdaptiveExecutor::RunLevelsParallel(const Fraction& f, int64_t step,
       } else {
         statuses[s] = r.status();
       }
-    });
-    bool failed = false;
-    for (int s : to_run) {
-      if (!statuses[s].ok()) failed = true;
+    };
+    const int64_t count = static_cast<int64_t>(to_run.size());
+    if (pool_ != nullptr) {
+      pool_->ParallelFor(count, execute);
+    } else {
+      for (int64_t i = 0; i < count; ++i) execute(i);
     }
-    if (failed) {
-      for (int s : graph_->TopoChildrenFirst()) {
-        ISHARE_RETURN_NOT_OK(statuses[s]);
-      }
+    // Levels list subplans in topo order and earlier levels succeeded, so
+    // this surfaces the step's first error in topo order.
+    for (int s : to_run) ISHARE_RETURN_NOT_OK(statuses[s]);
+    if (pool_ != nullptr) {
+      obs::Registry().GetCounter("sched.step.waves").Add(1);
+      if (after_wave_) ISHARE_RETURN_NOT_OK(after_wave_(step, wave));
+      ++wave;
     }
-    if (after_wave_) ISHARE_RETURN_NOT_OK(after_wave_(step, wave));
-    ++wave;
   }
-  for (int s : graph_->TopoChildrenFirst()) {
+
+  for (int s : topo_) {
     if (!ran[s]) continue;
     const ExecRecord& rec = records[s];
     executors_[s]->PublishExecMetrics(rec);
@@ -314,134 +593,12 @@ Status AdaptiveExecutor::RunLevelsParallel(const Fraction& f, int64_t step,
     if (was_catchup[s]) {
       ++out.stats.catchup_execs;
       obs::Registry().GetCounter("exec.adaptive.catchup").Add(1);
-    } else {
+    } else if (adaptive) {
       double pred = is_trigger ? pred_final_[s] : pred_nonfinal_[s];
       if (pred > kEps) {
         ws_.drift_obs += rec.work;
         ws_.drift_pred += pred;
         ++ws_.sched_execs;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status AdaptiveExecutor::StepOnce() {
-  std::vector<int> topo = graph_->TopoChildrenFirst();
-  AdaptiveRunResult& out = ws_.out;
-
-  Fraction f = *ws_.points.begin();
-  ws_.points.erase(ws_.points.begin());
-  ISHARE_RETURN_NOT_OK(source_->AdvanceToStep(f.num, f.den));
-  bool is_trigger = (f.num == f.den);
-  int64_t step = ws_.step + 1;  // 1-based step being executed
-
-  // Flow control (DESIGN.md §9): account the newly arrived base bytes,
-  // enforce the hard budget by dropping slackest-first if enabled, and
-  // compute this step's deferral set from the current pressure. The shed
-  // set is decided before any execution so the decision depends only on
-  // checkpointed state plus the (deterministic) stream — replayable.
-  std::vector<char> shed(graph_->num_subplans(), 0);
-  flow::MemoryBudget* mem = opts_.flow.budget;
-  if (mem != nullptr) {
-    PublishBaseBytes();
-    std::vector<int> shed_order = flow::ShedOrder(subplan_slack_, sheddable_);
-    if (policy_.enable_shed_drop && mem->limited() &&
-        mem->Pressure() >= policy_.drop_pressure_target) {
-      ISHARE_RETURN_NOT_OK(ShedDropPass(shed_order));
-    }
-    if (policy_.enable_shed_defer && mem->limited() && !is_trigger) {
-      int quota = flow::ShedQuota(mem->Pressure(), policy_.shed_pressure_start,
-                                  static_cast<int>(shed_order.size()));
-      for (int i = 0; i < quota; ++i) shed[shed_order[i]] = 1;
-    }
-  }
-
-  // Overload: cumulative work has outrun the drift-corrected pro-rata
-  // budget for the window progress so far.
-  double budget =
-      DriftRatio() * pred_total_ * f.ToDouble() * policy_.overload_factor;
-  bool overloaded = policy_.enable_degradation &&
-                    ws_.sched_execs >= policy_.min_drift_samples &&
-                    ws_.observed_total > budget;
-
-  if (pool_ != nullptr) {
-    ISHARE_RETURN_NOT_OK(RunLevelsParallel(f, step, is_trigger, overloaded));
-  } else {
-    for (int s : topo) {
-      bool scheduled = f.IsStepOf(paces_[s]);
-      bool skip = scheduled && !is_trigger && overloaded && !protective_[s];
-      bool catchup = false;
-      if (!scheduled && !is_trigger && policy_.enable_catchup &&
-          protective_[s] && executors_[s]->executions() > 0) {
-        int64_t baseline =
-            std::max<int64_t>(1, executors_[s]->last_input_consumed());
-        catchup = executors_[s]->PendingInput() >=
-                  static_cast<int64_t>(policy_.backlog_factor *
-                                       static_cast<double>(baseline));
-      }
-      if (skip) {
-        ++out.stats.skipped_execs;
-        obs::Registry().GetCounter("exec.adaptive.skip").Add(1);
-        continue;
-      }
-      // Slackness-aware deferral: a sheddable subplan's scheduled
-      // intermediate execution is pushed to a later point, either by the
-      // pressure quota or because its output buffer / the budget refuses
-      // admission. The trigger is exempt, so results are unchanged.
-      bool shed_defer = scheduled && !is_trigger && shed[s] != 0;
-      if (!shed_defer && scheduled && !is_trigger && sheddable_[s] &&
-          mem != nullptr) {
-        bool denied = !buffers_[s]->AdmitStatus().ok();
-        if (!denied && mem->limited()) {
-          denied = mem->GrantHeadroom(executors_[s]->last_output_bytes())
-                       .IsRetryableBackpressure();
-        }
-        if (denied) {
-          shed_defer = true;
-          ++out.flow.backpressure_events;
-          obs::Registry().GetCounter("flow.backpressure.defer").Add(1);
-        }
-      }
-      if (shed_defer) {
-        ++out.flow.shed_deferred;
-        for (QueryId q : graph_->subplan(s).queries.ToIds()) {
-          if (q < static_cast<QueryId>(out.flow.query_deferred.size())) {
-            ++out.flow.query_deferred[q];
-          }
-        }
-        obs::Registry().GetCounter("flow.shed.deferred").Add(1);
-        continue;
-      }
-      if (!scheduled && !catchup) continue;
-
-      if (before_subplan_) ISHARE_RETURN_NOT_OK(before_subplan_(step, s));
-      ISHARE_ASSIGN_OR_RETURN(ExecRecord rec, executors_[s]->RunExecution());
-      out.flow.admitted_tuples += rec.tuples_in;
-      SubplanRunStats& st = out.run.subplans[s];
-      st.work_per_exec.push_back(rec.work);
-      st.secs_per_exec.push_back(rec.seconds);
-      st.exec_fraction.push_back(f.ToDouble());
-      st.total_work += rec.work;
-      st.total_seconds += rec.seconds;
-      st.tuples_out += rec.tuples_out;
-      if (is_trigger) {
-        st.final_work = rec.work;
-        st.final_seconds = rec.seconds;
-      }
-      out.run.total_work += rec.work;
-      out.run.total_seconds += rec.seconds;
-      ws_.observed_total += rec.work;
-      if (catchup) {
-        ++out.stats.catchup_execs;
-        obs::Registry().GetCounter("exec.adaptive.catchup").Add(1);
-      } else {
-        double pred = is_trigger ? pred_final_[s] : pred_nonfinal_[s];
-        if (pred > kEps) {
-          ws_.drift_obs += rec.work;
-          ws_.drift_pred += pred;
-          ++ws_.sched_execs;
-        }
       }
     }
   }
@@ -455,7 +612,7 @@ Status AdaptiveExecutor::StepOnce() {
   // schedule in flight.
   bool drifted = std::abs(r / std::max(corrected_ratio_, kEps) - 1.0) >
                  policy_.drift_threshold;
-  if (!is_trigger && policy_.enable_rederive && drifted &&
+  if (adaptive && !is_trigger && drifted &&
       out.stats.rederivations < policy_.max_rederivations) {
     obs::ScopedSpan rederive_span("exec.adaptive.rederive");
     obs::Registry().GetCounter("exec.adaptive.rederive").Add(1);
@@ -479,7 +636,7 @@ Status AdaptiveExecutor::StepOnce() {
       RebuildPoints(f);
     }
   }
-  RecomputePredictions();
+  if (adaptive) RecomputePredictions();
   // Boundary trim: everything below the slowest consumer is dead weight
   // between steps; reclaiming here keeps the step-boundary fingerprints
   // (and therefore checkpoints) deterministic.
@@ -601,8 +758,10 @@ Status AdaptiveExecutor::SnapshotImpl(recovery::CheckpointWriter* w,
   w->U64(fs.query_dropped.size());
   for (int64_t v : fs.query_dropped) w->I64(v);
   SnapshotRunStats(w, ws_.out.run, include_timings);
-  // Same layout contract as PaceExecutor: real checkpoints carry the
-  // shared catalog; fingerprints use the canonical (folded) op bytes.
+  // Real checkpoints carry the shared catalog before the engine state
+  // (operators re-attach to the restored contents); fingerprints instead
+  // fold arranged state into each operator's canonical bytes, so two runs
+  // differing only in arrangement use fingerprint identically.
   if (include_timings && opts_.arrange.catalog != nullptr) {
     ISHARE_RETURN_NOT_OK(opts_.arrange.catalog->Snapshot(w));
   }
@@ -735,7 +894,7 @@ Status AdaptiveExecutor::Restore(recovery::CheckpointReader* r) {
     ISHARE_RETURN_NOT_OK(opts_.arrange.catalog->Restore(r));
   }
   ISHARE_RETURN_NOT_OK(RestoreEngineState(r, *source_, buffers_, executors_));
-  RecomputePredictions();
+  if (estimator_ != nullptr) RecomputePredictions();
   // Base buffers were regenerated untrimmed by the source replay above;
   // re-establish the boundary-trim invariant (everything below the min
   // consumer offset reclaimed) so the physical state — and every later
@@ -772,6 +931,23 @@ DeltaBuffer* AdaptiveExecutor::query_output(QueryId q) const {
   int root = graph_->query_root(q);
   CHECK_GE(root, 0);
   return buffers_[root].get();
+}
+
+std::unordered_map<Row, int64_t, RowHasher> MaterializeResult(
+    const DeltaBuffer& buffer, QueryId q) {
+  std::unordered_map<Row, int64_t, RowHasher> out;
+  for (const DeltaTuple& t : buffer.log()) {
+    if (!t.qset.Contains(q)) continue;
+    out[t.row] += t.weight;
+  }
+  for (auto it = out.begin(); it != out.end();) {
+    if (it->second == 0) {
+      it = out.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  return out;
 }
 
 }  // namespace ishare

@@ -1,15 +1,24 @@
-// Adaptive pace-schedule executor (DESIGN.md §6): keeps the paper's
-// final-work goals when observed work drifts from the cost estimator's
-// predictions or the stream arrives non-ideally. Extends PaceExecutor's
-// semantics with mid-window pace re-derivation, graceful degradation under
-// overload, and catch-up executions after bursts — all deterministic given
-// the observed stream. Instrumented with obs spans/counters under
-// exec.adaptive.* (DESIGN.md §7).
+// Pace-driven execution of a shared plan over one trigger window (paper
+// Sec. 2.2, Fig. 3; DESIGN.md §6). A subplan with pace k executes at
+// global data fractions i/k; at equal fractions children run before
+// parents, and a parent's pace never exceeds its child's. Reports the
+// paper's headline quantities: total work (all executions, OpWork units),
+// and per-query final work / latency (the executions at the trigger
+// point).
 //
-// Like PaceExecutor, the window is driven stepwise so the recovery layer
-// (DESIGN.md §8) can checkpoint between event points and resume after a
-// crash; every adaptation decision is work-based (never wall-clock), so a
-// restored run replays the exact same skips, catch-ups and re-derivations.
+// Built over a bare SubplanGraph the executor runs exactly that static
+// schedule. Built over a CostEstimator it also keeps the paper's
+// final-work goals when observed work drifts from the estimator's
+// predictions or the stream arrives non-ideally: mid-window pace
+// re-derivation, graceful degradation under overload, catch-up executions
+// after bursts and slack-ordered shedding under memory pressure — all
+// deterministic given the observed stream. Instrumented with obs
+// spans/counters under exec.adaptive.* (DESIGN.md §7).
+//
+// The window is driven stepwise so the recovery layer (DESIGN.md §8) can
+// checkpoint between event points and resume after a crash; every
+// adaptation decision is work-based (never wall-clock), so a restored run
+// replays the exact same skips, catch-ups and re-derivations.
 
 #ifndef ISHARE_EXEC_ADAPTIVE_EXECUTOR_H_
 #define ISHARE_EXEC_ADAPTIVE_EXECUTOR_H_
@@ -17,17 +26,46 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "ishare/common/fraction.h"
 #include "ishare/common/status.h"
 #include "ishare/cost/estimator.h"
-#include "ishare/exec/pace_executor.h"
 #include "ishare/exec/subplan_exec.h"
 #include "ishare/flow/memory_budget.h"
 #include "ishare/opt/pace_optimizer.h"
+#include "ishare/plan/subplan_graph.h"
 #include "ishare/recovery/checkpointable.h"
+#include "ishare/sched/worker_pool.h"
+#include "ishare/storage/stream_source.h"
 
 namespace ishare {
+
+// Per-subplan measurements of one pace-driven run.
+struct SubplanRunStats {
+  std::vector<double> work_per_exec;
+  std::vector<double> secs_per_exec;
+  std::vector<double> exec_fraction;  // data fraction of each execution
+  double total_work = 0;
+  double total_seconds = 0;
+  // The execution at the trigger point (fraction 1.0).
+  double final_work = 0;
+  double final_seconds = 0;
+  int64_t tuples_out = 0;
+};
+
+// Result of executing a shared plan under a pace configuration.
+struct RunResult {
+  double total_work = 0;      // the paper's "total work" (CPU proxy)
+  double total_seconds = 0;   // the paper's "total execution time"
+  std::vector<SubplanRunStats> subplans;
+  // Per query: sum over the query's subplans of their final execution
+  // work/time (the paper's "final work" and "latency").
+  std::vector<double> query_final_work;
+  std::vector<double> query_latency_seconds;
+};
 
 // Knobs of the adaptive runtime (see DESIGN.md, "Runtime robustness").
 // Every decision is deterministic given the observed stream, so a run is
@@ -50,10 +88,6 @@ struct AdaptivePolicy {
   int min_drift_samples = 3;
   // Hard cap on mid-window re-derivations (each costs optimizer time).
   int max_rederivations = 4;
-
-  bool enable_rederive = true;
-  bool enable_degradation = true;
-  bool enable_catchup = true;
 
   // ---- Memory flow control (DESIGN.md §9) -------------------------------
   // All of these are inert until ExecOptions::flow.budget is set.
@@ -110,9 +144,13 @@ struct AdaptiveRunResult {
   std::vector<ShedDropEvent> drop_log;
 };
 
-// Pace-schedule executor that keeps the paper's final-work goals when the
-// world diverges from the plan. Unlike PaceExecutor, which replays a
-// precomputed ideal schedule, this executor
+// Drives a SubplanGraph over a simulated trigger window. The executor
+// owns the subplan output buffers; query results remain available in the
+// query roots' buffers after the window completes.
+//
+// Without an estimator it replays the pace configuration it was started
+// with and adapts nothing. With one it keeps the final-work goals when
+// the world diverges from the plan:
 //   1. monitors drift between observed per-execution work and the cost
 //      estimator's prediction, and re-derives the remaining paces
 //      mid-window (PaceOptimizer, warm-started from the schedule in
@@ -123,23 +161,37 @@ struct AdaptiveRunResult {
 //      replaying a stale schedule;
 //   3. catches up after bursts: a subplan whose input backlog spikes gets
 //      an unscheduled execution so the backlog does not land in the final
-//      (latency-critical) execution.
-// Correctness is invariant under all three: the trigger execution always
-// runs over all remaining input, so materialized results match the batch
-// results — only work and latency change.
+//      (latency-critical) execution;
+//   4. under a limited memory budget, defers (and optionally drops) work
+//      of the slackest subplans first (DESIGN.md §9).
+// Correctness is invariant under all of these except drops: the trigger
+// execution always runs over all remaining input, so materialized results
+// match the batch results — only work and latency change.
 class AdaptiveExecutor : public recovery::Checkpointable {
  public:
+  // Called after step `step` (1-based count of completed event points)
+  // finishes; a non-OK return aborts the window. The crash/recovery
+  // harness injects kills and checkpoints here.
   using StepHook = std::function<Status(int64_t step)>;
+  // Called right before subplan `subplan` executes within step `step`.
   using SubplanHook = std::function<Status(int64_t step, int subplan)>;
-  // Fires after dependency level `wave` (0-based index among the step's
-  // dispatched levels) finishes executing, before any metrics publish;
-  // see PaceExecutor::WaveHook. Parallel path only.
+  // Called after dependency level `wave` (0-based index among the step's
+  // dispatched levels) finishes executing but before any of the step's
+  // metrics publish — the window in which a crash loses a parallel step's
+  // partial results wholesale. Fires only when the executor owns a worker
+  // pool (never in serial runs); the crash harness's kMidWave kill-point
+  // lands here.
   using WaveHook = std::function<Status(int64_t step, int wave)>;
 
-  // `estimator` supplies the prediction baseline and the re-derivation
-  // search space; `abs_constraints` are absolute final-work constraints
-  // indexed by query id (same units as the estimator). The stream source
-  // must be freshly constructed or Reset().
+  // Static schedule: runs exactly the paces handed to BeginWindow. The
+  // stream source must be freshly constructed or Reset().
+  AdaptiveExecutor(const SubplanGraph* graph, StreamSource* source,
+                   ExecOptions opts = ExecOptions());
+
+  // Adaptive schedule: `estimator` supplies the prediction baseline and
+  // the re-derivation search space; `abs_constraints` are absolute
+  // final-work constraints indexed by query id (same units as the
+  // estimator). The stream source must be freshly constructed or Reset().
   AdaptiveExecutor(CostEstimator* estimator, StreamSource* source,
                    std::vector<double> abs_constraints,
                    AdaptivePolicy policy = AdaptivePolicy(),
@@ -152,12 +204,17 @@ class AdaptiveExecutor : public recovery::Checkpointable {
   // churn epochs (DESIGN.md §13).
   ~AdaptiveExecutor();
 
-  // Executes the whole trigger window starting from `initial_paces`.
-  // Equivalent to BeginWindow + ResumeWindow.
+  // Executes the whole trigger window starting from `initial_paces`;
+  // every pace must be >= 1 and there must be one per subplan. Malformed
+  // configurations and runtime storage failures return Status instead of
+  // aborting. Equivalent to BeginWindow + ResumeWindow.
   Result<AdaptiveRunResult> Run(const PaceConfig& initial_paces);
 
-  // Stepwise spine, mirroring PaceExecutor's.
+  // Validates the paces and arms the window's event points without
+  // executing anything.
   Status BeginWindow(const PaceConfig& initial_paces);
+  // Runs every remaining step of the armed window (all of them after
+  // BeginWindow; the tail after Restore) and finalizes per-query totals.
   Result<AdaptiveRunResult> ResumeWindow();
 
   // Mid-window entry for churn epoch switches (DESIGN.md §13): like
@@ -190,8 +247,9 @@ class AdaptiveExecutor : public recovery::Checkpointable {
   void set_after_wave_hook(WaveHook h) { after_wave_ = std::move(h); }
 
   // Owned worker pool, or nullptr when the executor runs serial (always
-  // nullptr when a memory budget is attached; see the ctor). The chaos
-  // injector targets it for worker stall/delay events.
+  // nullptr when both a memory budget and an estimator are attached; see
+  // the ctor). The chaos injector targets it for worker stall/delay
+  // events.
   sched::WorkerPool* worker_pool() const { return pool_.get(); }
 
   // Live flow-control ledger and drop log of the window in flight; the
@@ -204,12 +262,14 @@ class AdaptiveExecutor : public recovery::Checkpointable {
   // Checkpointable (DESIGN.md §8): pace table + drift state + remaining
   // event points + adaptation stats + the execution substrate. Restore
   // must be called on a freshly constructed executor over the same
-  // estimator/graph and an un-advanced source.
+  // estimator/graph and an un-advanced source; it replays the source to
+  // the checkpointed event point.
   Status Snapshot(recovery::CheckpointWriter* w) const override;
   Status Restore(recovery::CheckpointReader* r) override;
 
-  // Deterministic state digest excluding wall-clock timings (see
-  // PaceExecutor::StateFingerprint).
+  // Deterministic digest of the execution state: everything Snapshot
+  // covers except wall-clock timings. Two runs that processed the same
+  // data identically have equal fingerprints, crash or no crash.
   std::string StateFingerprint() const;
 
   // Leaf deltas already in buffers that the next executions will re-read;
@@ -235,14 +295,20 @@ class AdaptiveExecutor : public recovery::Checkpointable {
 
   // Per-query time slackness under the current drift-corrected
   // predictions (see QuerySlackFractions); the shedding policy's ranking
-  // signal. Valid after BeginWindow.
+  // signal. Valid after BeginWindow; empty without an estimator.
   const std::vector<double>& query_slack() const { return slack_; }
 
   // True when subplan s serves an at-risk query and is therefore exempt
-  // from degradation and shedding. Valid after BeginWindow.
+  // from degradation and shedding (every subplan is, without an
+  // estimator). Valid after BeginWindow.
   bool subplan_protective(int s) const { return protective_[s]; }
 
  private:
+  AdaptiveExecutor(const SubplanGraph* graph, CostEstimator* estimator,
+                   StreamSource* source, std::vector<double> abs_constraints,
+                   AdaptivePolicy policy, ExecOptions opts,
+                   PaceOptimizerOptions opt_opts);
+
   // Refreshes per-subplan work predictions and per-query risk flags for
   // the current pace configuration and drift estimate.
   void RecomputePredictions();
@@ -250,22 +316,20 @@ class AdaptiveExecutor : public recovery::Checkpointable {
   double DriftRatio() const;
   void PublishBaseBytes();
   Status ShedDropPass(const std::vector<int>& shed_order);
+  // One event point through the level loop (DESIGN.md §10): per level,
+  // decide which subplans run, fire their before-subplan hooks, execute
+  // them (on the pool or inline), then apply metrics, run stats and drift
+  // in topo order once every level has finished.
   Status StepOnce();
-  // Level-parallel variant of StepOnce's decision/execution loop
-  // (DESIGN.md §10): decisions are made level by level (a subplan's
-  // catch-up test reads its children's freshly appended output, so
-  // children's level must finish first), executions within a level fan
-  // out on the pool, and metrics/stats apply serially in topo order
-  // afterward. Only used when no memory budget is attached — admission
-  // and shedding decisions are order-sensitive and stay serial.
-  Status RunLevelsParallel(const Fraction& f, int64_t step, bool is_trigger,
-                           bool overloaded);
   AdaptiveRunResult FinishWindow();
   Status SnapshotImpl(recovery::CheckpointWriter* w,
                       bool include_timings) const;
 
   const SubplanGraph* graph_;
   StreamSource* source_;
+  // nullptr for a static schedule: every adaptive decision (skip,
+  // catch-up, re-derivation, slack hints, defer/drop/backpressure) checks
+  // for it.
   CostEstimator* estimator_;
   std::vector<double> constraints_;
   AdaptivePolicy policy_;
@@ -288,7 +352,9 @@ class AdaptiveExecutor : public recovery::Checkpointable {
   std::vector<double> subplan_slack_;  // min slack over the served queries
   std::vector<bool> sheddable_;        // == !protective_, the shed universe
   // Aggregated base-buffer bytes component in opts_.flow.budget (-1 when
-  // no budget); see PaceExecutor::base_component_.
+  // no budget). Base buffers belong to the shared source, so they are
+  // polled into one component rather than attached, keeping the source
+  // free of pointers into an executor-scoped arbiter.
   int base_component_ = -1;
 
   // Window state, all deterministic given the observed stream (the
@@ -309,14 +375,23 @@ class AdaptiveExecutor : public recovery::Checkpointable {
   SubplanHook before_subplan_;
   WaveHook after_wave_;
 
-  // Owned worker pool (nullptr = serial) and the graph's static
-  // dependency levels; both fixed at construction (DESIGN.md §10).
+  // Owned worker pool (nullptr = serial), the children-first topo order
+  // and the dependency levels the step loop walks: the graph's static
+  // levels with a pool, one singleton level per subplan in topo order
+  // without. All fixed at construction (DESIGN.md §10).
   std::unique_ptr<sched::WorkerPool> pool_;
+  std::vector<int> topo_;
   std::vector<std::vector<int>> levels_;
 
   std::vector<std::unique_ptr<DeltaBuffer>> buffers_;
   std::vector<std::unique_ptr<SubplanExecutor>> executors_;
 };
+
+// Sums the weights of buffer tuples valid for query q; the result maps
+// each distinct row to its net multiplicity. Used to check that
+// incremental execution converges to the batch result.
+std::unordered_map<Row, int64_t, RowHasher> MaterializeResult(
+    const DeltaBuffer& buffer, QueryId q);
 
 }  // namespace ishare
 

@@ -95,7 +95,7 @@ struct ExecOptions {
   sched::SchedulerOptions sched;
 
   // Worker pool operators may use for morsel parallelism. Not owned; set
-  // internally by PaceExecutor/AdaptiveExecutor before they build their
+  // internally by the AdaptiveExecutor before it builds its
   // SubplanExecutors (callers should leave it nullptr).
   sched::WorkerPool* sched_pool = nullptr;
 

@@ -64,11 +64,11 @@ class SubplanExecutor {
 
   // The compute half of RunExecution(): drains input, runs the operator
   // tree, appends output, updates executor-local state — but publishes
-  // NO shared observability series. The parallel scheduler calls this
-  // from worker threads and then applies PublishExecMetrics serially in
-  // topo order, so float-valued counter sums accumulate in the same
-  // order as serial execution (the metrics half of the bit-exactness
-  // argument, DESIGN.md §10).
+  // NO shared observability series. The window executor's level loop
+  // calls this (on worker threads when it owns a pool) and then applies
+  // PublishExecMetrics serially in topo order, so float-valued counter
+  // sums accumulate in the same order with or without a pool (the
+  // metrics half of the bit-exactness argument, DESIGN.md §10).
   Result<ExecRecord> ExecuteOnce();
 
   // The metrics half: adds `rec` to the exec.subplan.* counters and the

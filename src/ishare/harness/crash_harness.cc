@@ -19,8 +19,8 @@ bool IsInjectedCrash(const Status& st) {
 
 // Canonical bytes of every query root's output buffer (log + offsets),
 // the "per-query results" side of the equivalence check.
-template <typename Exec>
-std::vector<std::string> QueryOutputs(const Exec& exec, int num_queries) {
+std::vector<std::string> QueryOutputs(const AdaptiveExecutor& exec,
+                                      int num_queries) {
   std::vector<std::string> out;
   out.reserve(num_queries);
   for (QueryId q = 0; q < num_queries; ++q) {
@@ -86,14 +86,15 @@ void CompareRuns(const std::vector<std::string>& base_outputs,
   }
 }
 
-// Shared driver. `make_exec` builds a fresh executor over a given source;
-// `run_whole` starts it from scratch (BeginWindow + ResumeWindow under the
-// configured paces); `get_run` projects the executor-specific result type
-// onto the common RunResult.
-template <typename Exec, typename R, typename MakeExec, typename RunWhole,
-          typename GetRun>
-Result<CrashRunReport> RunImpl(int num_queries, MakeExec make_exec,
-                               RunWhole run_whole, GetRun get_run,
+// Builds a fresh executor over a given source.
+using ExecFactory =
+    std::function<std::unique_ptr<AdaptiveExecutor>(StreamSource*)>;
+
+// Runs the baseline, the crashed run and the recovery. Each window starts
+// at the beginning under `paces` (BeginWindow + ResumeWindow) unless it
+// resumes from a checkpoint.
+Result<CrashRunReport> RunImpl(int num_queries, const ExecFactory& make_exec,
+                               const PaceConfig& paces,
                                const SourceFactory& make_source,
                                const CrashRecoveryOptions& options) {
   if (options.store == nullptr) {
@@ -108,9 +109,9 @@ Result<CrashRunReport> RunImpl(int num_queries, MakeExec make_exec,
   RunResult base_run;
   {
     std::unique_ptr<StreamSource> src = make_source();
-    std::unique_ptr<Exec> exec = make_exec(src.get());
-    ISHARE_ASSIGN_OR_RETURN(R res, run_whole(*exec));
-    base_run = get_run(res);
+    std::unique_ptr<AdaptiveExecutor> exec = make_exec(src.get());
+    ISHARE_ASSIGN_OR_RETURN(AdaptiveRunResult res, exec->Run(paces));
+    base_run = res.run;
     base_fp = exec->StateFingerprint();
     base_outputs = QueryOutputs(*exec, num_queries);
     rep.total_steps = exec->completed_steps();
@@ -124,8 +125,8 @@ Result<CrashRunReport> RunImpl(int num_queries, MakeExec make_exec,
   // — nothing survives the crash except what the store committed.
   {
     std::unique_ptr<StreamSource> src = make_source();
-    std::unique_ptr<Exec> exec = make_exec(src.get());
-    Exec* e = exec.get();
+    std::unique_ptr<AdaptiveExecutor> exec = make_exec(src.get());
+    AdaptiveExecutor* e = exec.get();
     exec->set_after_step_hook([&mgr, &plan, e](int64_t step) -> Status {
       if (plan.phase == CrashPhase::kBetweenStageAndCommit &&
           step == plan.step) {
@@ -158,7 +159,7 @@ Result<CrashRunReport> RunImpl(int num_queries, MakeExec make_exec,
       }
       return Status::OK();
     });
-    Result<R> res = run_whole(*exec);
+    Result<AdaptiveRunResult> res = exec->Run(paces);
     if (res.ok()) {
       // The plan never fired (kNone, or it targeted a step past the end
       // of the window): compare the completed run directly as a control.
@@ -166,7 +167,7 @@ Result<CrashRunReport> RunImpl(int num_queries, MakeExec make_exec,
       rep.recovery = mgr.stats();
       CompareRuns(base_outputs, base_fp, base_run,
                   QueryOutputs(*exec, num_queries), exec->StateFingerprint(),
-                  get_run(*res), options, &rep);
+                  res->run, options, &rep);
       return rep;
     }
     if (!IsInjectedCrash(res.status())) return res.status();
@@ -180,9 +181,9 @@ Result<CrashRunReport> RunImpl(int num_queries, MakeExec make_exec,
   // simply rerun from scratch — recovery degrades to a restart, never to
   // wrong answers.
   std::unique_ptr<StreamSource> src = make_source();
-  std::unique_ptr<Exec> exec = make_exec(src.get());
+  std::unique_ptr<AdaptiveExecutor> exec = make_exec(src.get());
   Result<int64_t> recovered = mgr.RecoverLatest(exec.get());
-  Result<R> res = Status::Internal("unreachable");
+  Result<AdaptiveRunResult> res = Status::Internal("unreachable");
   if (recovered.ok()) {
     rep.recovered_from_checkpoint = true;
     rep.recovered_step = *recovered;
@@ -193,7 +194,7 @@ Result<CrashRunReport> RunImpl(int num_queries, MakeExec make_exec,
     res = exec->ResumeWindow();
   } else if (recovered.status().code() == StatusCode::kNotFound) {
     rep.recovered_from_checkpoint = false;
-    res = run_whole(*exec);
+    res = exec->Run(paces);
   } else {
     return recovered.status();
   }
@@ -201,7 +202,7 @@ Result<CrashRunReport> RunImpl(int num_queries, MakeExec make_exec,
   rep.recovery = mgr.stats();
   CompareRuns(base_outputs, base_fp, base_run,
               QueryOutputs(*exec, num_queries), exec->StateFingerprint(),
-              get_run(*res), options, &rep);
+              res->run, options, &rep);
   return rep;
 }
 
@@ -210,30 +211,25 @@ Result<CrashRunReport> RunImpl(int num_queries, MakeExec make_exec,
 Result<CrashRunReport> RunCrashRecoveryStatic(
     const SubplanGraph& graph, const PaceConfig& paces,
     const SourceFactory& make_source, const CrashRecoveryOptions& options) {
-  return RunImpl<PaceExecutor, RunResult>(
+  return RunImpl(
       graph.num_queries(),
       [&graph, &options](StreamSource* src) {
-        return std::make_unique<PaceExecutor>(&graph, src, options.exec);
+        return std::make_unique<AdaptiveExecutor>(&graph, src, options.exec);
       },
-      [&paces](PaceExecutor& exec) { return exec.Run(paces); },
-      [](const RunResult& r) -> const RunResult& { return r; }, make_source,
-      options);
+      paces, make_source, options);
 }
 
 Result<CrashRunReport> RunCrashRecoveryAdaptive(
     CostEstimator* estimator, const PaceConfig& paces,
     const std::vector<double>& abs_constraints, const AdaptivePolicy& policy,
     const SourceFactory& make_source, const CrashRecoveryOptions& options) {
-  return RunImpl<AdaptiveExecutor, AdaptiveRunResult>(
+  return RunImpl(
       estimator->graph().num_queries(),
-      [estimator, &abs_constraints, &policy,
-       &options](StreamSource* src) {
+      [estimator, &abs_constraints, &policy, &options](StreamSource* src) {
         return std::make_unique<AdaptiveExecutor>(
             estimator, src, abs_constraints, policy, options.exec);
       },
-      [&paces](AdaptiveExecutor& exec) { return exec.Run(paces); },
-      [](const AdaptiveRunResult& r) -> const RunResult& { return r.run; },
-      make_source, options);
+      paces, make_source, options);
 }
 
 }  // namespace ishare

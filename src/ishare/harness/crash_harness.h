@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "ishare/exec/adaptive_executor.h"
-#include "ishare/exec/pace_executor.h"
 #include "ishare/recovery/checkpoint_manager.h"
 #include "ishare/recovery/checkpoint_store.h"
 #include "ishare/storage/stream_source.h"
@@ -105,7 +104,8 @@ struct CrashRunReport {
 // re-derive it from the checkpoint alone.
 using SourceFactory = std::function<std::unique_ptr<StreamSource>()>;
 
-// Static-schedule variant: PaceExecutor over `graph` under `paces`.
+// Static-schedule variant: an estimator-less AdaptiveExecutor over `graph`
+// under `paces`.
 Result<CrashRunReport> RunCrashRecoveryStatic(
     const SubplanGraph& graph, const PaceConfig& paces,
     const SourceFactory& make_source, const CrashRecoveryOptions& options);

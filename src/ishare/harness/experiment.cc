@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "ishare/exec/pace_executor.h"
 #include "ishare/obs/obs.h"
 
 namespace ishare {
@@ -12,9 +11,9 @@ namespace {
 
 // The harness drives executors with configurations it derived itself, so a
 // runtime error here is a harness bug: surface it loudly.
-RunResult Unwrap(Result<RunResult> r) {
+RunResult Unwrap(Result<AdaptiveRunResult> r) {
   CHECK(r.ok()) << r.status().ToString();
-  return std::move(r).value();
+  return std::move(r).value().run;
 }
 
 }  // namespace
@@ -89,7 +88,7 @@ const std::vector<double>& Experiment::BatchLatencies() {
   for (const QueryPlan& q : queries_) {
     source_->Reset();
     SubplanGraph g = SubplanGraph::Build({q});
-    PaceExecutor exec(&g, source_, opts_.exec);
+    AdaptiveExecutor exec(&g, source_, opts_.exec);
     RunResult r = Unwrap(exec.Run(PaceConfig(g.num_subplans(), 1)));
     batch_latencies_[q.id] = r.query_latency_seconds[q.id];
     batch_final_work_[q.id] = r.query_final_work[q.id];
@@ -113,7 +112,7 @@ double Experiment::SharedBatchTotalSeconds() {
   MqoOptimizer mqo(catalog_, opts_.mqo);
   SubplanGraph g = SubplanGraph::Build(mqo.Merge(queries_));
   source_->Reset();
-  PaceExecutor exec(&g, source_, opts_.exec);
+  AdaptiveExecutor exec(&g, source_, opts_.exec);
   RunResult r = Unwrap(exec.Run(PaceConfig(g.num_subplans(), 1)));
   return r.total_seconds;
 }
@@ -186,7 +185,7 @@ ExperimentResult Experiment::Run(Approach approach) {
   OptimizedPlan plan = Optimize(approach);
   StreamSource* src = RunSource();
   src->Reset();
-  PaceExecutor exec(&plan.graph, src, opts_.exec);
+  AdaptiveExecutor exec(&plan.graph, src, opts_.exec);
   RunResult run = Unwrap(exec.Run(plan.paces));
   return BuildResult(approach, plan, run);
 }

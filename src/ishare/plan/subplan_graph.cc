@@ -264,4 +264,20 @@ int CountOperators(const PlanNodePtr& root) {
   return n;
 }
 
+Status ValidatePaceConfig(const SubplanGraph& graph, const PaceConfig& paces) {
+  if (static_cast<int>(paces.size()) != graph.num_subplans()) {
+    return Status::InvalidArgument(
+        "pace configuration has " + std::to_string(paces.size()) +
+        " entries for " + std::to_string(graph.num_subplans()) + " subplans");
+  }
+  for (size_t i = 0; i < paces.size(); ++i) {
+    if (paces[i] < 1) {
+      return Status::InvalidArgument("pace " + std::to_string(paces[i]) +
+                                     " of subplan " + std::to_string(i) +
+                                     " is < 1");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace ishare

@@ -109,6 +109,15 @@ class SubplanGraph {
   int num_queries_ = 0;
 };
 
+// Paces of all subplans, indexed like SubplanGraph::subplans(). A pace k
+// means the subplan starts one incremental execution whenever the system
+// has received 1/k of the trigger window's data (Sec. 2.2).
+using PaceConfig = std::vector<int>;
+
+// Checks that `paces` is a usable configuration for `graph`: one pace per
+// subplan, every pace >= 1.
+Status ValidatePaceConfig(const SubplanGraph& graph, const PaceConfig& paces);
+
 // Collects all operator nodes of a subplan tree in preorder.
 void CollectNodes(const PlanNodePtr& root, std::vector<PlanNodePtr>* out);
 

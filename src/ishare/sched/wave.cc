@@ -5,37 +5,20 @@
 namespace ishare {
 namespace sched {
 
-namespace {
-
-// `order` must list ids children-before-parents. wave[id] = 0 when no
-// direct child of id is marked runnable, else 1 + max over runnable
-// children. One pass suffices because children precede parents.
-std::vector<std::vector<int>> GroupByWave(const SubplanGraph& graph,
-                                          const std::vector<int>& order) {
-  std::vector<int> wave(graph.num_subplans(), -1);
-  int max_wave = -1;
-  for (int s : order) {
-    int w = 0;
-    for (int c : graph.subplan(s).children) {
-      if (wave[c] >= 0) w = std::max(w, wave[c] + 1);
-    }
-    wave[s] = w;
-    max_wave = std::max(max_wave, w);
-  }
-  std::vector<std::vector<int>> waves(static_cast<size_t>(max_wave + 1));
-  for (int s : order) waves[wave[s]].push_back(s);
-  return waves;
-}
-
-}  // namespace
-
-std::vector<std::vector<int>> BuildWaves(const SubplanGraph& graph,
-                                         const std::vector<int>& runnable) {
-  return GroupByWave(graph, runnable);
-}
-
 std::vector<std::vector<int>> StaticLevels(const SubplanGraph& graph) {
-  return GroupByWave(graph, graph.TopoChildrenFirst());
+  std::vector<int> level(graph.num_subplans(), -1);
+  int max_level = -1;
+  const std::vector<int> order = graph.TopoChildrenFirst();
+  // One pass suffices because children precede parents.
+  for (int s : order) {
+    int l = 0;
+    for (int c : graph.subplan(s).children) l = std::max(l, level[c] + 1);
+    level[s] = l;
+    max_level = std::max(max_level, l);
+  }
+  std::vector<std::vector<int>> levels(static_cast<size_t>(max_level + 1));
+  for (int s : order) levels[level[s]].push_back(s);
+  return levels;
 }
 
 }  // namespace sched

@@ -1,18 +1,16 @@
-// ishare::sched — DAG-aware wave construction for pace boundaries
+// ishare::sched — static dependency levels for pace boundaries
 // (DESIGN.md section 10).
 //
 // Paper anchor: subplans in a pace-tuned shared plan (Sec. 2.2 / Sec. 4)
-// form a DAG whose edges are producer/consumer DeltaBuffers. At a given
-// virtual-time step only the subplans whose pace divides the step are
-// runnable; among those, a child must finish appending its delta before a
-// parent consumes it, while subplans with no runnable ancestor/descendant
-// relation are independent and may run concurrently. BuildWaves groups a
-// runnable set into such dependency levels ("waves"): wave 0 has no
-// runnable producer, wave k+1 consumes only waves <= k. The executor
-// dispatches one wave at a time with a barrier between waves, which is
-// exactly the ordering the serial topo loop guarantees — so parallel
-// execution stays bit-exact with serial (the determinism argument in
-// DESIGN.md section 10).
+// form a DAG whose edges are producer/consumer DeltaBuffers. At a pace
+// boundary a child must finish appending its delta before a parent
+// consumes it, while subplans with no ancestor/descendant relation are
+// independent and may run concurrently. StaticLevels groups the graph
+// into such dependency levels: level 0 has no producer, level k+1
+// consumes only levels <= k. The executor dispatches one level at a time
+// with a barrier between levels, which is exactly the ordering the serial
+// topo loop guarantees — so parallel execution stays bit-exact with
+// serial (the determinism argument in DESIGN.md section 10).
 #ifndef ISHARE_SCHED_WAVE_H_
 #define ISHARE_SCHED_WAVE_H_
 
@@ -23,19 +21,12 @@
 namespace ishare {
 namespace sched {
 
-// Groups `runnable` (subplan ids in children-before-parents topo order,
-// a subset of graph's subplans) into waves. A subplan's wave is 0 if none
-// of its direct children are runnable this step, else 1 + the max wave of
-// its runnable children. Non-runnable children impose no ordering: their
-// buffers are not appended to this step, so reading them is safe. Each
-// wave preserves topo order internally; concatenating the waves is a
-// permutation of `runnable`.
-std::vector<std::vector<int>> BuildWaves(const SubplanGraph& graph,
-                                         const std::vector<int>& runnable);
-
-// Static dependency levels over the whole graph (every subplan treated
-// as runnable). Used by AdaptiveExecutor, whose skip/catch-up decisions
-// are made per-step but whose level structure never changes.
+// Dependency levels over the whole graph. A subplan's level is 0 if it
+// has no children, else 1 + the max level of its children. Each level
+// preserves children-first topo order internally; concatenating the
+// levels is a permutation of the subplans. The AdaptiveExecutor makes its
+// per-step run/skip/catch-up decisions level by level over this fixed
+// structure.
 std::vector<std::vector<int>> StaticLevels(const SubplanGraph& graph);
 
 }  // namespace sched

@@ -5,7 +5,7 @@
 // Query Execution via Exploiting Time Slackness" (Sec. 4) stagger subplan
 // executions across virtual time, so at any pace boundary several
 // independent subplans are runnable at once. The pool is the mechanism
-// that lets PaceExecutor / AdaptiveExecutor dispatch one wave of such
+// that lets the AdaptiveExecutor dispatch one dependency level of such
 // subplans — and, inside heavy operators, one batch of morsels — onto
 // `num_threads` OS threads, in the spirit of Shared Arrangements
 // (McSherry et al.), where inter-query sharing composes with

@@ -27,7 +27,7 @@
 #include "ishare/arrange/arrangement.h"
 #include "ishare/arrange/eligibility.h"
 #include "ishare/common/rng.h"
-#include "ishare/exec/pace_executor.h"
+#include "ishare/exec/adaptive_executor.h"
 #include "ishare/flow/memory_budget.h"
 #include "ishare/obs/obs.h"
 #include "ishare/recovery/serializer.h"
@@ -399,8 +399,8 @@ RunOutput RunWorkload(TestDb* db, const SubplanGraph& g,
   opts.sched.num_threads = threads;
   opts.sched.morsel_min_tuples = 4;
   if (arranged) opts.arrange.catalog = &cat;
-  PaceExecutor exec(&g, &src, opts);
-  RunResult r = exec.Run(paces).value();
+  AdaptiveExecutor exec(&g, &src, opts);
+  RunResult r = exec.Run(paces).value().run;
   (void)r;
   RunOutput out;
   out.fingerprint = exec.StateFingerprint();
@@ -486,7 +486,7 @@ TEST(ArrangeEquivalence, StateBytesPerQueryGaugePublishes) {
   ExecOptions opts;
   opts.flow.budget = &budget;
   opts.arrange.catalog = &cat;
-  PaceExecutor exec(&g, &src, opts);
+  AdaptiveExecutor exec(&g, &src, opts);
   ASSERT_TRUE(exec.Run(PaceConfig(g.num_subplans(), 1)).ok());
   // Four identical queries share one arrangement, so the per-query share
   // is a quarter of the (positive) arranged state.
@@ -515,7 +515,7 @@ TEST(ArrangeRecovery, MidWindowCheckpointRestoresBitExactly) {
   CHECK(db.source.CloneTablesInto(&src1).ok());
   ExecOptions opts1;
   opts1.arrange.catalog = &cat1;
-  PaceExecutor e1(&g, &src1, opts1);
+  AdaptiveExecutor e1(&g, &src1, opts1);
   std::string blob;
   e1.set_after_step_hook([&](int64_t step) -> Status {
     if (step == 2) {
@@ -539,7 +539,7 @@ TEST(ArrangeRecovery, MidWindowCheckpointRestoresBitExactly) {
   CHECK(db.source.CloneTablesInto(&src2).ok());
   ExecOptions opts2;
   opts2.arrange.catalog = &cat2;
-  PaceExecutor e2(&g, &src2, opts2);
+  AdaptiveExecutor e2(&g, &src2, opts2);
   recovery::CheckpointReader r(blob);
   ASSERT_TRUE(e2.Restore(&r).ok());
   EXPECT_EQ(cat2.num_arrangements(), cat1.num_arrangements());

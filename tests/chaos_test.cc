@@ -287,12 +287,12 @@ TEST(ChaosInjectorTest, BufferStormsAreAbsorbedByTheConsumeRetrySpine) {
 
   StreamSource clean;
   ASSERT_TRUE(db.source.CloneTablesInto(&clean).ok());
-  PaceExecutor ref(&g, &clean);
+  AdaptiveExecutor ref(&g, &clean);
   ASSERT_TRUE(ref.Run(paces).ok());
 
   StreamSource stormy;
   ASSERT_TRUE(db.source.CloneTablesInto(&stormy).ok());
-  PaceExecutor exec(&g, &stormy);
+  AdaptiveExecutor exec(&g, &stormy);
   FaultSchedule sched;
   // Two storms of 2 faults per base buffer: below the consume-retry
   // budget (4 attempts), so both must be absorbed invisibly.
@@ -305,7 +305,7 @@ TEST(ChaosInjectorTest, BufferStormsAreAbsorbedByTheConsumeRetrySpine) {
       [&inj](int64_t step) { return inj.OnStepBoundary(step); });
   ASSERT_TRUE(exec.BeginWindow(paces).ok());
   ASSERT_TRUE(inj.OnStepBoundary(0).ok());
-  Result<RunResult> run = exec.ResumeWindow();
+  Result<AdaptiveRunResult> run = exec.ResumeWindow();
   ASSERT_TRUE(run.ok()) << run.status().ToString();
 
   EXPECT_EQ(inj.log().size(), 2u);
@@ -323,7 +323,7 @@ TEST(ChaosWorkerStall, InjectedStallsNeverChangeParallelResults) {
 
   StreamSource serial_src;
   ASSERT_TRUE(db.source.CloneTablesInto(&serial_src).ok());
-  PaceExecutor serial(&g, &serial_src);
+  AdaptiveExecutor serial(&g, &serial_src);
   ASSERT_TRUE(serial.Run(paces).ok());
 
   StreamSource par_src;
@@ -331,7 +331,7 @@ TEST(ChaosWorkerStall, InjectedStallsNeverChangeParallelResults) {
   ExecOptions opts;
   opts.sched.num_threads = 4;
   opts.sched.morsel_min_tuples = 1;  // force operator-level fan-out
-  PaceExecutor exec(&g, &par_src, opts);
+  AdaptiveExecutor exec(&g, &par_src, opts);
   ASSERT_NE(exec.worker_pool(), nullptr);
 
   FaultSchedule sched;
@@ -344,7 +344,7 @@ TEST(ChaosWorkerStall, InjectedStallsNeverChangeParallelResults) {
       [&inj](int64_t step) { return inj.OnStepBoundary(step); });
   ASSERT_TRUE(exec.BeginWindow(paces).ok());
   ASSERT_TRUE(inj.OnStepBoundary(0).ok());
-  Result<RunResult> run = exec.ResumeWindow();
+  Result<AdaptiveRunResult> run = exec.ResumeWindow();
   ASSERT_TRUE(run.ok()) << run.status().ToString();
 
   EXPECT_EQ(inj.log().size(), 2u);

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ishare/exec/pace_executor.h"
+#include "ishare/exec/adaptive_executor.h"
 #include "ishare/mqo/mqo_optimizer.h"
 #include "ishare/opt/approaches.h"
 #include "ishare/workload/tpch_queries.h"
@@ -77,11 +77,11 @@ TEST(ApplySplitTest, ThreeWayResultsPreserved) {
                  PaceConfig(g.num_subplans(), 2), &init);
   for (QueryId q = 0; q < 3; ++q) {
     db.source.Reset();
-    PaceExecutor e1(&g, &db.source);
+    AdaptiveExecutor e1(&g, &db.source);
     e1.Run(PaceConfig(g.num_subplans(), 2)).value();
     ResultMap before = MaterializeResult(*e1.query_output(q), q);
     db.source.Reset();
-    PaceExecutor e2(&ng, &db.source);
+    AdaptiveExecutor e2(&ng, &db.source);
     e2.Run(init).value();
     ResultMap after = MaterializeResult(*e2.query_output(q), q);
     EXPECT_TRUE(ResultsNear(after, before)) << "query " << q;
@@ -196,12 +196,12 @@ TEST(DecomposerTest, TpchDecompositionPreservesResults) {
   for (const QueryPlan& q : queries) {
     db->Reset();
     SubplanGraph g = SubplanGraph::Build({q});
-    PaceExecutor exec(&g, &db->source);
+    AdaptiveExecutor exec(&g, &db->source);
     exec.Run(PaceConfig(g.num_subplans(), 1)).value();
     ref.push_back(MaterializeResult(*exec.query_output(q.id), q.id));
   }
   db->Reset();
-  PaceExecutor exec(&plan.graph, &db->source);
+  AdaptiveExecutor exec(&plan.graph, &db->source);
   exec.Run(plan.paces).value();
   for (const QueryPlan& q : queries) {
     EXPECT_TRUE(ResultsNear(MaterializeResult(*exec.query_output(q.id), q.id),

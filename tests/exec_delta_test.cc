@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ishare/exec/pace_executor.h"
+#include "ishare/exec/adaptive_executor.h"
 #include "ishare/plan/builder.h"
 #include "test_util.h"
 
@@ -55,7 +55,7 @@ class DeltaStreamFixture : public ::testing::Test {
   ResultMap Run(const QueryPlan& q, int pace) {
     source_.Reset();
     SubplanGraph g = SubplanGraph::Build({q});
-    PaceExecutor exec(&g, &source_);
+    AdaptiveExecutor exec(&g, &source_);
     exec.Run(PaceConfig(g.num_subplans(), pace)).value();
     return MaterializeResult(*exec.query_output(q.id), q.id);
   }
@@ -172,7 +172,7 @@ TEST(DeltaJoinTest, JoinRetractsAcrossTables) {
   for (int pace : {1, 2, 4}) {
     source.Reset();
     SubplanGraph g = SubplanGraph::Build({q});
-    PaceExecutor exec(&g, &source);
+    AdaptiveExecutor exec(&g, &source);
     exec.Run(PaceConfig(g.num_subplans(), pace)).value();
     auto res = MaterializeResult(*exec.query_output(0), 0);
     // Only key 2 survives: two left rows x one right row.

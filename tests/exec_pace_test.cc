@@ -1,6 +1,10 @@
+// PaceExecutorTest covers the static pace schedule (paper Sec. 2.2): an
+// AdaptiveExecutor built without a cost estimator runs exactly the given
+// paces.
+
 #include <gtest/gtest.h>
 
-#include "ishare/exec/pace_executor.h"
+#include "ishare/exec/adaptive_executor.h"
 #include "ishare/plan/builder.h"
 #include "test_util.h"
 
@@ -31,8 +35,8 @@ ResultMap RunAndMaterialize(TestDb* db, const SubplanGraph& g,
                             const PaceConfig& paces, QueryId q,
                             RunResult* result_out = nullptr) {
   db->source.Reset();
-  PaceExecutor exec(&g, &db->source);
-  RunResult r = exec.Run(paces).value();
+  AdaptiveExecutor exec(&g, &db->source);
+  RunResult r = exec.Run(paces).value().run;
   if (result_out != nullptr) *result_out = r;
   return MaterializeResult(*exec.query_output(q), q);
 }

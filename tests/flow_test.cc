@@ -9,7 +9,10 @@
 //    subplans are never dropped from,
 //  - the defer-only property: across 100+ seeded fault-plan x budget
 //    combinations, a bounded run with drops disabled produces bit-exact
-//    results versus an unbounded run — deferral moves work, never answers.
+//    results versus an unbounded run — deferral moves work, never answers,
+//  - the static-schedule contract: an executor without an estimator runs
+//    exactly its pace configuration under bursts and a limited budget,
+//    where the estimator-driven executor defers.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +21,6 @@
 #include <vector>
 
 #include "ishare/exec/adaptive_executor.h"
-#include "ishare/exec/pace_executor.h"
 #include "ishare/flow/memory_budget.h"
 #include "ishare/flow/shedding.h"
 #include "ishare/recovery/retry.h"
@@ -296,7 +298,7 @@ TEST(AdaptiveShedding, DropAccountingBalancesAndSparesProtective) {
 
   StreamSource clean;
   clean.AddTable("t", db.schema(), db.rows);
-  PaceExecutor batch(&db.graph, &clean);
+  AdaptiveExecutor batch(&db.graph, &clean);
   ASSERT_TRUE(batch.Run(PaceConfig(db.graph.num_subplans(), 1)).ok());
   EXPECT_TRUE(ExactlyEqual(MaterializeResult(*exec.query_output(0), 0),
                            MaterializeResult(*batch.query_output(0), 0)));
@@ -353,6 +355,88 @@ TEST(AdaptiveShedding, DeferOnlyBoundedRunsAreBitExact) {
           << "q1 seed " << seed << " budget " << budget_bytes;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The static-schedule contract
+// ---------------------------------------------------------------------------
+
+TEST(StaticScheduleContract, RunsExactlyThePacesUnderBurstsAndPressure) {
+  // Without an estimator the executor adapts nothing, whatever the stream
+  // and the budget do: every subplan runs at exactly {1/p, ..., 1} — no
+  // skips, catch-ups, re-derivations, deferrals, backpressure or drops —
+  // with and without a worker pool.
+  ShedDb db;
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.events = {{FaultEvent::Kind::kBurst, 0.2, 0, 0.4, ""},
+                 {FaultEvent::Kind::kStall, 0.5, 0.3, 0, ""}};
+  ASSERT_TRUE(plan.Validate().ok());
+  PaceConfig paces(db.graph.num_subplans());
+  for (size_t s = 0; s < paces.size(); ++s) paces[s] = s % 2 == 0 ? 6 : 4;
+
+  // The unbounded run's peak sets the pressure: the limited budget below
+  // holds a quarter of it, and output buffers refuse admission well
+  // before that.
+  int64_t peak = 0;
+  {
+    flow::MemoryBudget track;
+    ExecOptions opts;
+    opts.flow.budget = &track;
+    PerturbedStreamSource src(plan);
+    src.AddTable("t", db.schema(), db.rows);
+    AdaptiveExecutor exec(&db.graph, &src, opts);
+    ASSERT_TRUE(exec.Run(paces).ok());
+    peak = track.peak();
+  }
+  ASSERT_GT(peak, 0);
+  const int64_t budget_bytes = peak / 4;
+
+  for (int threads : {1, 4}) {
+    flow::MemoryBudget budget(budget_bytes);
+    ExecOptions opts;
+    opts.flow.budget = &budget;
+    opts.flow.buffer_soft_limit_bytes = budget_bytes / 2;
+    opts.sched.num_threads = threads;
+    PerturbedStreamSource src(plan);
+    src.AddTable("t", db.schema(), db.rows);
+    AdaptiveExecutor exec(&db.graph, &src, opts);
+    EXPECT_EQ(exec.worker_pool() != nullptr, threads > 1);
+    Result<AdaptiveRunResult> r = exec.Run(paces);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_GT(budget.peak(), budget_bytes) << "threads " << threads;
+
+    for (int s = 0; s < db.graph.num_subplans(); ++s) {
+      std::vector<double> expected;
+      for (int i = 1; i <= paces[s]; ++i) {
+        expected.push_back(static_cast<double>(i) / paces[s]);
+      }
+      EXPECT_EQ(r->run.subplans[s].exec_fraction, expected)
+          << "subplan " << s << " threads " << threads;
+    }
+    EXPECT_EQ(r->stats.rederivations, 0);
+    EXPECT_EQ(r->stats.skipped_execs, 0);
+    EXPECT_EQ(r->stats.catchup_execs, 0);
+    EXPECT_EQ(r->stats.pace_history, std::vector<PaceConfig>{paces});
+    EXPECT_EQ(r->flow.shed_deferred, 0);
+    EXPECT_EQ(r->flow.backpressure_events, 0);
+    EXPECT_EQ(r->flow.dropped_tuples, 0);
+    EXPECT_TRUE(r->drop_log.empty());
+  }
+
+  // Not vacuous: the estimator-driven executor defers on the same input
+  // under the same budget.
+  CostEstimator est(&db.graph, &db.catalog);
+  flow::MemoryBudget budget(budget_bytes);
+  ExecOptions opts;
+  opts.flow.budget = &budget;
+  opts.flow.buffer_soft_limit_bytes = budget_bytes / 2;
+  PerturbedStreamSource src(plan);
+  src.AddTable("t", db.schema(), db.rows);
+  AdaptiveExecutor adaptive(&est, &src, {1e-6, 1e18}, AdaptivePolicy(), opts);
+  Result<AdaptiveRunResult> r = adaptive.Run(paces);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(r->flow.shed_deferred, 0);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ishare/exec/pace_executor.h"
+#include "ishare/exec/adaptive_executor.h"
 #include "ishare/mqo/mqo_optimizer.h"
 #include "ishare/plan/builder.h"
 #include "ishare/workload/tpch_queries.h"
@@ -49,7 +49,7 @@ TEST(ExtraCutTest, CutGraphExecutesEquivalently) {
                           {CountAgg("n")})};
   auto run = [&](const SubplanGraph& g, const PaceConfig& p) {
     db.source.Reset();
-    PaceExecutor exec(&g, &db.source);
+    AdaptiveExecutor exec(&g, &db.source);
     exec.Run(p).value();
     return MaterializeResult(*exec.query_output(0), 0);
   };
@@ -146,8 +146,8 @@ TEST(ScheduleTest, OverlappingPacePointsExecuteOncePerSubplan) {
   PaceConfig paces(g.num_subplans(), 2);
   paces[shared] = 4;
   db.source.Reset();
-  PaceExecutor exec(&g, &db.source);
-  RunResult r = exec.Run(paces).value();
+  AdaptiveExecutor exec(&g, &db.source);
+  RunResult r = exec.Run(paces).value().run;
   EXPECT_EQ(r.subplans[shared].work_per_exec.size(), 4u);
   for (int i = 0; i < g.num_subplans(); ++i) {
     if (i == shared) continue;
@@ -163,8 +163,8 @@ TEST(ScheduleTest, CoprimePacesInterleave) {
                           {SumAgg(Col("o_amount"), "t")})};
   SubplanGraph g = SubplanGraph::Build({q});
   db.source.Reset();
-  PaceExecutor exec(&g, &db.source);
-  RunResult r = exec.Run({7}).value();
+  AdaptiveExecutor exec(&g, &db.source);
+  RunResult r = exec.Run({7}).value().run;
   ASSERT_EQ(r.subplans[0].exec_fraction.size(), 7u);
   for (size_t i = 0; i < 7; ++i) {
     EXPECT_NEAR(r.subplans[0].exec_fraction[i], (i + 1) / 7.0, 1e-12);

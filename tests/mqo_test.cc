@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "ishare/exec/pace_executor.h"
+#include "ishare/exec/adaptive_executor.h"
 #include "ishare/mqo/mqo_optimizer.h"
 #include "ishare/plan/builder.h"
 #include "ishare/plan/subplan_graph.h"
@@ -153,7 +153,7 @@ TEST(MqoTest, MergedPlanExecutesCorrectlyForBothQueries) {
   for (const QueryPlan& q : queries) {
     db.source.Reset();
     SubplanGraph g = SubplanGraph::Build({q});
-    PaceExecutor exec(&g, &db.source);
+    AdaptiveExecutor exec(&g, &db.source);
     exec.Run({1}).value();
     ref.push_back(MaterializeResult(*exec.query_output(q.id), q.id));
   }
@@ -161,7 +161,7 @@ TEST(MqoTest, MergedPlanExecutesCorrectlyForBothQueries) {
   MqoOptimizer mqo(&db.catalog, NoMatOptions());
   SubplanGraph g = SubplanGraph::Build(mqo.Merge(queries));
   db.source.Reset();
-  PaceExecutor exec(&g, &db.source);
+  AdaptiveExecutor exec(&g, &db.source);
   exec.Run(PaceConfig(g.num_subplans(), 4)).value();
   for (QueryId q = 0; q < 2; ++q) {
     EXPECT_EQ(MaterializeResult(*exec.query_output(q), q), ref[q])

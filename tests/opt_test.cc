@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "ishare/exec/adaptive_executor.h"
 #include "ishare/opt/approaches.h"
 #include "ishare/plan/builder.h"
 #include "test_util.h"
@@ -168,7 +169,7 @@ TEST(ApplySplitTest, SplitPreservesQueryResults) {
   auto run = [&](const SubplanGraph& graph, const PaceConfig& paces,
                  QueryId q) {
     db.source.Reset();
-    PaceExecutor exec(&graph, &db.source);
+    AdaptiveExecutor exec(&graph, &db.source);
     exec.Run(paces).value();
     return MaterializeResult(*exec.query_output(q), q);
   };
@@ -202,7 +203,7 @@ TEST(ApproachesTest, AllApproachesProduceValidExecutablePlans) {
   for (const QueryPlan& q : queries) {
     db.source.Reset();
     SubplanGraph g = SubplanGraph::Build({q});
-    PaceExecutor exec(&g, &db.source);
+    AdaptiveExecutor exec(&g, &db.source);
     exec.Run({1}).value();
     ref[q.id] = MaterializeResult(*exec.query_output(q.id), q.id);
   }
@@ -216,7 +217,7 @@ TEST(ApproachesTest, AllApproachesProduceValidExecutablePlans) {
     OptimizedPlan plan = OptimizePlan(a, queries, db.catalog, rel, opts);
     ASSERT_TRUE(plan.graph.Validate().ok()) << ApproachName(a);
     db.source.Reset();
-    PaceExecutor exec(&plan.graph, &db.source);
+    AdaptiveExecutor exec(&plan.graph, &db.source);
     exec.Run(plan.paces).value();
     for (QueryId q = 0; q < 2; ++q) {
       EXPECT_EQ(MaterializeResult(*exec.query_output(q), q), ref[q])

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "ishare/cost/estimator.h"
-#include "ishare/exec/pace_executor.h"
+#include "ishare/exec/adaptive_executor.h"
 #include "ishare/mqo/mqo_optimizer.h"
 #include "ishare/workload/tpch_queries.h"
 #include "test_util.h"
@@ -55,8 +55,8 @@ TEST_P(EstimatorCalibration, BatchEstimateWithinBandOfMeasurement) {
 
   Db()->Reset();
   SubplanGraph g = SubplanGraph::Build({q});
-  PaceExecutor exec(&g, &Db()->source);
-  RunResult r = exec.Run(PaceConfig(g.num_subplans(), 1)).value();
+  AdaptiveExecutor exec(&g, &Db()->source);
+  RunResult r = exec.Run(PaceConfig(g.num_subplans(), 1)).value().run;
   double measured = r.query_final_work[0];
 
   EXPECT_GT(est, 0);
@@ -78,8 +78,8 @@ TEST_P(PaceSweep, RuntimeInvariants) {
   QueryPlan q = TpchQuery(Db()->catalog, 5, 0);
   SubplanGraph g = SubplanGraph::Build({q});
   Db()->Reset();
-  PaceExecutor exec(&g, &Db()->source);
-  RunResult r = exec.Run(PaceConfig(g.num_subplans(), pace)).value();
+  AdaptiveExecutor exec(&g, &Db()->source);
+  RunResult r = exec.Run(PaceConfig(g.num_subplans(), pace)).value().run;
 
   for (int s = 0; s < g.num_subplans(); ++s) {
     const SubplanRunStats& st = r.subplans[s];
@@ -120,7 +120,7 @@ TEST(DuplicateRowTest, ProjectionCreatingDuplicatesKeepsMultiplicity) {
   for (int pace : {1, 4}) {
     source.Reset();
     SubplanGraph g = SubplanGraph::Build({q});
-    PaceExecutor exec(&g, &source);
+    AdaptiveExecutor exec(&g, &source);
     exec.Run(PaceConfig(g.num_subplans(), pace)).value();
     auto res = MaterializeResult(*exec.query_output(0), 0);
     ASSERT_EQ(res.size(), 3u);
@@ -149,7 +149,7 @@ TEST(DuplicateRowTest, JoinOnDuplicateRowsMultipliesWeights) {
   for (int pace : {1, 2}) {
     source.Reset();
     SubplanGraph g = SubplanGraph::Build({q});
-    PaceExecutor exec(&g, &source);
+    AdaptiveExecutor exec(&g, &source);
     exec.Run(PaceConfig(g.num_subplans(), pace)).value();
     auto res = MaterializeResult(*exec.query_output(0), 0);
     ASSERT_EQ(res.size(), 1u);
@@ -177,13 +177,13 @@ TEST(MixedPaceTest, ParentLazierThanChildConverges) {
     }
   }
   db->Reset();
-  PaceExecutor e1(&g, &db->source);
+  AdaptiveExecutor e1(&g, &db->source);
   e1.Run(paces).value();
   auto mixed0 = MaterializeResult(*e1.query_output(0), 0);
   auto mixed1 = MaterializeResult(*e1.query_output(1), 1);
 
   db->Reset();
-  PaceExecutor e2(&g, &db->source);
+  AdaptiveExecutor e2(&g, &db->source);
   e2.Run(PaceConfig(g.num_subplans(), 1)).value();
   EXPECT_TRUE(ResultsNear(mixed0, MaterializeResult(*e2.query_output(0), 0)));
   EXPECT_TRUE(ResultsNear(mixed1, MaterializeResult(*e2.query_output(1), 1)));

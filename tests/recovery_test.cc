@@ -12,7 +12,7 @@
 #include <fstream>
 #include <limits>
 
-#include "ishare/exec/pace_executor.h"
+#include "ishare/exec/adaptive_executor.h"
 #include "ishare/recovery/checkpoint.h"
 #include "ishare/recovery/checkpoint_manager.h"
 #include "ishare/recovery/checkpoint_store.h"
@@ -705,21 +705,21 @@ TEST(ExecutorRetryTest, TransientBaseFaultsAreRetriedToSuccess) {
   SubplanGraph g = SubplanGraph::Build({QueryPlan{0, "q0", agg}});
 
   db.source.Reset();
-  PaceExecutor clean(&g, &db.source);
-  RunResult clean_run = clean.Run({4}).value();
+  AdaptiveExecutor clean(&g, &db.source);
+  RunResult clean_run = clean.Run({4}).value().run;
   auto clean_result = MaterializeResult(*clean.query_output(0), 0);
 
   db.source.Reset();
   ExecOptions opts;
   opts.retry.max_attempts = 4;
-  PaceExecutor exec(&g, &db.source, opts);
+  AdaptiveExecutor exec(&g, &db.source, opts);
   // Two consecutive transient failures, then the buffer recovers; the
   // default policy has budget for both.
   db.source.buffer("orders")->InjectFault(
       Status::Unavailable("partition moving"), 2);
-  Result<RunResult> r = exec.Run({4});
+  Result<AdaptiveRunResult> r = exec.Run({4});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->total_work, clean_run.total_work);
+  EXPECT_EQ(r->run.total_work, clean_run.total_work);
   EXPECT_EQ(MaterializeResult(*exec.query_output(0), 0), clean_result);
 }
 
@@ -734,10 +734,10 @@ TEST(ExecutorRetryTest, ExhaustedTransientBudgetFailsRun) {
   db.source.Reset();
   ExecOptions opts;
   opts.retry.max_attempts = 2;
-  PaceExecutor exec(&g, &db.source, opts);
+  AdaptiveExecutor exec(&g, &db.source, opts);
   db.source.buffer("orders")->InjectFault(
       Status::Unavailable("long outage"), 10);
-  Result<RunResult> r = exec.Run({2});
+  Result<AdaptiveRunResult> r = exec.Run({2});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
 }
@@ -751,9 +751,9 @@ TEST(ExecutorRetryTest, PermanentFaultFailsWithoutRetry) {
   SubplanGraph g = SubplanGraph::Build({QueryPlan{0, "q0", agg}});
 
   db.source.Reset();
-  PaceExecutor exec(&g, &db.source);
+  AdaptiveExecutor exec(&g, &db.source);
   db.source.buffer("orders")->InjectFault(Status::Internal("poisoned"), 1);
-  Result<RunResult> r = exec.Run({2});
+  Result<AdaptiveRunResult> r = exec.Run({2});
   ASSERT_FALSE(r.ok());
   // Had it been retried, the fault (times=1) would have disarmed and the
   // run would have succeeded; failing proves permanent = no retry.

@@ -12,7 +12,6 @@
 #include <algorithm>
 
 #include "ishare/exec/adaptive_executor.h"
-#include "ishare/exec/pace_executor.h"
 #include "ishare/mqo/mqo_optimizer.h"
 #include "ishare/opt/approaches.h"
 #include "ishare/storage/perturbed_source.h"
@@ -107,7 +106,7 @@ TEST(ErrorSpine, PaceValidationReturnsStatus) {
               b.Aggregate(b.ScanFiltered("orders", nullptr), {},
                           {CountAgg("n")})};
   SubplanGraph g = SubplanGraph::Build({q});
-  PaceExecutor exec(&g, &db.source);
+  AdaptiveExecutor exec(&g, &db.source);
   auto bad_pace = exec.Run(PaceConfig(g.num_subplans(), 0));
   ASSERT_FALSE(bad_pace.ok());
   EXPECT_EQ(bad_pace.status().code(), StatusCode::kInvalidArgument);
@@ -125,7 +124,7 @@ TEST(ErrorSpine, ExecutorSurfacesPoisonedBufferInsteadOfCrashing) {
                                  {"o_custkey"}, {"c_custkey"}),
                           {"c_region"}, {CountAgg("n")})};
   SubplanGraph g = SubplanGraph::Build({q});
-  PaceExecutor exec(&g, &db.source);
+  AdaptiveExecutor exec(&g, &db.source);
   db.source.buffer("orders")->InjectFault(
       Status::Internal("poisoned partition"));
   auto r = exec.Run(PaceConfig(g.num_subplans(), 2));
@@ -314,7 +313,7 @@ TEST(AdaptiveCorrectness, MatchesBatchUnderRandomFaultPlansAndPaces) {
 
   // Clean batch baseline.
   db->Reset();
-  PaceExecutor batch(&g, &db->source);
+  AdaptiveExecutor batch(&g, &db->source);
   batch.Run(PaceConfig(g.num_subplans(), 1)).value();
   auto base0 = MaterializeResult(*batch.query_output(0), 0);
   auto base1 = MaterializeResult(*batch.query_output(1), 1);
@@ -371,7 +370,7 @@ TEST(AdaptiveCorrectness, IntegerResultsExactlyEqualBatchUnderFaults) {
 
   StreamSource clean;
   clean.AddTable("t", s, rows);
-  PaceExecutor batch(&g, &clean);
+  AdaptiveExecutor batch(&g, &clean);
   batch.Run(PaceConfig(g.num_subplans(), 1)).value();
   auto base = MaterializeResult(*batch.query_output(0), 0);
 
@@ -404,7 +403,7 @@ TEST(AdaptiveDegradation, SkipsOnlySlackSubplansAndStaysCorrect) {
   SubplanGraph g = SubplanGraph::Build(mqo.Merge({qa, qb}));
 
   db->Reset();
-  PaceExecutor batch(&g, &db->source);
+  AdaptiveExecutor batch(&g, &db->source);
   batch.Run(PaceConfig(g.num_subplans(), 1)).value();
   auto base0 = MaterializeResult(*batch.query_output(0), 0);
 

@@ -2,19 +2,22 @@
 //  - WorkerPool units: every ParallelFor index runs exactly once, nested
 //    ParallelFor does not deadlock, the 1-thread pool degenerates to an
 //    in-order serial loop, degenerate counts are no-ops,
-//  - wave construction units: waves respect runnable producer/consumer
-//    edges, non-runnable children impose no ordering, concatenated waves
-//    are a permutation of the runnable set, StaticLevels covers the graph,
+//  - level construction units: levels respect producer/consumer edges,
+//    concatenated levels are a permutation of the subplans, StaticLevels
+//    covers the graph, and sched.step.waves counts exactly the levels
+//    the pool dispatched,
 //  - the bit-exactness property: across 100 seeded random shared TPC-H
-//    plans x {2, 4, 8} threads, a parallel run's materialized results,
-//    state fingerprint and (curated) metrics are bit-identical to the
-//    serial run's — the scheduler may only move work across threads,
-//    never change a single bit of what is computed.
+//    plans x {2, 4, 8} threads (a third of them with a track-only memory
+//    budget attached), a parallel run's materialized results, state
+//    fingerprint and (curated) metrics are bit-identical to the serial
+//    run's — the scheduler may only move work across threads, never
+//    change a single bit of what is computed.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -25,7 +28,7 @@
 #include "ishare/common/rng.h"
 #include "ishare/cost/estimator.h"
 #include "ishare/exec/adaptive_executor.h"
-#include "ishare/exec/pace_executor.h"
+#include "ishare/flow/memory_budget.h"
 #include "ishare/mqo/mqo_optimizer.h"
 #include "ishare/sched/wave.h"
 #include "ishare/sched/worker_pool.h"
@@ -98,7 +101,7 @@ TEST(WorkerPoolTest, ManySmallParallelForsDrainCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Wave construction
+// Level construction
 // ---------------------------------------------------------------------------
 
 // agg -> filter -> agg chain cut at aggregates: two subplans, child feeds
@@ -120,24 +123,11 @@ TEST(WaveTest, RunnableChildPrecedesParent) {
   TestDb db;
   SubplanGraph g = ChainGraph(&db);
   ASSERT_EQ(g.num_subplans(), 2);
-  std::vector<int> runnable = g.TopoChildrenFirst();
-  std::vector<std::vector<int>> waves = sched::BuildWaves(g, runnable);
+  std::vector<std::vector<int>> waves = sched::StaticLevels(g);
   ASSERT_EQ(waves.size(), 2u);
   int child = g.subplan(g.query_root(0)).children[0];
   EXPECT_EQ(waves[0], std::vector<int>{child});
   EXPECT_EQ(waves[1], std::vector<int>{g.query_root(0)});
-}
-
-TEST(WaveTest, NonRunnableChildImposesNoOrdering) {
-  // When only the parent is runnable this step (its pace fires, the
-  // child's does not), the child's buffer is not appended to and the
-  // parent belongs in wave 0.
-  TestDb db;
-  SubplanGraph g = ChainGraph(&db);
-  std::vector<int> runnable = {g.query_root(0)};
-  std::vector<std::vector<int>> waves = sched::BuildWaves(g, runnable);
-  ASSERT_EQ(waves.size(), 1u);
-  EXPECT_EQ(waves[0], runnable);
 }
 
 TEST(WaveTest, ConcatenationIsAPermutationOfRunnable) {
@@ -148,7 +138,7 @@ TEST(WaveTest, ConcatenationIsAPermutationOfRunnable) {
                                TpchQuery(db.catalog, 17, 2)};
   SubplanGraph g = SubplanGraph::Build(mqo.Merge(qs));
   std::vector<int> runnable = g.TopoChildrenFirst();
-  std::vector<std::vector<int>> waves = sched::BuildWaves(g, runnable);
+  std::vector<std::vector<int>> waves = sched::StaticLevels(g);
   std::vector<int> flat;
   for (size_t w = 0; w < waves.size(); ++w) {
     for (int s : waves[w]) {
@@ -248,7 +238,7 @@ ExecOptions ThreadedOptions(int threads) {
 }
 
 RunOutput RunPace(TpchDb* db, const SubplanGraph& g, const PaceConfig& paces,
-                  int threads) {
+                  int threads, bool track_budget) {
   // Reset BEFORE construction: executors resolve counter handles in their
   // constructors and Reset() invalidates them.
   obs::Registry().Reset();
@@ -259,9 +249,13 @@ RunOutput RunPace(TpchDb* db, const SubplanGraph& g, const PaceConfig& paces,
   // nothing to do with scheduling.
   StreamSource src;
   CHECK(db->source.CloneTablesInto(&src).ok());
-  PaceExecutor exec(&g, &src, ThreadedOptions(threads));
-  RunResult r = exec.Run(paces).value();
-  (void)r;
+  flow::MemoryBudget budget;  // track-only: accounts, never limits
+  ExecOptions opts = ThreadedOptions(threads);
+  if (track_budget) opts.flow.budget = &budget;
+  AdaptiveExecutor exec(&g, &src, opts);
+  // A budget without an estimator keeps the pool.
+  CHECK_EQ(exec.worker_pool() != nullptr, threads > 1);
+  CHECK(exec.Run(paces).ok());
   RunOutput out;
   out.fingerprint = exec.StateFingerprint();
   for (QueryId q = 0; q < g.num_queries(); ++q) {
@@ -288,12 +282,14 @@ TEST(SchedEquivalence, ParallelPaceRunsAreBitExactOverRandomSharedPlans) {
     PaceConfig paces(g.num_subplans());
     for (int& p : paces) p = static_cast<int>(1 + rng.UniformInt(0, 3));
     int threads = kThreads[seed % 3];
+    // A third of the seeds, spread over every thread count.
+    bool budget = seed % 9 < 3;
 
-    RunOutput serial = RunPace(&db, g, paces, 1);
-    RunOutput parallel = RunPace(&db, g, paces, threads);
+    RunOutput serial = RunPace(&db, g, paces, 1, budget);
+    RunOutput parallel = RunPace(&db, g, paces, threads, budget);
 
     EXPECT_EQ(parallel.fingerprint, serial.fingerprint)
-        << "seed " << seed << " threads " << threads;
+        << "seed " << seed << " threads " << threads << " budget " << budget;
     ASSERT_EQ(parallel.results.size(), serial.results.size());
     for (size_t q = 0; q < serial.results.size(); ++q) {
       EXPECT_TRUE(ExactlyEqual(parallel.results[q], serial.results[q]))
@@ -309,7 +305,7 @@ TEST(SchedEquivalence, AdaptiveParallelRunsAreBitExact) {
   // are work-based and must replay identically, so fingerprints, results
   // and curated metrics all match the serial run. Smaller sweep — the
   // decision logic, not the operator morsels, is what differs from the
-  // pace-executor property above.
+  // static-schedule property above.
   TpchDb db(TpchScale{0.001, 13});
   MqoOptimizer mqo(&db.catalog);
   for (int seed = 1; seed <= 20; ++seed) {
@@ -360,6 +356,52 @@ TEST(SchedEquivalence, AdaptiveParallelRunsAreBitExact) {
           << "seed " << seed << " query " << q;
     }
     EXPECT_EQ(parallel.counters, serial.counters) << "seed " << seed;
+  }
+}
+
+TEST(SchedEquivalence, StepWavesCountDispatchedLevels) {
+  // sched.step.waves counts the dependency levels the pool dispatched:
+  // exactly the after-wave hook's firings with a pool, none in serial
+  // runs — for the static and the estimator-driven schedule alike.
+  TpchDb db(TpchScale{0.001, 3});
+  MqoOptimizer mqo(&db.catalog);
+  SubplanGraph g = SubplanGraph::Build(mqo.Merge(
+      {TpchQuery(db.catalog, 5, 0), TpchQuery(db.catalog, 7, 1)}));
+  PaceConfig paces(g.num_subplans(), 2);
+  for (bool with_estimator : {false, true}) {
+    for (int threads : {1, 4}) {
+      obs::Registry().Reset();
+      CostEstimator est(&g, &db.catalog);
+      StreamSource src;
+      ASSERT_TRUE(db.source.CloneTablesInto(&src).ok());
+      std::unique_ptr<AdaptiveExecutor> exec =
+          with_estimator
+              ? std::make_unique<AdaptiveExecutor>(
+                    &est, &src, std::vector<double>{1e18, 1e18},
+                    AdaptivePolicy(), ThreadedOptions(threads))
+              : std::make_unique<AdaptiveExecutor>(&g, &src,
+                                                   ThreadedOptions(threads));
+      int hook_waves = 0;
+      exec->set_after_wave_hook([&](int64_t, int) {
+        ++hook_waves;
+        return Status::OK();
+      });
+      ASSERT_TRUE(exec->Run(paces).ok());
+      if (threads == 1) {
+        EXPECT_EQ(hook_waves, 0) << "estimator " << with_estimator;
+      } else {
+        EXPECT_GT(hook_waves, 0) << "estimator " << with_estimator;
+      }
+#if ISHARE_OBS_ENABLED
+      std::map<std::string, double> counters =
+          obs::Registry().Snapshot().counters;
+      double waves = counters.count("sched.step.waves") != 0
+                         ? counters.at("sched.step.waves")
+                         : 0.0;
+      EXPECT_EQ(waves, static_cast<double>(hook_waves))
+          << "estimator " << with_estimator << " threads " << threads;
+#endif
+    }
   }
 }
 

@@ -9,7 +9,7 @@
 #include <map>
 #include <unordered_set>
 
-#include "ishare/exec/pace_executor.h"
+#include "ishare/exec/adaptive_executor.h"
 #include "ishare/workload/tpch_queries.h"
 #include "test_util.h"
 
@@ -42,7 +42,7 @@ class TpchSemantics : public ::testing::Test {
       const QueryPlan& q) {
     Db()->Reset();
     SubplanGraph g = SubplanGraph::Build({q});
-    PaceExecutor exec(&g, &Db()->source);
+    AdaptiveExecutor exec(&g, &Db()->source);
     exec.Run(PaceConfig(g.num_subplans(), 1)).value();
     return MaterializeResult(*exec.query_output(q.id), q.id);
   }

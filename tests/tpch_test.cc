@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "ishare/exec/pace_executor.h"
+#include "ishare/exec/adaptive_executor.h"
 #include "ishare/mqo/mqo_optimizer.h"
 #include "ishare/workload/tpch_queries.h"
 #include "test_util.h"
@@ -19,7 +19,7 @@ using ResultMap = std::unordered_map<Row, int64_t, RowHasher>;
 ResultMap RunOne(const QueryPlan& q, int pace) {
   Db()->Reset();
   SubplanGraph g = SubplanGraph::Build({q});
-  PaceExecutor exec(&g, &Db()->source);
+  AdaptiveExecutor exec(&g, &Db()->source);
   exec.Run(PaceConfig(g.num_subplans(), pace)).value();
   return MaterializeResult(*exec.query_output(q.id), q.id);
 }
@@ -114,7 +114,7 @@ TEST(TpchWorkloadTest, PaperQueriesExecuteEquivalently) {
   MqoOptimizer mqo(&Db()->catalog);
   SubplanGraph g = SubplanGraph::Build(mqo.Merge({qa, qb}));
   Db()->Reset();
-  PaceExecutor exec(&g, &Db()->source);
+  AdaptiveExecutor exec(&g, &Db()->source);
   exec.Run(PaceConfig(g.num_subplans(), 3)).value();
   EXPECT_TRUE(ResultsNear(MaterializeResult(*exec.query_output(0), 0), ra));
   EXPECT_TRUE(ResultsNear(MaterializeResult(*exec.query_output(1), 1), rb));
@@ -130,7 +130,7 @@ TEST(TpchWorkloadTest, MergedFullWorkloadMatchesStandalone) {
   SubplanGraph g = SubplanGraph::Build(mqo.Merge(queries));
   ASSERT_TRUE(g.Validate().ok());
   Db()->Reset();
-  PaceExecutor exec(&g, &Db()->source);
+  AdaptiveExecutor exec(&g, &Db()->source);
   exec.Run(PaceConfig(g.num_subplans(), 2)).value();
   for (const QueryPlan& q : queries) {
     EXPECT_TRUE(
