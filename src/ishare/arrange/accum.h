@@ -1,7 +1,7 @@
-// The aggregate accumulator cell and its update rule, shared between the
-// private AggregateOp path and the arrangement replay (DESIGN.md §15.3).
-// Bit-exactness of arranged-vs-private execution rests on both paths
-// applying the *same* code to the *same* update sequence: double sums are
+// The aggregate accumulator cell and its update rule, shared by an owned
+// arrangement's apply and a shared one's chain replay (DESIGN.md §15.3).
+// Bit-exactness of shared-vs-owned execution rests on both paths applying
+// the *same* code to the *same* update sequence: double sums are
 // order-sensitive, and the MIN/MAX delete-rescan path meters work — so the
 // logic lives here exactly once.
 
@@ -18,11 +18,11 @@
 
 namespace ishare::arrange {
 
-// One aggregate accumulator for one (group, AggSpec) pair. Identical in
-// layout and semantics to what AggregateOp historically kept per (group,
-// query); arrangements keep exactly one per group because eligible build
-// inputs are query-set independent (every sharing query sees the same
-// update stream, so all per-query copies were always equal).
+// One aggregate accumulator for one (group, AggSpec) pair. An owned
+// arrangement keeps one per (group, query); a shared one keeps exactly one
+// per group because eligible build inputs are query-set independent
+// (every sharing query sees the same update stream, so all per-query
+// copies would always be equal).
 struct AccumCell {
   double dsum = 0;
   int64_t isum = 0;
@@ -84,9 +84,9 @@ inline void UpdateAccumCell(AggKind kind, AccumCell* a, const Value& v,
   }
 }
 
-// Deterministic byte accounting for one cell, matching the private
-// operator's historical accounting so `state:` vs `arr:` budget components
-// are comparable.
+// Deterministic byte accounting for one cell, the same for owned and
+// shared arrangements so `state:` vs `arr:` budget components are
+// comparable.
 inline int64_t ApproxAccumBytes(const AccumCell& a) {
   int64_t bytes = static_cast<int64_t>(sizeof(AccumCell));
   for (const auto& [v, cnt] : a.values) {

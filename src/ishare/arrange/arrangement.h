@@ -1,38 +1,47 @@
-// Shared arrangements (DESIGN.md §15): versioned, key-indexed, multi-reader
-// operator state, after *Shared Arrangements* (McSherry et al., PAPERS.md),
-// with iShare's twist — per-reader pace cursors bound exactly which versions
-// can still be read, so compaction is driven by slackness instead of coarse
-// frontier heuristics.
+// Arrangements (DESIGN.md §15): the one store of operator state. Every
+// HashJoinOp build side and AggregateOp group map is an Arrangement, after
+// *Shared Arrangements* (McSherry et al., PAPERS.md), where every stateful
+// operator reads an arrangement and there is no second layout.
 //
-// An Arrangement stores, per key, a *base* state (private-operator layout at
-// `base_version`) plus an ordered chain of versioned +w/−w deltas. Readers
-// attach at a version (their cumulative consumed-tuple offset of the build
-// stream, which for eligible operators equals the scan leaf's buffer
-// offset) and *fold*: replay the chain prefix at or below their version
-// onto a copy of the base with the exact private update rules, yielding
-// bit-identical private state. The slackness-aware Compactor folds chain
-// prefixes below the minimum attached reader version into the base —
-// versions no reader can still request.
+// An Arrangement stores, per key, a *base* state at `base_version` plus an
+// ordered chain of versioned +w/−w deltas. It has one of two owners:
+//  - the ArrangementCatalog, for a query-set-independent build that
+//    several operators read (eligibility is decided by the operators, see
+//    eligibility.h). Such an arrangement keeps one multiplicity or
+//    accumulator set per key, standing for every sharing query. Readers
+//    attach at a version (their cumulative consumed-tuple offset of the
+//    build stream, which for eligible operators equals the scan leaf's
+//    buffer offset) and read the base plus the chain entries at or below
+//    their version. iShare's twist on compaction: per-reader pace cursors
+//    bound exactly which versions can still be read, so the Compactor
+//    folds chain prefixes below the minimum attached version — versions no
+//    reader can still request — driven by slackness instead of coarse
+//    frontier heuristics;
+//  - one operator, which is its only reader. An *owned* arrangement keeps
+//    one counter vector or accumulator set per query position of that
+//    operator, applies tuples straight into the base (no other reader can
+//    need an older version, so there is never a chain) and takes no lock.
 //
-// Eligibility (decided by the operators, see exec/): the build input must
-// be query-set independent — fed directly by a scan whose query set covers
-// the operator's — so a single multiplicity / accumulator per key stands
-// for every per-query copy the private layout kept.
+// Both read the base in place whenever no chain entry is visible at the
+// reader's version, and replay the visible chain onto a copy otherwise;
+// either way the one update rule below produces the state the operator
+// would have built alone.
 
 #ifndef ISHARE_ARRANGE_ARRANGEMENT_H_
 #define ISHARE_ARRANGE_ARRANGEMENT_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "ishare/arrange/accum.h"
 #include "ishare/common/hash_probe.h"
+#include "ishare/common/query_set.h"
 #include "ishare/common/status.h"
 #include "ishare/expr/expr.h"
 #include "ishare/plan/plan.h"
@@ -49,12 +58,20 @@ class MemoryBudget;
 
 namespace arrange {
 
-// One stored row of a join build side in the private operator's layout:
-// per-query multiplicity counters. Arrangement folds materialize these
-// transiently so HashJoinOp's probe/emit/snapshot code runs unchanged.
-struct FoldedEntry {
-  Row row;
-  std::vector<int64_t> counts;  // per query position
+// A join build bucket: the stored rows of one key in probe order (insertion
+// order evolved by swap-removes, which probe emission makes visible), each
+// with `width` multiplicity counters: counts[i * width + p] is row i's
+// count for position p.
+struct Bucket {
+  std::vector<Row> rows;
+  std::vector<int64_t> counts;
+};
+
+// One position's aggregate state: the weighted number of contributing
+// input tuples and one accumulator per AggSpec.
+struct GroupAccums {
+  int64_t row_count = 0;
+  std::vector<AccumCell> accums;
 };
 
 // Open-addressing map from Row key to dense id in first-touch order, on
@@ -63,7 +80,7 @@ class FlatRowIndex {
  public:
   FlatRowIndex() : slots_(16, -1), mask_(15) {}
 
-  int32_t FindOrInsert(const Row& key) {
+  int32_t FindOrInsert(Row key) {
     bool found = false;
     uint64_t h = LinearProbe(slots_, mask_, HashRow(key), &found,
                              [&](uint64_t, int32_t id) {
@@ -72,7 +89,7 @@ class FlatRowIndex {
     if (found) return slots_[h];
     int32_t fresh = static_cast<int32_t>(keys_.size());
     slots_[h] = fresh;
-    keys_.push_back(key);
+    keys_.push_back(std::move(key));
     if (keys_.size() * 10 >= slots_.size() * 7) Grow();
     return fresh;
   }
@@ -104,18 +121,20 @@ class FlatRowIndex {
 
 enum class ArrangementKind { kJoinBuild, kAggGroups };
 
-// Everything needed to build (and rebuild after restore / churn) the
-// shared state for one signature. Deep copies of the plan-node fields —
-// plan trees are torn down and rebuilt across churn epochs while the
-// catalog lives on.
+// Everything needed to build (and rebuild after restore / churn) the state
+// of one arrangement. Deep copies of the plan-node fields — plan trees are
+// torn down and rebuilt across churn epochs while the catalog lives on.
 struct ArrangementSpec {
   ArrangementKind kind = ArrangementKind::kJoinBuild;
   std::string signature;      // catalog key; query-set independent
   std::string table;          // source table name (diagnostics / JSON)
-  std::vector<int> key_idx;   // key columns in the scan output schema
+  std::vector<int> key_idx;   // key columns in the input schema
   // kAggGroups only:
   std::vector<AggSpec> aggs;  // copied AggSpecs (ExprPtr is shared)
-  Schema input_schema;        // scan output schema (compiles agg args)
+  Schema input_schema;        // input schema (compiles agg args)
+  // The owning operator's query positions; empty for a catalog
+  // arrangement, whose single position serves every reader.
+  std::vector<QueryId> query_ids;
 };
 
 // One versioned delta of the build stream. `version` is the stream offset
@@ -127,16 +146,19 @@ struct VersionedDelta {
   int32_t weight = 1;
 };
 
-// A shared, versioned, multi-reader build state for one signature. All
-// public methods lock an internal mutex: subplans sharing an arrangement
-// may execute in the same scheduler wave.
 class Arrangement {
  public:
+  // An owned arrangement's one reader, attached from construction.
+  static constexpr int kOwner = 0;
+
   explicit Arrangement(ArrangementSpec spec);
 
   const ArrangementSpec& spec() const { return spec_; }
+  bool owned() const { return !spec_.query_ids.empty(); }
+  // Counters / accumulator sets per key: the owner's query count, or 1.
+  size_t width() const { return owned() ? spec_.query_ids.size() : 1; }
 
-  // ---- Readers ---------------------------------------------------------
+  // ---- Readers (catalog arrangements) ----------------------------------
   // Attaches a reader cursor at `version`. Fails (returns -1) unless
   // base_version <= version <= applied_upto — i.e. the requested version is
   // still readable and already fully applied. A fresh operator attaches at
@@ -155,40 +177,52 @@ class Arrangement {
 
   // ---- Apply -----------------------------------------------------------
   // Consumes `batch` on behalf of `reader`, advancing its cursor by
-  // batch.size(). The first reader past applied_upto appends the new
-  // tuples to the per-key chains; lagging readers dedup-skip (eligible
-  // build streams are identical for every reader by construction).
-  void Advance(int reader, DeltaSpan batch);
+  // batch.size(); keys[i] is batch[i]'s key, extracted here when `keys` is
+  // empty (an operator passes an owned arrangement the keys it already
+  // extracted; a shared reader's batch is mostly dedup-skipped, so holding
+  // its keys would only cost memory). Rows are moved, never copied. An
+  // owned arrangement applies each tuple to the positions in its query set,
+  // metering accumulator work into *state_work (OpWork::state units). A
+  // catalog arrangement appends tuples past applied_upto to the per-key
+  // chains and dedup-skips the rest (eligible build streams are identical
+  // for every reader by construction); its accumulator work is metered by
+  // each reader's Group fold instead.
+  void Advance(int reader, DeltaBatch batch, std::vector<Row> keys = {},
+               double* state_work = nullptr);
 
-  // ---- Folds (join) ----------------------------------------------------
-  // Private-format bucket of `key` at `version`: base bucket replayed
-  // forward through the visible chain suffix with the exact swap-remove
-  // semantics of HashJoinOp::UpdateBucket. Empty result == key absent from
-  // the private map. Single multiplicities expand to `counts_width`-wide
-  // per-query counters.
-  void FoldBucket(const Row& key, int64_t version, size_t counts_width,
-                  std::vector<FoldedEntry>* out) const;
-  // Folds every key with a non-empty bucket at `version` into a
-  // private-format side map, plus the total entry count (the operator's
-  // entries counter).
-  void FoldSide(int64_t version, size_t counts_width,
-                std::unordered_map<Row, std::vector<FoldedEntry>, RowHasher>*
-                    out,
-                int64_t* entry_count) const;
+  // ---- Reads -----------------------------------------------------------
+  // The join bucket of `key` at `version`, nullptr when it holds no row:
+  // the base bucket itself when no chain entry is visible at `version`
+  // (always, for an owned arrangement), else the base replayed forward
+  // through the visible chain into *scratch. The base is only rewritten by
+  // Compact and Restore, which run between executions, so the pointer
+  // stays valid while readers of one wave apply concurrently.
+  const Bucket* Probe(const Row& key, int64_t version, Bucket* scratch) const;
+  // The positions of aggregate group `key` at `version`, in place or folded
+  // into *scratch as in Probe. Folded chain entries with version above
+  // `meter_above` are metered into *state_work in OpWork::state units per
+  // single accumulator copy (the caller scales by its query count).
+  const std::vector<GroupAccums>& Group(const Row& key, int64_t version,
+                                        int64_t meter_above,
+                                        std::vector<GroupAccums>* scratch,
+                                        double* state_work) const;
+  // Keys first touched at or before `version`, each with its
+  // recovery::EncodeRowKey bytes, sorted by those bytes.
+  std::vector<std::pair<std::string, Row>> KeysAt(int64_t version) const;
 
-  // ---- Folds (agg) -----------------------------------------------------
-  // Folds `key`'s accumulators at `version` into `out` (one AccumCell per
-  // AggSpec) and returns the weighted row count. Chain entries with
-  // version > meter_above are metered into *state_work in OpWork::state
-  // units per single accumulator copy (the caller scales by its query
-  // count); pass meter_above >= version to replay silently.
-  int64_t FoldAccums(const Row& key, int64_t version, int64_t meter_above,
-                     std::vector<AccumCell>* out, double* state_work) const;
-  // All keys first touched at or before `version` (the private groups_ key
-  // set, which never shrinks), sorted by recovery::EncodeRowKey.
-  std::vector<Row> KeysAt(int64_t version) const;
+  // An owned arrangement holding this one's state at `version`, with one
+  // position per `query_ids` entry, each starting from the shared position:
+  // what a reader whose input diverged from the shared build stream reads
+  // from then on (DESIGN.md §15.3).
+  std::unique_ptr<Arrangement> Fork(int64_t version,
+                                    std::vector<QueryId> query_ids) const;
 
-  // ---- Compaction ------------------------------------------------------
+  // Owned arrangements only: the base state of `key`, created empty on
+  // first request, for an operator restoring its checkpoint.
+  Bucket* MutableBucket(Row key);
+  std::vector<GroupAccums>* MutableGroup(Row key);
+
+  // ---- Compaction (catalog arrangements) -------------------------------
   // Folds chain prefixes at or below the minimum attached reader version
   // (applied_upto when no readers) into the base states. Eager — every
   // chain — when any attached reader is zero-slack or none are attached;
@@ -202,53 +236,66 @@ class Arrangement {
   int64_t num_keys() const;
   int64_t MaxChainLength() const;
   int64_t TotalChainLength() const;
-  // Deterministic byte accounting (ApproxRowBytes units) of keys, base
-  // states and chains — the `arr:` budget component.
+  // Deterministic byte accounting (ApproxRowBytes units). A catalog
+  // arrangement counts keys, base states and chains — the `arr:` budget
+  // component. An owned one counts its keys that hold state, rows,
+  // counters and accumulators in the units of its operator's `state:`
+  // component.
   int64_t StateBytes() const;
 
   // Lifetime stats, surfaced as `arrange.*` gauges by the catalog (kept as
   // plain members so Advance stays off the registry lock; checkpointed so
   // restored runs report monotone values).
   int64_t applied_tuples() const {
-    std::lock_guard<std::mutex> lock(mu_);
+    auto lock = Lock();
     return applied_tuples_;
   }
   int64_t dedup_skipped() const {
-    std::lock_guard<std::mutex> lock(mu_);
+    auto lock = Lock();
     return dedup_skipped_;
   }
   int64_t folded_total() const {
-    std::lock_guard<std::mutex> lock(mu_);
+    auto lock = Lock();
     return folded_total_;
   }
 
-  // ---- Checkpoint ------------------------------------------------------
+  // ---- Checkpoint (catalog arrangements) -------------------------------
   // Deterministic serialization: keys in canonical (encoded-byte) order,
   // value maps sorted. Reader cursors are NOT serialized — operators own
-  // them and re-attach during their own Restore.
+  // them and re-attach during their own Restore. Owned arrangements are
+  // serialized by their operators.
   void Snapshot(recovery::CheckpointWriter* w) const;
   Status Restore(recovery::CheckpointReader* r);
 
  private:
   struct KeyState {
     int64_t first_version = 0;  // version after the key's first tuple
-    // kJoinBuild: base bucket at base_version, in private bucket order
-    // (insertion order evolved by swap-removes).
-    std::vector<std::pair<Row, int64_t>> base_bucket;  // (row, multiplicity)
-    // kAggGroups: base accumulators at base_version.
-    int64_t base_row_count = 0;
-    std::vector<AccumCell> base_accums;
-    std::vector<VersionedDelta> chain;
+    Bucket base_bucket;                   // kJoinBuild, at base_version
+    std::vector<GroupAccums> base_groups;  // kAggGroups: width() positions
+    std::vector<VersionedDelta> chain;     // catalog arrangements only
   };
 
-  // Replays one delta onto a single-multiplicity bucket with the exact
-  // semantics of HashJoinOp::UpdateBucket (create-on-insert, swap-remove
-  // on zero).
-  static void ReplayOntoBucket(std::vector<std::pair<Row, int64_t>>* bucket,
-                               const Row& row, int32_t weight);
-  // Replays one delta onto base accumulators (metered when work != nullptr).
-  void ReplayOntoAccums(KeyState* ks, const Row& row, int32_t weight,
-                        double* state_work) const;
+  // Locks mu_ for a catalog arrangement; an owned one is only ever used by
+  // its operator and takes no lock.
+  std::unique_lock<std::mutex> Lock() const {
+    return owned() ? std::unique_lock<std::mutex>()
+                   : std::unique_lock<std::mutex>(mu_);
+  }
+  KeyState& Touch(Row key, int64_t first_version);
+  // Applies one tuple to a key's base positions. Every position of a
+  // catalog arrangement applies; an owned one applies the positions whose
+  // query is in `qset`.
+  void ApplyToBase(KeyState* ks, Row&& row, const QuerySet& qset,
+                   int32_t weight, double* state_work);
+  void ApplyToGroups(std::vector<GroupAccums>* groups, const Row& row,
+                     const QuerySet& qset, int32_t weight,
+                     double* state_work) const;
+  static bool HasVisibleChain(const KeyState& ks, int64_t version);
+  const Bucket* ProbeLocked(const KeyState& ks, int64_t version,
+                            Bucket* scratch) const;
+  const std::vector<GroupAccums>& GroupLocked(
+      const KeyState& ks, int64_t version, int64_t meter_above,
+      std::vector<GroupAccums>* scratch, double* state_work) const;
   void FoldKeyIntoBase(KeyState* ks, int64_t upto);
   int64_t CompactionBoundLocked() const;
   int64_t StateBytesLocked() const;
@@ -256,10 +303,15 @@ class Arrangement {
   ArrangementSpec spec_;
   std::vector<CompiledExpr> arg_exprs_;  // kAggGroups: per AggSpec
   std::vector<bool> has_arg_;
+  // Evaluated arguments of the tuple being applied; only touched under mu_
+  // or by an owned arrangement's sole reader.
+  mutable std::vector<Value> argv_;
 
   mutable std::mutex mu_;
   FlatRowIndex index_;
-  std::vector<KeyState> states_;  // parallel to index_.keys()
+  // Parallel to index_.keys(). A deque, so a base bucket's address survives
+  // another reader inserting a key while a probe reads it.
+  std::deque<KeyState> states_;
   int64_t base_version_ = 0;
   int64_t applied_upto_ = 0;
   int64_t applied_tuples_ = 0;
@@ -273,6 +325,19 @@ class Arrangement {
   };
   std::vector<ReaderSlot> readers_;
 };
+
+// Checkpoint codecs shared by arrangement blobs and operator checkpoints.
+// A bucket is written with `width` counters per row (a one-position bucket
+// repeats its counter); reading fails `r` on a row count the payload
+// cannot hold or on a counter width other than `width`.
+void WriteBucket(recovery::CheckpointWriter* w, const Bucket& b, size_t width);
+void ReadBucket(recovery::CheckpointReader* r, size_t width, Bucket* b);
+// Accumulator lists: a count, then each cell with its value map sorted.
+// ReadAccums returns the count read (callers validate it).
+void WriteAccums(recovery::CheckpointWriter* w,
+                 const std::vector<AccumCell>& accums);
+size_t ReadAccums(recovery::CheckpointReader* r,
+                  std::vector<AccumCell>* accums);
 
 // Registry of arrangements keyed by query-set-independent signature, with
 // budget publication (`arr:` components), obs counters (`arrange.*`), and

@@ -17,12 +17,12 @@
 
 namespace ishare::arrange {
 
-// True iff `side` (0 = left, 1 = right) of an inner join node can be
-// arranged. Semi/anti joins never qualify: their right-delta handling
-// re-emits stored left tuples, which couples the sides' states.
+// True iff `side` (0 = left, 1 = right) of an inner join node can read a
+// shared arrangement. Semi/anti joins never qualify: their right-delta
+// handling re-emits stored left tuples, which couples the sides' states.
 bool EligibleJoinBuild(const PlanNode* node, int side);
 
-// True iff an aggregate node's group map can be arranged.
+// True iff an aggregate node's group map can read a shared arrangement.
 bool EligibleAgg(const PlanNode* node);
 
 // Specs for eligible inputs; CHECK-fail if called on an ineligible node.

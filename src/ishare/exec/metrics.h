@@ -23,10 +23,6 @@ namespace flow {
 class MemoryBudget;
 }  // namespace flow
 
-namespace sched {
-class WorkerPool;
-}  // namespace sched
-
 // Work performed by one physical operator, in the paper's cost-model units
 // (Sec. 2.1: "the number of tuples processed by all operators"). We count
 //  - in:    tuples consumed from inputs,
@@ -90,20 +86,15 @@ struct ExecOptions {
 
   // Parallel scheduling (DESIGN.md §10). sched.num_threads == 1 keeps
   // the fully serial legacy path; > 1 makes the owning executor create a
-  // sched::WorkerPool and dispatch pace-boundary waves and operator
-  // morsels onto it. Results are bit-exact either way.
+  // sched::WorkerPool and run the subplans of each dependency level on
+  // it. Results are bit-exact either way.
   sched::SchedulerOptions sched;
-
-  // Worker pool operators may use for morsel parallelism. Not owned; set
-  // internally by the AdaptiveExecutor before it builds its
-  // SubplanExecutors (callers should leave it nullptr).
-  sched::WorkerPool* sched_pool = nullptr;
 
   // Shared arrangements (DESIGN.md §15). All fields are inert until
   // `catalog` is set: with a catalog, eligible HashJoinOp build sides and
-  // AggregateOp group maps acquire reader handles on shared versioned
-  // state instead of owning private maps. Results stay bit-exact either
-  // way; nullptr keeps the fully private legacy layout.
+  // AggregateOp group maps read the catalog's shared versioned
+  // arrangements instead of arrangements of their own. Results stay
+  // bit-exact either way; nullptr gives every operator its own.
   struct ArrangeOptions {
     // Shared arrangement catalog. Not owned; must outlive the executors
     // (and, under churn, the engine rebuilds that re-attach to it).

@@ -45,18 +45,6 @@ class PhysOp {
   // move out of them, and may return `in` itself as the output.
   virtual DeltaBatch Process(int child_idx, DeltaBatch in) = 0;
 
-  // Offers the operator a worker pool for morsel-driven intra-operator
-  // parallelism (DESIGN.md §10). Called once by SubplanExecutor after
-  // construction; `pool` may be nullptr (serial execution). Operators
-  // that cannot exploit it simply ignore the call; operators that do
-  // (AggregateOp, HashJoinOp) must keep their results bit-exact with the
-  // serial path.
-  virtual void BindScheduler(sched::WorkerPool* pool,
-                             const sched::SchedulerOptions& opts) {
-    (void)pool;
-    (void)opts;
-  }
-
   // Flushes any output held back until the end of the current incremental
   // execution. Default: nothing held back.
   virtual DeltaBatch EndExecution() { return {}; }
@@ -85,19 +73,18 @@ class PhysOp {
     return r->status();
   }
 
-  // Layout-independent serialization for state fingerprints (DESIGN.md
-  // §15.5): must write the bytes the *private* layout's Snapshot would,
-  // regardless of whether the operator's state is arranged or private.
-  // Only arranged operators distinguish the two; everything else has one
-  // layout, so the default delegates.
+  // Serialization for state fingerprints (DESIGN.md §15.5): must write the
+  // same bytes whether the operator's state sits in a shared arrangement or
+  // in one it owns. Only operators that can share distinguish the two;
+  // everything else has one layout, so the default delegates.
   virtual Status SnapshotCanonical(recovery::CheckpointWriter* w) const {
     return Snapshot(w);
   }
 
   // Pending input bound for this operator's subplan was discarded by load
   // shedding: the operator's consumed-tuple offset permanently diverges
-  // from its build stream, so arrangement-backed operators materialize
-  // their fold and go private (DESIGN.md §15.4). Default: nothing to do.
+  // from its build stream, so operators reading a shared arrangement fork
+  // it into one of their own (DESIGN.md §15.3). Default: nothing to do.
   virtual void OnInputDiscarded() {}
 
   // Slack hint for the owning subplan, from the adaptive runtime's pace
@@ -180,8 +167,8 @@ class ProjectOp : public PhysOp {
 // Builds the physical operator tree for a subplan's plan tree. Leaves
 // (kScan / kSubplanInput) become ScanOp / SubplanInputOp fed by the driver.
 // The options overload lets stateful operators see ExecOptions::arrange
-// and acquire shared-arrangement readers; the plain overload builds fully
-// private operators (equivalent to a null catalog).
+// and read shared arrangements; the plain overload gives every stateful
+// operator arrangements of its own (equivalent to a null catalog).
 std::unique_ptr<PhysOp> CreatePhysOp(const PlanNode* node);
 std::unique_ptr<PhysOp> CreatePhysOp(const PlanNode* node,
                                      const ExecOptions& opts);

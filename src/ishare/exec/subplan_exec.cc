@@ -57,7 +57,6 @@ SubplanExecutor::~SubplanExecutor() {
 SubplanExecutor::OpNode SubplanExecutor::BuildTree(const PlanNodePtr& node) {
   OpNode n;
   n.op = CreatePhysOp(node.get(), opts_);
-  n.op->BindScheduler(opts_.sched_pool, opts_.sched);
   if (node->kind == PlanKind::kScan || node->kind == PlanKind::kSubplanInput) {
     // CreatePhysOp builds ScanOp / SubplanInputOp for exactly these kinds.
     n.leaf = static_cast<LeafOp*>(n.op.get());
@@ -215,8 +214,8 @@ Result<int64_t> SubplanExecutor::DiscardPendingInput() {
     obs::Registry().GetCounter("flow.shed.dropped_tuples")
         .Add(static_cast<double>(dropped));
     // A shed gap permanently desynchronizes this subplan's consumed
-    // offsets from any shared build stream; arranged operators fold to
-    // private state so their stale readers stop pinning compaction.
+    // offsets from any shared build stream; operators reading a shared
+    // arrangement fork it so their stale readers stop pinning compaction.
     NotifyInputDiscarded(root_);
   }
   return dropped;

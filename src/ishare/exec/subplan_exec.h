@@ -127,8 +127,8 @@ class SubplanExecutor {
   Status Restore(recovery::CheckpointReader* r);
 
   // Forwards the flow layer's slack estimate for this subplan to every
-  // operator (arranged operators pass it to their arrangement's reader
-  // slot, steering compaction eagerness; see DESIGN.md §15.4).
+  // operator (operators reading a shared arrangement pass it to their
+  // reader slot, steering compaction eagerness; see DESIGN.md §15.4).
   void SetSlackHint(double slack);
 
   // Leaf consumer offsets, preorder over the tree (same order BuildTree

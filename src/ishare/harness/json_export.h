@@ -4,36 +4,44 @@
 // `--json=<path>` so reproduction runs are machine-checkable instead of
 // text-table-scrape-only.
 //
-// Schema (version 5, stable key order — see the golden file under
-// tests/golden/; v2 added the "recovery" block, DESIGN.md §8; v3 added
-// the "flow" overload-control block, DESIGN.md §9; v4 added
-// config.threads and the "sched" block, DESIGN.md §10; v5 added the
-// "chaos" supervision block and the recovery block's checkpoint-health
-// keys, DESIGN.md §11):
+// Schema (version 10, stable key order; tests/golden/experiment_export.json
+// pins a full document, and BenchReportJson lists what each version
+// added):
 //   {
-//     "schema_version": 5,
+//     "schema_version": 10,
 //     "generator": "ishare",
 //     "bench": "<binary name>",
-//     "config": {"sf": ..., "max_pace": ..., "seed": ..., "threads": ...,
-//                "quick": ...},
+//     "config": {"sf", "max_pace", "seed", "threads", "quick"},
 //     "results": [ { per-ExperimentResult block } ],
-//     "recovery": {"checkpoints": ..., "checkpoint_bytes": ...,
-//                  "torn_discarded": ..., "restores": ...,
-//                  "replayed_deltas": ..., "retry_attempts": ...,
-//                  "retry_success": ..., "retry_exhausted": ...,
-//                  "retry_backoff_seconds": ...,
-//                  "consecutive_failures": ..., "last_commit_epoch": ...},
-//     "flow": {"budget_bytes": ..., "used_bytes": ..., "peak_bytes": ...,
-//              "trims": ..., "trimmed_tuples": ...,
-//              "shed_deferred_execs": ..., "shed_dropped_tuples": ...,
-//              "backpressure_events": ...},
-//     "sched": {"pool_tasks": ..., "pool_steals": ...,
-//               "parallel_fors": ..., "step_waves": ...},
-//     "chaos": {"service_level": ..., "ladder_transitions": ...,
-//               "breaker_trips": ..., "breaker_half_opens": ...,
-//               "breaker_closes": ..., "faults_injected": ...,
-//               "checkpoints_skipped": ..., "checkpoints_stretched": ...,
-//               "defer_signals": ..., "safe_stops": ...},
+//     "recovery": {"checkpoints", "checkpoint_bytes", "torn_discarded",
+//                  "restores", "replayed_deltas", "retry_attempts",
+//                  "retry_success", "retry_exhausted",
+//                  "retry_backoff_seconds", "consecutive_failures",
+//                  "last_commit_epoch"},                    (DESIGN.md §8)
+//     "flow": {"budget_bytes", "used_bytes", "peak_bytes", "trims",
+//              "trimmed_tuples", "shed_deferred_execs",
+//              "shed_dropped_tuples", "backpressure_events",
+//              "state_bytes_per_query"},                    (§9, §15)
+//     "sched": {"pool_tasks", "pool_steals", "parallel_fors",
+//               "step_waves"},                              (§10)
+//     "chaos": {"service_level", "ladder_transitions", "breaker_trips",
+//               "breaker_half_opens", "breaker_closes", "faults_injected",
+//               "checkpoints_skipped", "checkpoints_stretched",
+//               "defer_signals", "safe_stops"},             (§11)
+//     "churn": {"registrations", "deregistrations", "deferrals",
+//               "unshared_fallbacks", "epochs", "subplans_carried",
+//               "subplans_rebuilt", "reclaimed_bytes",
+//               "quiesce_work"},                            (§13)
+//     "shard": {"rounds", "merged_tuples", "exchange_delivered_tuples",
+//               "exchange_drained_tuples", "exchange_backpressure_events",
+//               "straggler_observations", "straggler_lag_steps",
+//               "straggler_absorbed", "straggler_escalations",
+//               "breaker_trips", "recoveries", "restarts",
+//               "recovery_epochs"},                         (§14)
+//     "arrange": {"count", "state_bytes", "chain_max_len", "apply_tuples",
+//                 "apply_dedup_skipped", "reader_attaches",
+//                 "reader_detaches", "compact_runs",
+//                 "compact_folded"},                        (§15)
 //     "metrics": {"counters": {...}, "gauges": {...},
 //                 "histograms": {name: {count, dropped, sum,
 //                                       p50, p95, p99,

@@ -28,8 +28,10 @@
 namespace ishare::recovery {
 
 // Version history: 1 = initial layout; 2 = DeltaBuffer payloads gained a
-// leading trim base offset (bounded buffers, DESIGN.md §9).
-inline constexpr uint32_t kCheckpointFormatVersion = 2;
+// leading trim base offset (bounded buffers, DESIGN.md §9); 3 = a shared
+// arrangement's join rows carry a counter-width word, the layout operator
+// checkpoints use (DESIGN.md §15.5).
+inline constexpr uint32_t kCheckpointFormatVersion = 3;
 inline constexpr std::string_view kCheckpointMagic = "ISHCKPT1";
 
 // FNV-1a 64-bit hash; simple, dependency-free, and plenty for detecting

@@ -141,4 +141,14 @@ std::string EncodeRowKey(const Row& row) {
   return w.Take();
 }
 
+Row ReadRowKey(CheckpointReader* r) {
+  std::string bytes = r->Str();
+  CheckpointReader key_reader(bytes);
+  Row key = ReadRow(&key_reader);
+  if (r->ok() && !key_reader.Finish().ok()) {
+    r->Fail("malformed row key in checkpoint");
+  }
+  return key;
+}
+
 }  // namespace ishare::recovery

@@ -178,6 +178,9 @@ QuerySet ReadQuerySet(CheckpointReader* r);
 // Canonical byte encoding of a row, usable as a sort key so hash-map state
 // can be checkpointed in an order independent of bucket layout/history.
 std::string EncodeRowKey(const Row& row);
+// Reads a Str holding EncodeRowKey bytes back into the row; fails `r` when
+// the bytes are not exactly one encoded row.
+Row ReadRowKey(CheckpointReader* r);
 
 }  // namespace ishare::recovery
 

@@ -10,19 +10,12 @@
 #ifndef ISHARE_SCHED_OPTIONS_H_
 #define ISHARE_SCHED_OPTIONS_H_
 
-#include <cstdint>
-
 namespace ishare {
 namespace sched {
 
 struct SchedulerOptions {
   // Worker threads available to one executor. 1 = serial execution.
   int num_threads = 1;
-
-  // Operators only split a delta batch into morsels when it has at least
-  // this many tuples; smaller batches run on the calling thread. Keeps
-  // tiny per-boundary deltas from paying fork/join overhead.
-  int64_t morsel_min_tuples = 2048;
 };
 
 }  // namespace sched

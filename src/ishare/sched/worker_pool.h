@@ -6,18 +6,16 @@
 // executions across virtual time, so at any pace boundary several
 // independent subplans are runnable at once. The pool is the mechanism
 // that lets the AdaptiveExecutor dispatch one dependency level of such
-// subplans — and, inside heavy operators, one batch of morsels — onto
-// `num_threads` OS threads, in the spirit of Shared Arrangements
-// (McSherry et al.), where inter-query sharing composes with
+// subplans onto `num_threads` OS threads, in the spirit of Shared
+// Arrangements (McSherry et al.), where inter-query sharing composes with
 // data-parallel workers.
 //
 // Structure: one double-ended task queue per worker. An owner pushes and
 // pops at the back of its own deque; idle workers steal from the front
 // of a victim's deque. All deques are guarded by a single pool mutex —
-// dispatch granularity here is a subplan execution or an operator morsel
-// batch (microseconds to milliseconds), so a contended lock per
-// push/pop is noise, and the coarse lock keeps the pool trivially
-// race-free under tsan. The deque-per-worker shape is kept so the
+// dispatch granularity here is a subplan execution (microseconds to
+// milliseconds), so a contended lock per push/pop is noise, and the
+// coarse lock keeps the pool trivially race-free under tsan. The deque-per-worker shape is kept so the
 // steal/locality accounting (sched.pool.steals, per-worker series)
 // reflects real scheduling behaviour.
 //
@@ -29,7 +27,7 @@
 // index runs exactly once and the call returns only after all indices
 // finished; it guarantees nothing about order, so callers that need
 // bit-exact results must make iterations write to disjoint state (see
-// the morsel paths in exec/aggregate.cc and exec/hash_join.cc).
+// the level loop in exec/adaptive_executor.cc).
 #ifndef ISHARE_SCHED_WORKER_POOL_H_
 #define ISHARE_SCHED_WORKER_POOL_H_
 

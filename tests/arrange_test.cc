@@ -11,7 +11,10 @@
 //    ArrangedSharedWork discount counts exactly the eligible build rows,
 //  - the property: across 100 seeded random shared workloads, a run with
 //    an ArrangementCatalog is bit-identical (results, state fingerprint,
-//    curated metrics) to the fully private run, serial and 4-threaded,
+//    curated metrics) to a run without one, serial and 4-threaded,
+//  - the shed fork: a shared join side or aggregate that loses a batch
+//    forks into an arrangement of its own, then matches a catalog-less
+//    operator fed the same batches and stops pinning compaction,
 //  - recovery: a mid-window checkpoint carrying the catalog blob restores
 //    into a fresh executor + fresh catalog and finishes bit-identically.
 
@@ -28,6 +31,8 @@
 #include "ishare/arrange/eligibility.h"
 #include "ishare/common/rng.h"
 #include "ishare/exec/adaptive_executor.h"
+#include "ishare/exec/aggregate.h"
+#include "ishare/exec/hash_join.h"
 #include "ishare/flow/memory_budget.h"
 #include "ishare/obs/obs.h"
 #include "ishare/recovery/serializer.h"
@@ -40,7 +45,7 @@ using arrange::Arrangement;
 using arrange::ArrangementCatalog;
 using arrange::ArrangementKind;
 using arrange::ArrangementSpec;
-using arrange::FoldedEntry;
+using arrange::Bucket;
 
 // ---------------------------------------------------------------------------
 // Arrangement units
@@ -108,21 +113,24 @@ TEST(ArrangementTest, FoldBucketReplaysVisiblePrefix) {
 
   // Key 0 received rows at stream offsets 1 (i=0) and 5 (i=4): a reader
   // at version 4 sees only the first.
-  std::vector<FoldedEntry> out;
-  a.FoldBucket({Value(int64_t{0})}, 4, 2, &out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].row[1].AsDouble(), 0.0);
-  EXPECT_EQ(out[0].counts, (std::vector<int64_t>{1, 1}));
+  Bucket scratch;
+  const Bucket* out = a.Probe({Value(int64_t{0})}, 4, &scratch);
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(out->rows.size(), 1u);
+  EXPECT_EQ(out->rows[0][1].AsDouble(), 0.0);
+  EXPECT_EQ(out->counts, (std::vector<int64_t>{1}));
 
-  a.FoldBucket({Value(int64_t{0})}, 8, 1, &out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[1].row[1].AsDouble(), 4.0);
+  out = a.Probe({Value(int64_t{0})}, 8, &scratch);
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(out->rows.size(), 2u);
+  EXPECT_EQ(out->rows[1][1].AsDouble(), 4.0);
 
   // A retraction folds the row back out of the bucket.
   a.Advance(r0, DeltaBatch{T(0, 0.0, -1)});
-  a.FoldBucket({Value(int64_t{0})}, 9, 1, &out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].row[1].AsDouble(), 4.0);
+  out = a.Probe({Value(int64_t{0})}, 9, &scratch);
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(out->rows.size(), 1u);
+  EXPECT_EQ(out->rows[0][1].AsDouble(), 4.0);
   a.Detach(r0);
 }
 
@@ -213,14 +221,13 @@ TEST(ArrangementTest, SnapshotRestoreRoundTripsChains) {
   EXPECT_EQ(b.num_keys(), a.num_keys());
   EXPECT_EQ(b.TotalChainLength(), a.TotalChainLength());
   EXPECT_EQ(b.StateBytes(), a.StateBytes());
-  std::vector<FoldedEntry> ea, eb;
-  a.FoldBucket({Value(int64_t{1})}, 8, 3, &ea);
-  b.FoldBucket({Value(int64_t{1})}, 8, 3, &eb);
-  ASSERT_EQ(ea.size(), eb.size());
-  for (size_t i = 0; i < ea.size(); ++i) {
-    EXPECT_EQ(ea[i].row, eb[i].row);
-    EXPECT_EQ(ea[i].counts, eb[i].counts);
-  }
+  Bucket sa, sb;
+  const Bucket* ea = a.Probe({Value(int64_t{1})}, 8, &sa);
+  const Bucket* eb = b.Probe({Value(int64_t{1})}, 8, &sb);
+  ASSERT_NE(ea, nullptr);
+  ASSERT_NE(eb, nullptr);
+  EXPECT_EQ(ea->rows, eb->rows);
+  EXPECT_EQ(ea->counts, eb->counts);
   a.Detach(r0);
 }
 
@@ -370,7 +377,7 @@ struct RunOutput {
   std::string fingerprint;
   std::vector<ResultMap> results;
   std::map<std::string, double> counters;
-  double reader_attaches = 0;
+  int attached_readers = 0;  // catalog readers attached at window end
 };
 
 // Counters that must match bit-for-bit between the arranged and private
@@ -397,7 +404,6 @@ RunOutput RunWorkload(TestDb* db, const SubplanGraph& g,
   ArrangementCatalog cat;  // declared before the executor: must outlive it
   ExecOptions opts;
   opts.sched.num_threads = threads;
-  opts.sched.morsel_min_tuples = 4;
   if (arranged) opts.arrange.catalog = &cat;
   AdaptiveExecutor exec(&g, &src, opts);
   RunResult r = exec.Run(paces).value().run;
@@ -408,8 +414,9 @@ RunOutput RunWorkload(TestDb* db, const SubplanGraph& g,
     out.results.push_back(MaterializeResult(*exec.query_output(q), q));
   }
   out.counters = CuratedCounters();
-  out.reader_attaches =
-      obs::Registry().Snapshot().counters["arrange.reader.attach"];
+  for (const std::string& sig : cat.Signatures()) {
+    out.attached_readers += cat.Find(sig)->num_attached();
+  }
   return out;
 }
 
@@ -439,9 +446,9 @@ TEST(ArrangeEquivalence, ArrangedRunIsBitExactOverRandomWorkloads) {
     // Guard against vacuity: some reader must actually have attached.
     // Not one per query — a slow-paced query whose first execution lands
     // after lazy compaction folded version 0 away correctly falls back
-    // to private state (the UniformPacesAttachEveryQuery test pins the
-    // everyone-attaches case).
-    EXPECT_GE(arr.reader_attaches, 1.0) << "seed " << seed;
+    // to an arrangement of its own (the UniformPacesAttachEveryQuery test
+    // pins the everyone-attaches case).
+    EXPECT_GE(arr.attached_readers, 1) << "seed " << seed;
     EXPECT_EQ(arr.fingerprint, priv.fingerprint)
         << "seed " << seed << " threads " << threads;
     ASSERT_EQ(arr.results.size(), priv.results.size());
@@ -467,7 +474,7 @@ TEST(ArrangeEquivalence, UniformPacesAttachEveryQuery) {
   SubplanGraph g = SubplanGraph::Build(qs);
   RunOutput arr = RunWorkload(&db, g, PaceConfig(g.num_subplans(), 2),
                               /*arranged=*/true, 1);
-  EXPECT_EQ(arr.reader_attaches, 4.0);
+  EXPECT_EQ(arr.attached_readers, 4);
 }
 
 TEST(ArrangeEquivalence, StateBytesPerQueryGaugePublishes) {
@@ -490,10 +497,180 @@ TEST(ArrangeEquivalence, StateBytesPerQueryGaugePublishes) {
   ASSERT_TRUE(exec.Run(PaceConfig(g.num_subplans(), 1)).ok());
   // Four identical queries share one arrangement, so the per-query share
   // is a quarter of the (positive) arranged state.
+#if ISHARE_OBS_ENABLED
   auto gauges = obs::Registry().Snapshot().gauges;
   EXPECT_GT(gauges["flow.state_bytes_per_query"], 0.0);
+#endif
   EXPECT_GT(cat.TotalStateBytes(), 0);
   EXPECT_EQ(cat.num_arrangements(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Shedding forks a shared reader into an arrangement of its own
+// ---------------------------------------------------------------------------
+
+DeltaTuple Order(int64_t id, QuerySet qs, int32_t w = 1) {
+  return DeltaTuple({Value(id), Value(id % 3), Value(10.0 + 0.5 * id)}, qs, w);
+}
+
+// Orders [first, last) plus a delete of every id in `deleted`.
+DeltaBatch Orders(int64_t first, int64_t last, QuerySet qs,
+                  std::vector<int64_t> deleted = {}) {
+  DeltaBatch b;
+  for (int64_t id = first; id < last; ++id) b.push_back(Order(id, qs));
+  for (int64_t id : deleted) b.push_back(Order(id, qs, -1));
+  return b;
+}
+
+DeltaTuple Customer(int64_t key, QuerySet qs, int32_t w = 1) {
+  return DeltaTuple({Value(key), Value(std::string(key % 2 ? "ASIA" : "EU"))},
+                    qs, w);
+}
+
+::testing::AssertionResult SameBatch(const DeltaBatch& a,
+                                     const DeltaBatch& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << a.size() << " vs " << b.size() << " tuples";
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!(a[i].qset == b[i].qset) || a[i].weight != b[i].weight ||
+        a[i].row.size() != b[i].row.size()) {
+      return ::testing::AssertionFailure() << "tuple " << i << " differs";
+    }
+    for (size_t c = 0; c < a[i].row.size(); ++c) {
+      auto r = BitExactValue(a[i].row[c], b[i].row[c]);
+      if (!r) return ::testing::AssertionFailure() << "tuple " << i << ": "
+                                                   << r.message();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::string Canonical(const PhysOp& op) {
+  recovery::CheckpointWriter w;
+  CHECK(op.SnapshotCanonical(&w).ok());
+  return w.Take();
+}
+
+void ExpectSameWork(const PhysOp& a, const PhysOp& b) {
+  EXPECT_EQ(a.work().in, b.work().in);
+  EXPECT_EQ(a.work().out, b.work().out);
+  EXPECT_EQ(a.work().state, b.work().state);
+}
+
+// Operator `a` (queries {0, 1}) shares the catalog arrangement with `b`
+// (query 2). One of a's batches is shed: from then on `a` must behave
+// exactly like `p`, the same operator without a catalog, fed only the
+// batches `a` kept — and it must stop pinning the shared arrangement.
+TEST(ArrangeFork, DiscardForksASharedAggregate) {
+  TestDb db;
+  ArrangementCatalog cat;
+  ExecOptions::ArrangeOptions arrange;
+  arrange.catalog = &cat;
+  const QuerySet qa = QuerySet::FromIds({0, 1});
+  const QuerySet qb = QuerySet::Single(2);
+  auto node = [&](QuerySet qs) {
+    return PlanNode::MakeAggregate(
+        PlanNode::MakeScan(db.catalog, "orders", qs), {"o_custkey"},
+        {SumAgg(Col("o_amount"), "total"), CountAgg("n"),
+         MinAgg(Col("o_amount"), "lo")},
+        qs);
+  };
+  PlanNodePtr na = node(qa);
+  PlanNodePtr nb = node(qb);
+  const Schema& in = na->children[0]->output_schema;
+  AggregateOp a(na.get(), in, arrange);
+  AggregateOp b(nb.get(), in, arrange);
+  AggregateOp p(na.get(), in);
+  Arrangement* shared = cat.Find(arrange::AggGroupsSpec(na.get()).signature);
+  ASSERT_NE(shared, nullptr);
+  auto step = [](AggregateOp* op, DeltaBatch batch) {
+    op->Process(0, std::move(batch));
+    return op->EndExecution();
+  };
+
+  EXPECT_TRUE(
+      SameBatch(step(&a, Orders(0, 8, qa)), step(&p, Orders(0, 8, qa))));
+  step(&b, Orders(0, 8, qb));
+  step(&b, Orders(8, 12, qb));  // the batch `a` loses
+  EXPECT_EQ(shared->num_attached(), 2);
+  cat.CompactAtBoundary(0);
+  EXPECT_EQ(shared->base_version(), 8);  // pinned by `a`
+
+  a.OnInputDiscarded();
+  EXPECT_EQ(shared->num_attached(), 1);
+  cat.CompactAtBoundary(0);
+  EXPECT_EQ(shared->base_version(), 12);
+
+  EXPECT_TRUE(SameBatch(step(&a, Orders(12, 16, qa, {2, 4})),
+                        step(&p, Orders(12, 16, qa, {2, 4}))));
+  step(&b, Orders(12, 16, qb, {2, 4}));
+  EXPECT_TRUE(SameBatch(step(&a, Orders(16, 20, qa, {1})),
+                        step(&p, Orders(16, 20, qa, {1}))));
+  ExpectSameWork(a, p);
+  EXPECT_EQ(Canonical(a), Canonical(p));
+  EXPECT_EQ(a.StateBytes(), p.StateBytes());
+}
+
+TEST(ArrangeFork, DiscardForksSharedJoinSides) {
+  TestDb db;
+  ArrangementCatalog cat;
+  ExecOptions::ArrangeOptions arrange;
+  arrange.catalog = &cat;
+  const QuerySet qa = QuerySet::FromIds({0, 1});
+  const QuerySet qb = QuerySet::Single(2);
+  auto node = [&](QuerySet qs) {
+    return PlanNode::MakeJoin(PlanNode::MakeScan(db.catalog, "orders", qs),
+                              PlanNode::MakeScan(db.catalog, "customer", qs),
+                              {"o_custkey"}, {"c_custkey"}, JoinType::kInner,
+                              qs);
+  };
+  PlanNodePtr na = node(qa);
+  PlanNodePtr nb = node(qb);
+  const Schema& ls = na->children[0]->output_schema;
+  const Schema& rs = na->children[1]->output_schema;
+  HashJoinOp a(na.get(), ls, rs, arrange);
+  HashJoinOp b(nb.get(), ls, rs, arrange);
+  HashJoinOp p(na.get(), ls, rs);
+  Arrangement* orders =
+      cat.Find(arrange::JoinBuildSpec(na.get(), 0).signature);
+  Arrangement* customers =
+      cat.Find(arrange::JoinBuildSpec(na.get(), 1).signature);
+  ASSERT_NE(orders, nullptr);
+  ASSERT_NE(customers, nullptr);
+  auto customers_batch = [](QuerySet qs, bool second) {
+    if (!second) return DeltaBatch{Customer(0, qs), Customer(1, qs)};
+    return DeltaBatch{Customer(2, qs), Customer(0, qs, -1)};
+  };
+
+  EXPECT_TRUE(SameBatch(a.Process(1, customers_batch(qa, false)),
+                        p.Process(1, customers_batch(qa, false))));
+  EXPECT_TRUE(SameBatch(a.Process(0, Orders(0, 8, qa)),
+                        p.Process(0, Orders(0, 8, qa))));
+  b.Process(1, customers_batch(qb, false));
+  b.Process(0, Orders(0, 8, qb));
+  b.Process(0, Orders(8, 12, qb));  // the batch `a` loses
+  EXPECT_EQ(orders->num_attached(), 2);
+  EXPECT_EQ(customers->num_attached(), 2);
+
+  a.OnInputDiscarded();
+  EXPECT_EQ(orders->num_attached(), 1);
+  EXPECT_EQ(customers->num_attached(), 1);
+  cat.CompactAtBoundary(0);
+  EXPECT_EQ(orders->base_version(), 12);
+
+  EXPECT_TRUE(SameBatch(a.Process(0, Orders(12, 16, qa, {2, 3})),
+                        p.Process(0, Orders(12, 16, qa, {2, 3}))));
+  EXPECT_TRUE(SameBatch(a.Process(1, customers_batch(qa, true)),
+                        p.Process(1, customers_batch(qa, true))));
+  b.Process(0, Orders(12, 16, qb, {2, 3}));
+  b.Process(1, customers_batch(qb, true));
+  EXPECT_TRUE(SameBatch(a.Process(0, Orders(16, 20, qa)),
+                        p.Process(0, Orders(16, 20, qa))));
+  ExpectSameWork(a, p);
+  EXPECT_EQ(Canonical(a), Canonical(p));
+  EXPECT_EQ(a.StateBytes(), p.StateBytes());
 }
 
 // ---------------------------------------------------------------------------

@@ -330,7 +330,6 @@ TEST(ChaosWorkerStall, InjectedStallsNeverChangeParallelResults) {
   ASSERT_TRUE(db.source.CloneTablesInto(&par_src).ok());
   ExecOptions opts;
   opts.sched.num_threads = 4;
-  opts.sched.morsel_min_tuples = 1;  // force operator-level fan-out
   AdaptiveExecutor exec(&g, &par_src, opts);
   ASSERT_NE(exec.worker_pool(), nullptr);
 

@@ -334,15 +334,13 @@ TEST(CrashRecoveryParallel, KillsDuringMorselFanOutAreBitExact) {
   SubplanGraph g = SubplanGraph::Build(MakeSharedDag(db.catalog));
   SourceFactory factory = MakeFactory(db);
 
-  // morsel_min_tuples = 1 forces operator-level ParallelFor fan-out on
-  // every execution, so the kill interrupts a step whose operators were
-  // themselves running as pool morsels.
+  // The kill interrupts a step whose first level is running on the
+  // 4-thread pool.
   for (int64_t step = 2; step <= 3; ++step) {
     MemoryCheckpointStore store;
     CrashRecoveryOptions opts;
     opts.store = &store;
     opts.exec.sched.num_threads = 4;
-    opts.exec.sched.morsel_min_tuples = 1;
     opts.plan.phase = CrashPhase::kMidWave;
     opts.plan.step = step;
     opts.plan.wave = 0;

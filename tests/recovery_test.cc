@@ -12,7 +12,10 @@
 #include <fstream>
 #include <limits>
 
+#include "ishare/arrange/arrangement.h"
 #include "ishare/exec/adaptive_executor.h"
+#include "ishare/exec/aggregate.h"
+#include "ishare/exec/hash_join.h"
 #include "ishare/recovery/checkpoint.h"
 #include "ishare/recovery/checkpoint_manager.h"
 #include "ishare/recovery/checkpoint_store.h"
@@ -458,6 +461,72 @@ class CounterState : public Checkpointable {
   }
   int64_t value = 0;
 };
+
+// A row or accumulator count larger than the rest of its payload (a
+// corrupt blob, e.g. one read back from a FileCheckpointStore) must fail
+// the restore; reserving that count would abort the whole process.
+TEST(OperatorRestoreTest, InflatedCountsFailTheRestore) {
+  constexpr uint64_t kInflated = uint64_t{1} << 60;
+  const std::string key = recovery::EncodeRowKey({Value(int64_t{1})});
+  const QuerySet q0 = QuerySet::Single(0);
+
+  // A join side's bucket, in the operator layout.
+  Schema ls({{"lk", DataType::kInt64}});
+  Schema rs({{"rk", DataType::kInt64}});
+  PlanNodePtr join = PlanNode::MakeJoin(
+      PlanNode::MakeSubplanInput(0, ls, q0),
+      PlanNode::MakeSubplanInput(1, rs, q0), {"lk"}, {"rk"},
+      JoinType::kInner, q0);
+  HashJoinOp join_op(join.get(), ls, rs);
+  CheckpointWriter jw;
+  for (int i = 0; i < 3; ++i) jw.F64(0);  // work meter
+  jw.Bool(false);                         // left side owned
+  jw.Bool(false);                         // right side owned
+  jw.U64(1);                              // one key on the left side
+  jw.Str(key);
+  jw.U64(kInflated);                      // its bucket's row count
+  std::string join_blob = jw.Take();
+  CheckpointReader jr(join_blob);
+  EXPECT_FALSE(join_op.Restore(&jr).ok());
+
+  // A shared arrangement's bucket, in the catalog blob.
+  arrange::ArrangementSpec spec;
+  spec.kind = arrange::ArrangementKind::kJoinBuild;
+  spec.signature = "jb:t:k";
+  spec.key_idx = {0};
+  arrange::Arrangement arr(spec);
+  CheckpointWriter aw;
+  aw.U64(static_cast<uint64_t>(spec.kind));
+  aw.Str(spec.signature);
+  for (int i = 0; i < 5; ++i) aw.I64(0);  // versions and lifetime stats
+  aw.U64(1);                              // one key
+  aw.Str(key);
+  aw.I64(1);                              // its first version
+  aw.U64(kInflated);                      // its base bucket's row count
+  std::string arr_blob = aw.Take();
+  CheckpointReader ar(arr_blob);
+  EXPECT_FALSE(arr.Restore(&ar).ok());
+
+  // An aggregate position's accumulator list, in the operator layout.
+  Schema in({{"g", DataType::kInt64}, {"v", DataType::kInt64}});
+  PlanNodePtr agg = PlanNode::MakeAggregate(
+      PlanNode::MakeSubplanInput(0, in, q0), {"g"},
+      {SumAgg(Col("v"), "total")}, q0);
+  AggregateOp agg_op(agg.get(), in);
+  CheckpointWriter gw;
+  for (int i = 0; i < 3; ++i) gw.F64(0);  // work meter
+  gw.Bool(false);                         // owned groups
+  gw.U64(1);                              // one group
+  gw.Str(key);
+  gw.U64(1);                              // one query position
+  gw.I64(1);                              // its row count
+  gw.Bool(false);                         // nothing emitted yet
+  recovery::WriteRow(&gw, Row{});
+  gw.U64(kInflated);                      // its accumulator count
+  std::string agg_blob = gw.Take();
+  CheckpointReader gr(agg_blob);
+  EXPECT_FALSE(agg_op.Restore(&gr).ok());
+}
 
 TEST(CheckpointManagerTest, PeriodicCadenceAndRecoverLatest) {
   MemoryCheckpointStore store;

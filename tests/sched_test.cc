@@ -55,8 +55,7 @@ TEST(WorkerPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
 
 TEST(WorkerPoolTest, NestedParallelForDoesNotDeadlock) {
   // The caller of an inner ParallelFor helps while waiting, so a task
-  // that itself fans out (a subplan execution hitting a morsel-parallel
-  // operator) cannot deadlock even when every worker is busy.
+  // that itself fans out cannot deadlock even when every worker is busy.
   sched::WorkerPool pool(4);
   std::atomic<int64_t> sum{0};
   pool.ParallelFor(8, [&](int64_t) {
@@ -231,9 +230,6 @@ std::map<std::string, double> CuratedCounters() {
 ExecOptions ThreadedOptions(int threads) {
   ExecOptions opts;
   opts.sched.num_threads = threads;
-  // Tiny threshold so the aggregate/join morsel paths fire on the small
-  // test batches, not just the subplan-level waves.
-  opts.sched.morsel_min_tuples = 4;
   return opts;
 }
 
@@ -304,8 +300,8 @@ TEST(SchedEquivalence, AdaptiveParallelRunsAreBitExact) {
   // The adaptive executor's level-parallel path: skip/catch-up decisions
   // are work-based and must replay identically, so fingerprints, results
   // and curated metrics all match the serial run. Smaller sweep — the
-  // decision logic, not the operator morsels, is what differs from the
-  // static-schedule property above.
+  // decision logic is what differs from the static-schedule property
+  // above.
   TpchDb db(TpchScale{0.001, 13});
   MqoOptimizer mqo(&db.catalog);
   for (int seed = 1; seed <= 20; ++seed) {
