@@ -1,9 +1,7 @@
 #ifndef ISHARE_BENCH_BENCH_UTIL_H_
 #define ISHARE_BENCH_BENCH_UTIL_H_
 
-#include <cerrno>
-#include <climits>
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "ishare/common/parse.h"
 #include "ishare/harness/experiment.h"
 #include "ishare/harness/json_export.h"
 #include "ishare/harness/report.h"
@@ -54,6 +53,7 @@ struct BenchConfig {
         c.quick = true;
       } else if (std::strncmp(a, "--json=", 7) == 0) {
         c.json_path = a + 7;
+        ok = !c.json_path.empty();
       } else {
         ok = false;
       }
@@ -71,40 +71,6 @@ struct BenchConfig {
       c.max_pace = std::min(c.max_pace, 16);
     }
     return c;
-  }
-
-  // Whole-string parsers: trailing junk, empty input and overflow fail.
-  static bool ParseDouble(const char* s, double* out) {
-    char* end = nullptr;
-    errno = 0;
-    double v = std::strtod(s, &end);
-    if (end == s || *end != '\0' || errno != 0 || !std::isfinite(v)) {
-      return false;
-    }
-    *out = v;
-    return true;
-  }
-  static bool ParseInt(const char* s, int* out) {
-    char* end = nullptr;
-    errno = 0;
-    long v = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0' || errno != 0 || v < INT_MIN ||
-        v > INT_MAX) {
-      return false;
-    }
-    *out = static_cast<int>(v);
-    return true;
-  }
-  static bool ParseSeed(const char* s, uint64_t* out) {
-    if (*s == '\0') return false;
-    for (const char* p = s; *p != '\0'; ++p) {
-      if (*p < '0' || *p > '9') return false;
-    }
-    errno = 0;
-    unsigned long long v = std::strtoull(s, nullptr, 10);
-    if (errno != 0) return false;
-    *out = static_cast<uint64_t>(v);
-    return true;
   }
 
   ApproachOptions MakeOptions() const {

@@ -1,6 +1,7 @@
 # Runs BIN with the ;-separated ARGS and fails unless it exits with CODE
-# and prints a usage line on stderr. Used by the bench flag-validation
-# tests in bench/CMakeLists.txt.
+# and prints a usage line on stderr. Used by the flag-validation tests
+# of the benches (bench/CMakeLists.txt) and ishare_cli
+# (examples/CMakeLists.txt).
 execute_process(COMMAND ${BIN} ${ARGS}
                 RESULT_VARIABLE rc
                 OUTPUT_QUIET

@@ -13,13 +13,20 @@
 // Examples:
 //   ishare_cli --queries=15,7 --constraints=1.0,0.1 --explain --run
 //   ishare_cli --queries=5,8 --approach=share-uniform --dot
+//
+// A malformed or out-of-range value (sf <= 0, max_pace < 1, a seed that is
+// not all digits, a constraint that is not a finite number > 0), an
+// unknown approach or an unknown flag prints a usage line and exits 2
+// before any data is generated.
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "ishare/common/parse.h"
 #include "ishare/harness/experiment.h"
 #include "ishare/harness/report.h"
 #include "ishare/plan/explain.h"
@@ -58,6 +65,16 @@ bool ParseApproach(const std::string& s, Approach* out) {
   return true;
 }
 
+[[noreturn]] void Usage(const char* prog, const char* bad) {
+  std::fprintf(stderr,
+               "bad flag %s\nusage: %s [--sf=<double > 0>] [--seed=<digits>] "
+               "[--max_pace=<int >= 1>] [--queries=<list>] "
+               "[--constraints=<list of doubles > 0>] [--approach=<name>] "
+               "[--explain] [--dot] [--run]\n",
+               bad, prog);
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -65,27 +82,30 @@ int main(int argc, char** argv) {
   uint64_t seed = 7;
   int max_pace = 50;
   std::string queries_arg = "5,7,15";
-  std::string constraints_arg;
+  std::vector<double> constraints;
   Approach approach = Approach::kIShare;
   bool explain = false, dot = false, run = false;
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
+    bool ok = true;
     if (std::strncmp(a, "--sf=", 5) == 0) {
-      sf = std::atof(a + 5);
+      ok = ParseDouble(a + 5, &sf) && sf > 0;
     } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      seed = std::strtoull(a + 7, nullptr, 10);
+      ok = ParseSeed(a + 7, &seed);
     } else if (std::strncmp(a, "--max_pace=", 11) == 0) {
-      max_pace = std::atoi(a + 11);
+      ok = ParseInt(a + 11, &max_pace) && max_pace >= 1;
     } else if (std::strncmp(a, "--queries=", 10) == 0) {
       queries_arg = a + 10;
     } else if (std::strncmp(a, "--constraints=", 14) == 0) {
-      constraints_arg = a + 14;
-    } else if (std::strncmp(a, "--approach=", 11) == 0) {
-      if (!ParseApproach(a + 11, &approach)) {
-        std::fprintf(stderr, "unknown approach '%s'\n", a + 11);
-        return 1;
+      constraints.clear();
+      for (const std::string& tok : SplitCsv(a + 14)) {
+        double c = 0;
+        ok = ok && ParseDouble(tok.c_str(), &c) && c > 0;
+        constraints.push_back(c);
       }
+    } else if (std::strncmp(a, "--approach=", 11) == 0) {
+      ok = ParseApproach(a + 11, &approach);
     } else if (std::strcmp(a, "--explain") == 0) {
       explain = true;
     } else if (std::strcmp(a, "--dot") == 0) {
@@ -96,9 +116,9 @@ int main(int argc, char** argv) {
       std::printf("see the header of examples/ishare_cli.cpp\n");
       return 0;
     } else {
-      std::fprintf(stderr, "unknown flag %s (try --help)\n", a);
-      return 1;
+      ok = false;
     }
+    if (!ok) Usage(argv[0], a);
   }
   if (!explain && !dot && !run) explain = run = true;
 
@@ -131,14 +151,13 @@ int main(int argc, char** argv) {
   }
 
   std::vector<double> rel(queries.size(), 1.0);
-  if (!constraints_arg.empty()) {
-    std::vector<std::string> toks = SplitCsv(constraints_arg);
-    if (toks.size() != queries.size()) {
+  if (!constraints.empty()) {
+    if (constraints.size() != queries.size()) {
       std::fprintf(stderr, "need %zu constraints, got %zu\n", queries.size(),
-                   toks.size());
+                   constraints.size());
       return 1;
     }
-    for (size_t i = 0; i < toks.size(); ++i) rel[i] = std::atof(toks[i].c_str());
+    rel = constraints;
   }
 
   ApproachOptions opts;

@@ -59,8 +59,9 @@ constexpr bool StatusCodeIsTransient(StatusCode code) {
 }
 
 // A Status captures the success or failure of an operation. Cheap to copy in
-// the OK case (no allocation), carries a message otherwise.
-class Status {
+// the OK case (no allocation), carries a message otherwise. Dropping one
+// is a compile error (the build sets -Werror=unused-result).
+class [[nodiscard]] Status {
  public:
   Status() : code_(StatusCode::kOk) {}
   Status(StatusCode code, std::string msg)
@@ -134,7 +135,7 @@ class Status {
 
 // Result<T> is either a value or an error Status.
 template <typename T>
-class Result {
+class [[nodiscard]] Result {
  public:
   // Intentionally implicit so `return value;` and `return status;` both work.
   Result(T value) : payload_(std::move(value)) {}  // NOLINT

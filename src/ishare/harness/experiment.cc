@@ -68,18 +68,6 @@ Experiment::Experiment(const Catalog* catalog, StreamSource* source,
   }
 }
 
-void Experiment::SetFaultPlan(FaultPlan plan) {
-  Status st = plan.Validate();
-  CHECK(st.ok()) << st.ToString();
-  perturbed_ = std::make_unique<PerturbedStreamSource>(std::move(plan));
-  st = source_->CloneTablesInto(perturbed_.get());
-  CHECK(st.ok()) << st.ToString();
-}
-
-StreamSource* Experiment::RunSource() {
-  return perturbed_ != nullptr ? perturbed_.get() : source_;
-}
-
 const std::vector<double>& Experiment::BatchLatencies() {
   if (batch_done_) return batch_latencies_;
   batch_latencies_.assign(queries_.size(), 0.0);
@@ -183,29 +171,10 @@ OptimizedPlan Experiment::Optimize(Approach approach) {
 ExperimentResult Experiment::Run(Approach approach) {
   obs::ScopedSpan span("harness.experiment.run");
   OptimizedPlan plan = Optimize(approach);
-  StreamSource* src = RunSource();
-  src->Reset();
-  AdaptiveExecutor exec(&plan.graph, src, opts_.exec);
+  source_->Reset();
+  AdaptiveExecutor exec(&plan.graph, source_, opts_.exec);
   RunResult run = Unwrap(exec.Run(plan.paces));
   return BuildResult(approach, plan, run);
-}
-
-ExperimentResult Experiment::RunAdaptive(Approach approach,
-                                         AdaptivePolicy policy) {
-  obs::ScopedSpan span("harness.experiment.run");
-  OptimizedPlan plan = Optimize(approach);
-  StreamSource* src = RunSource();
-  src->Reset();
-  CostEstimator est(&plan.graph, catalog_, opts_.exec,
-                    opts_.memoized_estimator);
-  AdaptiveExecutor exec(&est, src, plan.abs_constraints, policy, opts_.exec,
-                        PaceOptimizerOptions{opts_.max_pace,
-                                             opts_.deadline_seconds});
-  auto r = exec.Run(plan.paces);
-  CHECK(r.ok()) << r.status().ToString();
-  ExperimentResult res = BuildResult(approach, plan, r->run);
-  res.adaptation = r->stats;
-  return res;
 }
 
 }  // namespace ishare

@@ -8,13 +8,11 @@
 #ifndef ISHARE_HARNESS_EXPERIMENT_H_
 #define ISHARE_HARNESS_EXPERIMENT_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "ishare/exec/adaptive_executor.h"
 #include "ishare/opt/approaches.h"
-#include "ishare/storage/perturbed_source.h"
 
 namespace ishare {
 
@@ -48,8 +46,6 @@ struct ExperimentResult {
   double est_total_work = 0;         // optimizer's estimate, for comparison
   std::vector<QueryMetrics> queries;
   DecomposeStats decompose_stats;
-  // Populated by RunAdaptive(); zeros for static runs.
-  AdaptationStats adaptation;
 
   int DeadlinesMet() const;  // number of queries with deadline_met
   double MeanMissedAbs() const;
@@ -81,18 +77,6 @@ class Experiment {
 
   ExperimentResult Run(Approach approach);
 
-  // Like Run(), but executes the optimized plan through the adaptive
-  // runtime (drift monitoring, mid-window pace re-derivation, graceful
-  // degradation) instead of replaying the static schedule.
-  ExperimentResult RunAdaptive(Approach approach,
-                               AdaptivePolicy policy = AdaptivePolicy());
-
-  // Executes subsequent Run()/RunAdaptive() calls through a
-  // PerturbedStreamSource applying `plan` to a clone of the clean source.
-  // Batch baselines (latency goals) are still measured on the clean
-  // stream, so misses are reported against the undisturbed ideal.
-  void SetFaultPlan(FaultPlan plan);
-
   // Measured latency of executing each query standalone in one batch;
   // computed lazily once and cached (defines the latency goals).
   const std::vector<double>& BatchLatencies();
@@ -109,16 +93,12 @@ class Experiment {
   const ApproachOptions& options() const { return opts_; }
 
  private:
-  // The source scheduled runs execute against: the clean source, or the
-  // fault-injecting clone when a fault plan is set.
-  StreamSource* RunSource();
   OptimizedPlan Optimize(Approach approach);
   ExperimentResult BuildResult(Approach approach, const OptimizedPlan& plan,
                                const RunResult& run);
 
   const Catalog* catalog_;
   StreamSource* source_;
-  std::unique_ptr<PerturbedStreamSource> perturbed_;
   std::vector<QueryPlan> queries_;
   std::vector<double> rel_;
   ApproachOptions opts_;

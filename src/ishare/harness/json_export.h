@@ -4,50 +4,24 @@
 // `--json=<path>` so reproduction runs are machine-checkable instead of
 // text-table-scrape-only.
 //
-// Schema (version 10, stable key order; tests/golden/experiment_export.json
+// Schema (version 11, stable key order; tests/golden/experiment_export.json
 // pins a full document, and BenchReportJson lists what each version
-// added):
+// added or removed):
 //   {
-//     "schema_version": 10,
+//     "schema_version": 11,
 //     "generator": "ishare",
 //     "bench": "<binary name>",
 //     "config": {"sf", "max_pace", "seed", "threads", "quick"},
 //     "results": [ { per-ExperimentResult block } ],
-//     "recovery": {"checkpoints", "checkpoint_bytes", "torn_discarded",
-//                  "restores", "replayed_deltas", "retry_attempts",
-//                  "retry_success", "retry_exhausted",
-//                  "retry_backoff_seconds", "consecutive_failures",
-//                  "last_commit_epoch"},                    (DESIGN.md §8)
-//     "flow": {"budget_bytes", "used_bytes", "peak_bytes", "trims",
-//              "trimmed_tuples", "shed_deferred_execs",
-//              "shed_dropped_tuples", "backpressure_events",
-//              "state_bytes_per_query"},                    (§9, §15)
-//     "sched": {"pool_tasks", "pool_steals", "parallel_fors",
-//               "step_waves"},                              (§10)
-//     "chaos": {"service_level", "ladder_transitions", "breaker_trips",
-//               "breaker_half_opens", "breaker_closes", "faults_injected",
-//               "checkpoints_skipped", "checkpoints_stretched",
-//               "defer_signals", "safe_stops"},             (§11)
-//     "churn": {"registrations", "deregistrations", "deferrals",
-//               "unshared_fallbacks", "epochs", "subplans_carried",
-//               "subplans_rebuilt", "reclaimed_bytes",
-//               "quiesce_work"},                            (§13)
-//     "shard": {"rounds", "merged_tuples", "exchange_delivered_tuples",
-//               "exchange_drained_tuples", "exchange_backpressure_events",
-//               "straggler_observations", "straggler_lag_steps",
-//               "straggler_absorbed", "straggler_escalations",
-//               "breaker_trips", "recoveries", "restarts",
-//               "recovery_epochs"},                         (§14)
-//     "arrange": {"count", "state_bytes", "chain_max_len", "apply_tuples",
-//                 "apply_dedup_skipped", "reader_attaches",
-//                 "reader_detaches", "compact_runs",
-//                 "compact_folded"},                        (§15)
 //     "metrics": {"counters": {...}, "gauges": {...},
 //                 "histograms": {name: {count, dropped, sum,
 //                                       p50, p95, p99,
 //                                       bounds: [...], counts: [...]}}},
 //     "spans": {name: {count, total_seconds, min_seconds, max_seconds}}
 //   }
+// Subsystem series (recovery.*, flow.*, sched.*, chaos.*, churn.*,
+// shard.*, arrange.*) appear under "metrics" by their own names; a series
+// the run never touched is absent.
 
 #ifndef ISHARE_HARNESS_JSON_EXPORT_H_
 #define ISHARE_HARNESS_JSON_EXPORT_H_

@@ -24,7 +24,7 @@ UnshardedReference(const Catalog* catalog, const StreamSource& dataset,
                    const std::vector<QueryPlan>& plans,
                    const std::vector<double>& constraints) {
   StreamSource source;
-  dataset.CloneTablesInto(&source);
+  ISHARE_RETURN_NOT_OK(dataset.CloneTablesInto(&source));
   SubplanGraph graph = SubplanGraph::Build(plans);
   ISHARE_RETURN_NOT_OK(graph.Validate());
   ExecOptions exec_opts;  // serial, unbudgeted, default buffers

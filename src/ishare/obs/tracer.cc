@@ -25,62 +25,15 @@ void Tracer::Record(const char* name, double seconds) {
 #endif
 }
 
-void Tracer::RecordEdge(const char* parent, const char* child) {
-#if ISHARE_OBS_ENABLED
-  if (!internal::On()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++edges_[{parent, child}];
-#else
-  (void)parent;
-  (void)child;
-#endif
-}
-
 std::map<std::string, SpanStats> Tracer::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return spans_;
 }
 
-std::map<std::pair<std::string, std::string>, int64_t>
-Tracer::SnapshotEdges() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return edges_;
-}
-
 void Tracer::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   spans_.clear();
-  edges_.clear();
 }
-
-namespace {
-// Innermost active span on this thread; "" when none. A plain pointer to
-// a string literal (ScopedSpan requires literal names), so propagating
-// it across threads is safe.
-thread_local const char* tls_current_span = "";
-}  // namespace
-
-const char* CurrentSpanName() { return tls_current_span; }
-
-#if ISHARE_OBS_ENABLED
-const char* ScopedSpan::EnterContext(const char* name) {
-  const char* prev = tls_current_span;
-  tls_current_span = name;
-  return prev;
-}
-
-void ScopedSpan::LeaveContext(const char* saved) {
-  tls_current_span = saved;
-}
-
-ScopedSpanParent::ScopedSpanParent(const char* parent)
-    : saved_(tls_current_span) {
-  tls_current_span = parent == nullptr ? "" : parent;
-}
-
-ScopedSpanParent::~ScopedSpanParent() { tls_current_span = saved_; }
-#endif
-
 
 Tracer& GlobalTracer() {
   static Tracer* tracer = new Tracer();

@@ -18,7 +18,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <utility>
 
 #include "ishare/obs/metrics_registry.h"
 
@@ -37,17 +36,7 @@ class Tracer {
   // Thread-safe; aggregates into the per-name SpanStats.
   void Record(const char* name, double seconds);
 
-  // Thread-safe; counts one parent->child span edge. ScopedSpan calls
-  // this automatically when it opens inside another span (possibly one
-  // adopted across threads via ScopedSpanParent).
-  void RecordEdge(const char* parent, const char* child);
-
   std::map<std::string, SpanStats> Snapshot() const;
-
-  // Aggregated (parent, child) -> count edges. Diagnostic only; not part
-  // of the JSON export, so golden files are unaffected.
-  std::map<std::pair<std::string, std::string>, int64_t> SnapshotEdges()
-      const;
 
   // Test-only, like MetricsRegistry::Reset().
   void Reset();
@@ -55,39 +44,10 @@ class Tracer {
  private:
   mutable std::mutex mu_;
   std::map<std::string, SpanStats> spans_;
-  std::map<std::pair<std::string, std::string>, int64_t> edges_;
 };
 
 // The process-global tracer all ScopedSpans record into.
 Tracer& GlobalTracer();
-
-// Name of the innermost ScopedSpan active on this thread ("" when none).
-// Worker threads start with no context; the pool captures the
-// submitter's CurrentSpanName() and re-establishes it on the worker via
-// ScopedSpanParent so spans opened inside a stolen task still parent
-// correctly across threads.
-const char* CurrentSpanName();
-
-// RAII: makes `parent` the current span context on this thread without
-// timing anything. Used by sched::WorkerPool to propagate the
-// submitting thread's span to worker threads.
-class ScopedSpanParent {
- public:
-#if ISHARE_OBS_ENABLED
-  explicit ScopedSpanParent(const char* parent);
-  ~ScopedSpanParent();
-#else
-  explicit ScopedSpanParent(const char* parent) { (void)parent; }
-#endif
-
-  ScopedSpanParent(const ScopedSpanParent&) = delete;
-  ScopedSpanParent& operator=(const ScopedSpanParent&) = delete;
-
-#if ISHARE_OBS_ENABLED
- private:
-  const char* saved_;
-#endif
-};
 
 // RAII span timer. `name` must outlive the span (string literals only).
 class ScopedSpan {
@@ -95,17 +55,10 @@ class ScopedSpan {
 #if ISHARE_OBS_ENABLED
   explicit ScopedSpan(const char* name)
       : name_(name), active_(internal::On()) {
-    if (active_) {
-      start_ = std::chrono::steady_clock::now();
-      parent_ = EnterContext(name);
-      if (parent_ != nullptr && parent_[0] != '\0') {
-        GlobalTracer().RecordEdge(parent_, name);
-      }
-    }
+    if (active_) start_ = std::chrono::steady_clock::now();
   }
   ~ScopedSpan() {
     if (!active_) return;
-    LeaveContext(parent_);
     double secs = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start_)
                       .count();
@@ -120,14 +73,8 @@ class ScopedSpan {
 
 #if ISHARE_OBS_ENABLED
  private:
-  // Sets the thread-local span context to `name`, returning the previous
-  // context so the destructor can restore it.
-  static const char* EnterContext(const char* name);
-  static void LeaveContext(const char* saved);
-
   const char* name_;
   bool active_;
-  const char* parent_ = nullptr;
   std::chrono::steady_clock::time_point start_;
 #endif
 };

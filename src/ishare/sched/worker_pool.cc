@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "ishare/obs/tracer.h"
-
 namespace ishare {
 namespace sched {
 
@@ -168,19 +166,14 @@ void WorkerPool::ParallelFor(int64_t n,
 
   // One claim-loop task per helper; the calling thread claims inline.
   // Helpers that find no indices left exit immediately, so oversubmitting
-  // is harmless. The submitter's span context is captured so spans opened
-  // inside fn on a worker thread parent correctly across threads.
-  const char* parent_span = obs::CurrentSpanName();
+  // is harmless.
   const int spawned = static_cast<int>(threads_.size());
   const int helpers =
       static_cast<int>(n - 1 < spawned ? n - 1 : spawned);
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (int h = 0; h < helpers; ++h) {
-      deques_[h].push_back([this, st, parent_span] {
-        obs::ScopedSpanParent ctx(parent_span);
-        Drain(st.get());
-      });
+      deques_[h].push_back([this, st] { Drain(st.get()); });
     }
   }
   if (helpers > 0) cv_.notify_all();

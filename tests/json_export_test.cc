@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "ishare/harness/json_export.h"
@@ -45,11 +46,6 @@ std::string GoldenDocument() {
   r.decompose_stats.splits_adopted = 1;
   r.decompose_stats.partial_splits_adopted = 0;
   r.decompose_stats.partitions_evaluated = 42;
-  r.adaptation.rederivations = 2;
-  r.adaptation.skipped_execs = 5;
-  r.adaptation.catchup_execs = 1;
-  r.adaptation.drift_ratio = 1.25;
-  r.adaptation.rederive_seconds = 0.0625;
   QueryMetrics q1;
   q1.name = "q05";
   q1.final_work = 100.0;
@@ -126,8 +122,8 @@ TEST(JsonExportGoldenTest, MatchesGoldenFile) {
 
   std::string path = std::string(ISHARE_GOLDEN_DIR) + "/experiment_export.json";
   // Intentional schema changes re-pin the golden file (and bump
-  // schema_version) with:
-  //   ISHARE_REGEN_GOLDEN=1 ./build/tests/json_export_test \
+  // schema_version) by running, as one command:
+  //   ISHARE_REGEN_GOLDEN=1 ./build/tests/json_export_test
   //     --gtest_filter='JsonExportGoldenTest.MatchesGoldenFile'
   if (const char* regen = std::getenv("ISHARE_REGEN_GOLDEN");
       regen != nullptr && *regen != '\0') {
@@ -157,151 +153,29 @@ TEST(JsonExportGoldenTest, GoldenDocumentParsesBack) {
   ASSERT_TRUE(obs::ParseJson(GoldenDocument(), &v, &err)) << err;
   ASSERT_EQ(v.kind, obs::JsonValue::Kind::kObject);
   // Top-level key order is part of the schema contract.
-  ASSERT_GE(v.obj.size(), 14u);
-  EXPECT_EQ(v.obj[0].first, "schema_version");
-  EXPECT_EQ(v.obj[1].first, "generator");
-  EXPECT_EQ(v.obj[2].first, "bench");
-  EXPECT_EQ(v.obj[3].first, "config");
-  EXPECT_EQ(v.obj[4].first, "results");
-  EXPECT_EQ(v.obj[5].first, "recovery");
-  EXPECT_EQ(v.obj[6].first, "flow");
-  EXPECT_EQ(v.obj[7].first, "sched");
-  EXPECT_EQ(v.obj[8].first, "chaos");
-  EXPECT_EQ(v.obj[9].first, "churn");
-  EXPECT_EQ(v.obj[10].first, "shard");
-  EXPECT_EQ(v.obj[11].first, "arrange");
-  EXPECT_EQ(v.obj[12].first, "metrics");
-  EXPECT_EQ(v.obj[13].first, "spans");
-  // v10 dropped the execution-path ("exec") block with the columnar pump.
-  EXPECT_EQ(v.Find("exec"), nullptr);
-  EXPECT_DOUBLE_EQ(v.Find("schema_version")->num, 10.0);
+  const std::vector<std::string> kKeys = {"schema_version", "generator",
+                                          "bench",          "config",
+                                          "results",        "metrics",
+                                          "spans"};
+  ASSERT_EQ(v.obj.size(), kKeys.size());
+  for (size_t i = 0; i < kKeys.size(); ++i) {
+    EXPECT_EQ(v.obj[i].first, kKeys[i]);
+  }
+  EXPECT_DOUBLE_EQ(v.Find("schema_version")->num, 11.0);
   EXPECT_DOUBLE_EQ(v.Find("config")->Find("threads")->num, 4.0);
 
-  // The recovery rollup is present (all zeros here: the hand-crafted
-  // snapshot has no recovery.* counters) with a stable key set. v5 added
-  // the two checkpoint-health keys at the end.
-  const obs::JsonValue* rec = v.Find("recovery");
-  ASSERT_NE(rec, nullptr);
-  ASSERT_EQ(rec->obj.size(), 11u);
-  EXPECT_EQ(rec->obj[0].first, "checkpoints");
-  EXPECT_EQ(rec->obj[8].first, "retry_backoff_seconds");
-  EXPECT_EQ(rec->obj[9].first, "consecutive_failures");
-  EXPECT_EQ(rec->obj[10].first, "last_commit_epoch");
-  EXPECT_DOUBLE_EQ(rec->Find("checkpoints")->num, 0.0);
-
-  // v3: the flow overload-control rollup, same always-present contract.
-  const obs::JsonValue* flow = v.Find("flow");
-  ASSERT_NE(flow, nullptr);
-  ASSERT_EQ(flow->obj.size(), 9u);
-  EXPECT_EQ(flow->obj[0].first, "budget_bytes");
-  EXPECT_EQ(flow->obj[1].first, "used_bytes");
-  EXPECT_EQ(flow->obj[2].first, "peak_bytes");
-  EXPECT_EQ(flow->obj[3].first, "trims");
-  EXPECT_EQ(flow->obj[4].first, "trimmed_tuples");
-  EXPECT_EQ(flow->obj[5].first, "shed_deferred_execs");
-  EXPECT_EQ(flow->obj[6].first, "shed_dropped_tuples");
-  EXPECT_EQ(flow->obj[7].first, "backpressure_events");
-  // v9: slackness-aware shared state is reported per query.
-  EXPECT_EQ(flow->obj[8].first, "state_bytes_per_query");
-  EXPECT_DOUBLE_EQ(flow->Find("budget_bytes")->num, 0.0);
-  EXPECT_DOUBLE_EQ(flow->Find("state_bytes_per_query")->num, 2048.0);
-
-  // v4: the parallel-scheduler rollup, same always-present contract
-  // (zeros here: the hand-crafted snapshot has no sched.* counters).
-  const obs::JsonValue* sched = v.Find("sched");
-  ASSERT_NE(sched, nullptr);
-  ASSERT_EQ(sched->obj.size(), 4u);
-  EXPECT_EQ(sched->obj[0].first, "pool_tasks");
-  EXPECT_EQ(sched->obj[1].first, "pool_steals");
-  EXPECT_EQ(sched->obj[2].first, "parallel_fors");
-  EXPECT_EQ(sched->obj[3].first, "step_waves");
-  EXPECT_DOUBLE_EQ(sched->Find("pool_tasks")->num, 0.0);
-
-  // v5: the chaos/supervision rollup, same always-present contract
-  // (zeros here: the hand-crafted snapshot has no chaos.* metrics).
-  const obs::JsonValue* chaos = v.Find("chaos");
-  ASSERT_NE(chaos, nullptr);
-  ASSERT_EQ(chaos->obj.size(), 10u);
-  EXPECT_EQ(chaos->obj[0].first, "service_level");
-  EXPECT_EQ(chaos->obj[1].first, "ladder_transitions");
-  EXPECT_EQ(chaos->obj[2].first, "breaker_trips");
-  EXPECT_EQ(chaos->obj[3].first, "breaker_half_opens");
-  EXPECT_EQ(chaos->obj[4].first, "breaker_closes");
-  EXPECT_EQ(chaos->obj[5].first, "faults_injected");
-  EXPECT_EQ(chaos->obj[6].first, "checkpoints_skipped");
-  EXPECT_EQ(chaos->obj[7].first, "checkpoints_stretched");
-  EXPECT_EQ(chaos->obj[8].first, "defer_signals");
-  EXPECT_EQ(chaos->obj[9].first, "safe_stops");
-  EXPECT_DOUBLE_EQ(chaos->Find("service_level")->num, 0.0);
-  EXPECT_DOUBLE_EQ(chaos->Find("breaker_trips")->num, 0.0);
-
-  // v7: the membership-churn rollup, populated here (the hand-crafted
-  // snapshot carries churn.* counters) to pin the counter plumbing, not
-  // just the key set.
-  const obs::JsonValue* churn = v.Find("churn");
-  ASSERT_NE(churn, nullptr);
-  ASSERT_EQ(churn->obj.size(), 9u);
-  EXPECT_EQ(churn->obj[0].first, "registrations");
-  EXPECT_EQ(churn->obj[1].first, "deregistrations");
-  EXPECT_EQ(churn->obj[2].first, "deferrals");
-  EXPECT_EQ(churn->obj[3].first, "unshared_fallbacks");
-  EXPECT_EQ(churn->obj[4].first, "epochs");
-  EXPECT_EQ(churn->obj[5].first, "subplans_carried");
-  EXPECT_EQ(churn->obj[6].first, "subplans_rebuilt");
-  EXPECT_EQ(churn->obj[7].first, "reclaimed_bytes");
-  EXPECT_EQ(churn->obj[8].first, "quiesce_work");
-  EXPECT_DOUBLE_EQ(churn->Find("registrations")->num, 6.0);
-  EXPECT_DOUBLE_EQ(churn->Find("deferrals")->num, 0.0);
-  EXPECT_DOUBLE_EQ(churn->Find("subplans_carried")->num, 9.0);
-  EXPECT_DOUBLE_EQ(churn->Find("reclaimed_bytes")->num, 65536.0);
-
-  // v8: the sharded-execution rollup, populated here (the hand-crafted
-  // snapshot carries shard.* counters) to pin the counter plumbing, not
-  // just the key set.
-  const obs::JsonValue* shard = v.Find("shard");
-  ASSERT_NE(shard, nullptr);
-  ASSERT_EQ(shard->obj.size(), 13u);
-  EXPECT_EQ(shard->obj[0].first, "rounds");
-  EXPECT_EQ(shard->obj[1].first, "merged_tuples");
-  EXPECT_EQ(shard->obj[2].first, "exchange_delivered_tuples");
-  EXPECT_EQ(shard->obj[3].first, "exchange_drained_tuples");
-  EXPECT_EQ(shard->obj[4].first, "exchange_backpressure_events");
-  EXPECT_EQ(shard->obj[5].first, "straggler_observations");
-  EXPECT_EQ(shard->obj[6].first, "straggler_lag_steps");
-  EXPECT_EQ(shard->obj[7].first, "straggler_absorbed");
-  EXPECT_EQ(shard->obj[8].first, "straggler_escalations");
-  EXPECT_EQ(shard->obj[9].first, "breaker_trips");
-  EXPECT_EQ(shard->obj[10].first, "recoveries");
-  EXPECT_EQ(shard->obj[11].first, "restarts");
-  EXPECT_EQ(shard->obj[12].first, "recovery_epochs");
-  EXPECT_DOUBLE_EQ(shard->Find("rounds")->num, 16.0);
-  EXPECT_DOUBLE_EQ(shard->Find("merged_tuples")->num, 2048.0);
-  EXPECT_DOUBLE_EQ(shard->Find("straggler_absorbed")->num, 3.0);
-  EXPECT_DOUBLE_EQ(shard->Find("recoveries")->num, 1.0);
-  EXPECT_DOUBLE_EQ(shard->Find("exchange_delivered_tuples")->num, 0.0);
-
-  // v9: the shared-arrangement rollup, populated here (the hand-crafted
-  // snapshot carries arrange.* metrics) to pin the plumbing, not just the
-  // key set.
-  const obs::JsonValue* arr = v.Find("arrange");
-  ASSERT_NE(arr, nullptr);
-  ASSERT_EQ(arr->obj.size(), 9u);
-  EXPECT_EQ(arr->obj[0].first, "count");
-  EXPECT_EQ(arr->obj[1].first, "state_bytes");
-  EXPECT_EQ(arr->obj[2].first, "chain_max_len");
-  EXPECT_EQ(arr->obj[3].first, "apply_tuples");
-  EXPECT_EQ(arr->obj[4].first, "apply_dedup_skipped");
-  EXPECT_EQ(arr->obj[5].first, "reader_attaches");
-  EXPECT_EQ(arr->obj[6].first, "reader_detaches");
-  EXPECT_EQ(arr->obj[7].first, "compact_runs");
-  EXPECT_EQ(arr->obj[8].first, "compact_folded");
-  EXPECT_DOUBLE_EQ(arr->Find("count")->num, 2.0);
-  EXPECT_DOUBLE_EQ(arr->Find("state_bytes")->num, 4096.0);
-  EXPECT_DOUBLE_EQ(arr->Find("chain_max_len")->num, 5.0);
-  EXPECT_DOUBLE_EQ(arr->Find("apply_tuples")->num, 1024.0);
-  EXPECT_DOUBLE_EQ(arr->Find("apply_dedup_skipped")->num, 512.0);
-  EXPECT_DOUBLE_EQ(arr->Find("reader_attaches")->num, 4.0);
-  EXPECT_DOUBLE_EQ(arr->Find("compact_folded")->num, 128.0);
+  // v11 dropped each result's "adaptation" block and the seven rollup
+  // blocks; a value a rollup used to copy is read from "metrics" under
+  // its series name.
+  const obs::JsonValue& res = v.Find("results")->arr.at(0);
+  EXPECT_EQ(res.Find("adaptation"), nullptr);
+  ASSERT_NE(res.Find("decompose"), nullptr);
+  const obs::JsonValue* metrics = v.Find("metrics");
+  EXPECT_DOUBLE_EQ(
+      metrics->Find("counters")->Find("churn.registrations")->num, 6.0);
+  EXPECT_DOUBLE_EQ(
+      metrics->Find("gauges")->Find("flow.state_bytes_per_query")->num,
+      2048.0);
 }
 
 TEST(JsonExportTest, RealExperimentExportRoundTrips) {

@@ -145,25 +145,6 @@ TEST_F(ObsTest, ScopedSpanRecordsOnDestruction) {
   EXPECT_GE(snap["test.span.scoped"].total_seconds, 0.0);
 }
 
-TEST_F(ObsTest, SpanParentPropagatesAcrossThreads) {
-  // The worker pool captures the submitter's CurrentSpanName() and
-  // re-establishes it on the worker via ScopedSpanParent, so a span
-  // opened inside a stolen task still records the parent->child edge.
-  {
-    ScopedSpan outer("test.span.submitter");
-    std::thread worker([parent = CurrentSpanName()] {
-      EXPECT_STREQ(CurrentSpanName(), "");  // fresh thread, no context
-      ScopedSpanParent adopt(parent);
-      ScopedSpan inner("test.span.worker");
-    });
-    worker.join();
-  }
-  auto edges = GlobalTracer().SnapshotEdges();
-  auto it = edges.find({"test.span.submitter", "test.span.worker"});
-  ASSERT_NE(it, edges.end());
-  EXPECT_EQ(it->second, 1);
-}
-
 TEST_F(ObsTest, SnapshotComputesHistogramPercentiles) {
   Histogram& h = Registry().GetHistogram("test.histo.pct");
   for (int i = 0; i < 1000; ++i) h.Observe(1e-4);
