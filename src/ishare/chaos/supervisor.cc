@@ -34,6 +34,15 @@ Reaction ClassifyFailure(const Status& st) {
   return Reaction::kFail;
 }
 
+namespace {
+constexpr BreakerOptions kSourceBreaker{/*failure_threshold=*/2,
+                                        /*open_steps=*/2,
+                                        /*success_threshold=*/2};
+constexpr BreakerOptions kMemoryBreaker{/*failure_threshold=*/3,
+                                        /*open_steps=*/2,
+                                        /*success_threshold=*/2};
+}  // namespace
+
 Supervisor::Supervisor(SupervisorOptions opts,
                        recovery::CheckpointManager* mgr,
                        flow::MemoryBudget* budget)
@@ -41,17 +50,18 @@ Supervisor::Supervisor(SupervisorOptions opts,
       mgr_(mgr),
       budget_(budget),
       checkpoint_breaker_("checkpoint", opts.checkpoint_breaker),
-      source_breaker_("source", opts.source_breaker),
-      memory_breaker_("memory", opts.memory_breaker) {
+      source_breaker_("source", kSourceBreaker),
+      memory_breaker_("memory", kMemoryBreaker) {
   CHECK(mgr_ != nullptr);
 }
 
 void Supervisor::ObserveSourceProgress(int64_t step, double window_fraction,
                                        double data_fraction) {
-  bool advanced =
-      window_fraction > last_window_fraction_ + opts_.stall_epsilon;
-  bool data_progress =
-      data_fraction > last_data_fraction_ + opts_.stall_epsilon;
+  // Window-fraction progress below which a step's source observation
+  // counts as a stall (no new data while the window advanced).
+  constexpr double kStallEpsilon = 1e-9;
+  bool advanced = window_fraction > last_window_fraction_ + kStallEpsilon;
+  bool data_progress = data_fraction > last_data_fraction_ + kStallEpsilon;
   if (advanced && !data_progress) {
     ++stats_.stall_observations;
     source_breaker_.RecordFailure(
@@ -65,7 +75,10 @@ void Supervisor::ObserveSourceProgress(int64_t step, double window_fraction,
 }
 
 void Supervisor::ObserveMemoryPressure(int64_t step, double pressure) {
-  if (pressure >= opts_.memory_pressure_trip) {
+  // Budget pressure at/above which a step counts as a sustained-pressure
+  // failure against the memory breaker.
+  constexpr double kMemoryPressureTrip = 0.95;
+  if (pressure >= kMemoryPressureTrip) {
     ++stats_.pressure_observations;
     memory_breaker_.RecordFailure(
         step, "sustained memory pressure " + std::to_string(pressure));

@@ -83,22 +83,12 @@ struct SupervisorOptions {
   BreakerOptions checkpoint_breaker{/*failure_threshold=*/2,
                                     /*open_steps=*/4,
                                     /*success_threshold=*/2};
-  BreakerOptions source_breaker{/*failure_threshold=*/2, /*open_steps=*/2,
-                                /*success_threshold=*/2};
-  BreakerOptions memory_breaker{/*failure_threshold=*/3, /*open_steps=*/2,
-                                /*success_threshold=*/2};
-  // Budget pressure at/above which a step counts as a sustained-pressure
-  // failure against the memory breaker.
-  double memory_pressure_trip = 0.95;
   // While the checkpoint breaker is half-open, only every
   // cadence_stretch-th due epoch boundary actually probes the store.
   int64_t cadence_stretch = 2;
   // Checkpoint-breaker trips beyond this enter safe-stop: the store has
   // proven it recovers only to fail again, so stop feeding it.
   int max_checkpoint_trips = 3;
-  // Window-fraction progress below which a step's source observation
-  // counts as a stall (no new data while the window advanced).
-  double stall_epsilon = 1e-9;
 };
 
 struct SupervisorStats {

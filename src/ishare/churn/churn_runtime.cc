@@ -1,6 +1,7 @@
 #include "ishare/churn/churn_runtime.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "ishare/flow/memory_budget.h"
@@ -204,9 +205,11 @@ Status ChurnRuntime::Deregister(QueryId q) {
 }
 
 Status ChurnRuntime::InjectChurn(int arrivals, int departures) {
+  // Final-work constraint of injected arrivals (effectively
+  // unconstrained: synthetic churn queries are slack by definition).
+  constexpr double kInjectedConstraint = 1e18;
   for (int i = 0; i < arrivals; ++i) {
-    ISHARE_RETURN_NOT_OK(
-        Register(AllocateQueryId(), opts_.default_constraint));
+    ISHARE_RETURN_NOT_OK(Register(AllocateQueryId(), kInjectedConstraint));
   }
   // Depart the lowest live ids, but never the last live query: chaos must
   // degrade the session, not strand the executor.
@@ -314,10 +317,13 @@ Status ChurnRuntime::ProcessBoundary(const Fraction& f) {
   std::vector<QueryId> departures = std::move(pending_dereg_);
   pending_dereg_.clear();
 
-  // Admission control (DESIGN.md §9/§13): under arbiter pressure a due
-  // registration is deferred — kResourceExhausted semantics, retried at a
-  // deterministically backed-off later boundary — never failed. Once the
-  // retry budget is spent, the query is admitted on the private rung.
+  // Admission control (DESIGN.md §9/§13): at/above kAdmissionPressure a
+  // due registration is deferred — kResourceExhausted semantics, retried
+  // after kBackoffBaseSteps << (k-1) steps on its k-th defer — never
+  // failed. Once the retry budget is spent, the query is admitted on the
+  // private rung.
+  constexpr double kAdmissionPressure = 0.9;
+  constexpr int64_t kBackoffBaseSteps = 1;
   std::vector<PendingReg> due, keep;
   flow::MemoryBudget* budget = opts_.exec.flow.budget;
   for (PendingReg& p : pending_reg_) {
@@ -326,11 +332,11 @@ Status ChurnRuntime::ProcessBoundary(const Fraction& f) {
       continue;
     }
     bool pressured = budget != nullptr && budget->limited() &&
-                     budget->Pressure() >= opts_.admission_pressure;
+                     budget->Pressure() >= kAdmissionPressure;
     if (pressured && p.attempts < opts_.max_admission_retries) {
       ++p.attempts;
       p.retry_at =
-          step + (opts_.backoff_base_steps << std::min(p.attempts - 1, 20));
+          step + (kBackoffBaseSteps << std::min(p.attempts - 1, 20));
       ++stats_.deferrals;
       PublishCounter("churn.deferrals", 1);
       keep.push_back(p);
@@ -386,9 +392,10 @@ Status ChurnRuntime::SwitchEpoch(const Fraction& f,
   }
 
   // Candidate re-merge + carry diff. If admitting the arrivals shared
-  // would rebuild more than max_rebuild_fraction of the running engine,
+  // would rebuild more than kMaxRebuildFraction of the running engine,
   // fall back to admitting them unshared — the running queries keep
   // their state, the arrivals run privately.
+  constexpr double kMaxRebuildFraction = 0.5;
   std::vector<QueryPlan> plans = BuildPlans();
   auto candidate = std::make_unique<SubplanGraph>(SubplanGraph::Build(plans));
   ISHARE_RETURN_NOT_OK(candidate->Validate());
@@ -405,7 +412,7 @@ Status ChurnRuntime::SwitchEpoch(const Fraction& f,
     }
     double rebuild_fraction = static_cast<double>(rebuilt_old) /
                               static_cast<double>(graph_->num_subplans());
-    if (rebuild_fraction > opts_.max_rebuild_fraction) {
+    if (rebuild_fraction > kMaxRebuildFraction) {
       bool changed = false;
       for (const PendingReg& p : arrivals) {
         LiveQuery& lq = live_[p.id];
@@ -651,12 +658,33 @@ Status ChurnRuntime::Restore(recovery::CheckpointReader* r) {
   }
   pending_reg_.clear();
   for (uint64_t i = 0; i < npr && r->ok(); ++i) {
+    int64_t id = r->I64();
+    double constraint = r->F64();
+    bool unshared = r->I64() != 0;
+    int64_t attempts = r->I64();
+    int64_t retry_at = r->I64();
+    // Register's range rule: an id past it would abort the next epoch
+    // switch inside QuerySet. An attempt count that is negative as an int
+    // would shift the admission backoff by a negative amount.
+    if (id < 0 || id >= QuerySet::kMaxQueryId) {
+      r->Fail("churn checkpoint pending id " + std::to_string(id) +
+              " out of range");
+      return r->status();
+    }
+    if (attempts < 0 || attempts > std::numeric_limits<int>::max() ||
+        retry_at < 0) {
+      r->Fail("churn checkpoint pending registration q" +
+              std::to_string(id) + " has a bad retry state (attempts " +
+              std::to_string(attempts) + ", retry step " +
+              std::to_string(retry_at) + ")");
+      return r->status();
+    }
     PendingReg p;
-    p.id = static_cast<QueryId>(r->I64());
-    p.constraint = r->F64();
-    p.unshared = r->I64() != 0;
-    p.attempts = static_cast<int>(r->I64());
-    p.retry_at = r->I64();
+    p.id = static_cast<QueryId>(id);
+    p.constraint = constraint;
+    p.unshared = unshared;
+    p.attempts = static_cast<int>(attempts);
+    p.retry_at = retry_at;
     pending_reg_.push_back(p);
   }
   uint64_t npd = r->U64();

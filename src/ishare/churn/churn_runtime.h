@@ -30,12 +30,12 @@
 //      pass restores the engine's pacing invariant).
 //
 // Admission control (DESIGN.md §9 taxonomy): when the memory arbiter's
-// pressure is at/above `admission_pressure`, registrations are *deferred*
-// with kResourceExhausted and retried at later boundaries under
-// deterministic exponential step backoff — never failed. A registration
-// that keeps getting deferred, or whose merge would rebuild more than
-// `max_rebuild_fraction` of the running subplans, is admitted *unshared*
-// (its plan runs privately, the graceful-degradation ladder's last rung).
+// pressure is at/above 0.9, registrations are *deferred* with
+// kResourceExhausted and retried at later boundaries under deterministic
+// exponential step backoff — never failed. A registration that keeps
+// getting deferred, or whose merge would rebuild more than half of the
+// running subplans, is admitted *unshared* (its plan runs privately, the
+// graceful-degradation ladder's last rung).
 //
 // Checkpoints are churn-epoch-tagged: Snapshot() serializes the epoch,
 // membership, constraints, unshared flags and pending event queues before
@@ -78,19 +78,9 @@ struct ChurnOptions {
   PaceOptimizerOptions opt;
   MqoOptions mqo;
 
-  // Arbiter pressure at/above which new registrations are deferred
+  // Defers before a pressured registration is admitted unshared anyway
   // (inert without exec.flow.budget).
-  double admission_pressure = 0.9;
-  // Defers before a pressured registration is admitted unshared anyway.
   int max_admission_retries = 4;
-  // Backoff after the k-th defer is backoff_base_steps << (k-1) steps.
-  int64_t backoff_base_steps = 1;
-  // Re-merges that would rebuild more than this fraction of the running
-  // subplans admit the arriving batch unshared instead.
-  double max_rebuild_fraction = 0.5;
-  // Final-work constraint used for chaos-injected arrivals (effectively
-  // unconstrained: synthetic churn queries are slack by definition).
-  double default_constraint = 1e18;
 };
 
 // What churn did over the session so far (monotone counters; also
@@ -142,7 +132,7 @@ class ChurnRuntime : public recovery::Checkpointable {
   QueryId AllocateQueryId() { return next_id_++; }
 
   // Chaos entry point (ChaosLayer::kQueryChurn): registers `arrivals`
-  // fresh provider-built queries at the default constraint and queues the
+  // fresh provider-built queries, effectively unconstrained, and queues the
   // `departures` lowest live ids for removal (keeping at least one query
   // live). Never fails: admission control turns pressure into deferral.
   Status InjectChurn(int arrivals, int departures);

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 namespace ishare {
 
@@ -28,12 +27,6 @@ inline uint64_t HashString(const std::string& s) {
     h ^= c;
     h *= 1099511628211ULL;
   }
-  return h;
-}
-
-inline uint64_t HashIntVector(const std::vector<int>& v) {
-  uint64_t h = Mix64(v.size());
-  for (int x : v) h = HashCombine(h, static_cast<uint64_t>(x));
   return h;
 }
 

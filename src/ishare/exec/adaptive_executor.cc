@@ -261,11 +261,7 @@ AdaptiveExecutor::AdaptiveExecutor(const SubplanGraph* graph,
     buffers_[i] = std::make_unique<DeltaBuffer>(
         sp.root->output_schema, "subplan_" + std::to_string(i));
     if (opts_.flow.budget != nullptr) {
-      BufferLimits limits;
-      limits.soft_limit_bytes = opts_.flow.buffer_soft_limit_bytes;
-      limits.high_watermark = opts_.flow.buffer_high_watermark;
-      limits.low_watermark = opts_.flow.buffer_low_watermark;
-      buffers_[i]->set_limits(limits);
+      buffers_[i]->set_soft_limit_bytes(opts_.flow.buffer_soft_limit_bytes);
       buffers_[i]->AttachBudget(opts_.flow.budget);
     }
     executors_[i] = std::make_unique<SubplanExecutor>(
@@ -309,12 +305,13 @@ void AdaptiveExecutor::RecomputePredictions() {
             : r.private_final_work;
   }
   // A query is at risk when its drift-corrected predicted final work has
-  // less than risk_margin headroom under its constraint; its subplans are
+  // less than kRiskMargin headroom under its constraint; its subplans are
   // exempt from degradation.
+  constexpr double kRiskMargin = 0.05;
   std::vector<bool> at_risk(constraints_.size(), false);
   for (size_t q = 0; q < constraints_.size(); ++q) {
     double corrected = corrected_ratio_ * cost.query_final_work[q];
-    at_risk[q] = corrected >= constraints_[q] * (1.0 - policy_.risk_margin);
+    at_risk[q] = corrected >= constraints_[q] * (1.0 - kRiskMargin);
     // Zero-slack admission is a standing commitment: drift corrections
     // never talk the policy out of protecting these queries.
     if (q < zero_slack_sticky_.size() && zero_slack_sticky_[q]) {
@@ -465,7 +462,7 @@ Status AdaptiveExecutor::StepOnce() {
         mem->Pressure() >= policy_.drop_pressure_target) {
       ISHARE_RETURN_NOT_OK(ShedDropPass(shed_order));
     }
-    if (policy_.enable_shed_defer && mem->limited() && !is_trigger) {
+    if (mem->limited() && !is_trigger) {
       int quota = flow::ShedQuota(mem->Pressure(), policy_.shed_pressure_start,
                                   static_cast<int>(shed_order.size()));
       for (int i = 0; i < quota; ++i) shed[shed_order[i]] = 1;
@@ -527,12 +524,13 @@ Status AdaptiveExecutor::StepOnce() {
         }
       } else if (adaptive && !is_trigger && protective_[s] &&
                  executors_[s]->executions() > 0) {
-        // Catch-up: an unscheduled execution when the input backlog has
-        // outgrown what the last execution consumed.
+        // Catch-up: an unscheduled execution when the input backlog
+        // exceeds kBacklogFactor times what the last execution consumed.
+        constexpr double kBacklogFactor = 3.0;
         int64_t baseline =
             std::max<int64_t>(1, executors_[s]->last_input_consumed());
         catchup = executors_[s]->PendingInput() >=
-                  static_cast<int64_t>(policy_.backlog_factor *
+                  static_cast<int64_t>(kBacklogFactor *
                                        static_cast<double>(baseline));
       }
       if (!scheduled && !catchup) continue;
@@ -604,14 +602,15 @@ Status AdaptiveExecutor::StepOnce() {
   double r = DriftRatio();
   out.stats.drift_ratio = r;
 
-  // Mid-window pace re-derivation: when the cost model is off by more
-  // than the threshold relative to the last correction, re-aim the
-  // optimizer at drift-corrected constraints and warm-start it from the
-  // schedule in flight.
+  // Mid-window pace re-derivation: when the observed/predicted work
+  // ratio has moved by more than kDriftThreshold relative to the last
+  // correction, re-aim the optimizer at drift-corrected constraints and
+  // warm-start it from the schedule in flight.
+  constexpr double kDriftThreshold = 0.5;
   bool drifted = std::abs(r / std::max(corrected_ratio_, kEps) - 1.0) >
-                 policy_.drift_threshold;
+                 kDriftThreshold;
   if (adaptive && !is_trigger && drifted &&
-      out.stats.rederivations < policy_.max_rederivations) {
+      out.stats.rederivations < kMaxRederivations) {
     obs::ScopedSpan rederive_span("exec.adaptive.rederive");
     obs::Registry().GetCounter("exec.adaptive.rederive").Add(1);
     auto t0 = std::chrono::steady_clock::now();

@@ -71,36 +71,24 @@ struct RunResult {
 // Every decision is deterministic given the observed stream, so a run is
 // replayable from a seeded FaultPlan.
 struct AdaptivePolicy {
-  // Re-derive the remaining paces when the observed/predicted work ratio
-  // moves by more than this relative amount since the last correction.
-  double drift_threshold = 0.5;
   // Declare overload when cumulative observed work exceeds this multiple
   // of the (drift-corrected) pro-rata work budget for the window so far.
   double overload_factor = 2.0;
-  // Run an unscheduled catch-up execution when a subplan's pending input
-  // exceeds this multiple of what its last execution consumed.
-  double backlog_factor = 3.0;
-  // Constraint headroom below which a query counts as at-risk; at-risk
-  // queries' subplans are never degraded.
-  double risk_margin = 0.05;
   // Drift and overload decisions need at least this many observed
   // scheduled executions (early executions are noise-dominated).
   int min_drift_samples = 3;
-  // Hard cap on mid-window re-derivations (each costs optimizer time).
-  int max_rederivations = 4;
 
   // ---- Memory flow control (DESIGN.md §9) -------------------------------
-  // All of these are inert until ExecOptions::flow.budget is set.
+  // All of these are inert until ExecOptions::flow.budget is set. Under a
+  // limited budget, scheduled intermediate executions of sheddable
+  // subplans are always deferrable: the trigger still runs over all
+  // remaining input, so deferral moves only peak memory and latency.
   //
   // Budget pressure (used/budget) at which slack-ordered deferral starts.
   // The deferral quota ramps linearly from 0 here to every sheddable
   // subplan at pressure 1.0 (flow::ShedQuota), so a slacker subplan is
   // always shed before a less-slack one.
   double shed_pressure_start = 0.7;
-  // Defer scheduled intermediate executions of sheddable subplans under
-  // pressure. Pure deferral: the trigger still runs over all remaining
-  // input, so results are unchanged — only peak memory and latency move.
-  bool enable_shed_defer = true;
   // At/over the hard budget, additionally *drop* pending input of the
   // slackest subplans (with exact accounting in FlowStats) until usage
   // fits. Off by default: drops trade result completeness of slack
@@ -169,6 +157,9 @@ struct AdaptiveRunResult {
 // match the batch results — only work and latency change.
 class AdaptiveExecutor : public recovery::Checkpointable {
  public:
+  // Hard cap on mid-window re-derivations (each costs optimizer time).
+  static constexpr int kMaxRederivations = 4;
+
   // Called after step `step` (1-based count of completed event points)
   // finishes; a non-OK return aborts the window. The crash/recovery
   // harness injects kills and checkpoints here.

@@ -73,10 +73,8 @@ struct ExecOptions {
     flow::MemoryBudget* budget = nullptr;
 
     // Per-buffer retention limit applied to subplan output buffers
-    // (0 = unlimited) and its backpressure watermarks; see BufferLimits.
+    // (0 = unlimited); see DeltaBuffer::set_soft_limit_bytes.
     int64_t buffer_soft_limit_bytes = 0;
-    double buffer_high_watermark = 1.0;
-    double buffer_low_watermark = 0.5;
 
     // Reclaim fully-consumed buffer prefixes at every pace boundary.
     // On by default: trimming is pure compaction, invisible to results.

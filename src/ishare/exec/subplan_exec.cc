@@ -119,7 +119,7 @@ Result<DeltaSpan> SubplanExecutor::ConsumeLeafWithRetry(OpNode& n) {
       }
       return raw;
     }
-    backoff += opts_.retry.BackoffSeconds(attempt);
+    backoff += recovery::RetryPolicy::BackoffSeconds(attempt);
   }
 }
 

@@ -103,7 +103,6 @@ Result<OverloadReport> RunOverload(CostEstimator* estimator,
   // ---- Pass B: bounded, defer + drop ------------------------------------
   flow::MemoryBudget bounded(rep.budget_bytes);
   AdaptivePolicy policy_b = options.policy;
-  policy_b.enable_shed_defer = true;
   policy_b.enable_shed_drop = true;
   policy_b.drop_pressure_target = options.drop_pressure_target;
   ExecOptions opts_b = options.exec;
@@ -186,7 +185,6 @@ Result<OverloadReport> RunOverload(CostEstimator* estimator,
   // merges the whole backlog, which is exactly why drop mode exists.)
   flow::MemoryBudget defer_only(rep.budget_bytes);
   AdaptivePolicy policy_c = options.policy;
-  policy_c.enable_shed_defer = true;
   policy_c.enable_shed_drop = false;
   ExecOptions opts_c = opts_b;
   opts_c.flow.budget = &defer_only;

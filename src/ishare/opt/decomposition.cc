@@ -328,8 +328,11 @@ Decomposer::PartitionEval Decomposer::EvaluatePartition(
 std::vector<QuerySet> Decomposer::FindSplit(const LocalProblem& prob,
                                             DecomposeStats* stats) {
   obs::ScopedSpan cluster_span("opt.decompose.cluster");
+  // Safety valve for brute force: fall back to clustering beyond this many
+  // queries (Bell numbers explode).
+  constexpr int kBruteForceMaxQueries = 9;
   if (opts_.brute_force &&
-      static_cast<int>(prob.queries.size()) <= opts_.brute_force_max_queries) {
+      static_cast<int>(prob.queries.size()) <= kBruteForceMaxQueries) {
     return FindSplitBruteForce(prob, stats);
   }
   // Greedy bottom-up clustering driven by sharing benefit (Eq. 4).
@@ -509,8 +512,10 @@ DecomposeResult Decomposer::Optimize(const SubplanGraph& graph,
     return os.str();
   };
 
+  // Upper bound on adopted rewrites (each strictly lowers total work).
+  constexpr int kMaxRounds = 32;
   int rounds_run = 0;
-  for (int round = 0; round < opts_.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     obs::ScopedSpan round_span("opt.decompose.round");
     ++rounds_run;
     bool adopted = false;

@@ -20,16 +20,13 @@ namespace ishare {
 struct DecomposerOptions {
   int max_pace = 100;
   // Exhaustive enumeration of all query-set partitions instead of the
-  // greedy clustering (the iShare (Brute-Force) variant of Sec. 5.4/5.5).
+  // greedy clustering (the iShare (Brute-Force) variant of Sec. 5.4/5.5)
+  // for subplans shared by at most nine queries; larger ones still
+  // cluster.
   bool brute_force = false;
-  // Safety valve for brute force: fall back to clustering beyond this many
-  // queries (Bell numbers explode).
-  int brute_force_max_queries = 9;
   // Also consider splitting a BFS-expanded subtree of each subplan rather
   // than only the subplan as a whole (partial decomposition, Sec. 4.3).
   bool enable_partial = true;
-  // Upper bound on adopted rewrites (each strictly lowers total work).
-  int max_rounds = 32;
   // Forwarded to the cost estimators (false = Fig. 15 no-memo ablation).
   bool memoized_estimator = true;
   // Wall-clock budget; 0 means unlimited.

@@ -2,20 +2,16 @@
 
 #include <algorithm>
 
-#include "ishare/common/rng.h"
-
 namespace ishare::recovery {
 
-double RetryPolicy::BackoffSeconds(int attempt) const {
+double RetryPolicy::BackoffSeconds(int attempt) {
+  constexpr double kBaseBackoffSeconds = 0.001;
+  constexpr double kBackoffMultiplier = 2.0;
+  constexpr double kMaxBackoffSeconds = 0.100;
   attempt = std::max(attempt, 1);
-  double backoff = base_backoff_seconds;
-  for (int i = 1; i < attempt; ++i) backoff *= backoff_multiplier;
-  backoff = std::min(backoff, max_backoff_seconds);
-  if (jitter > 0) {
-    Rng rng(jitter_seed ^ (static_cast<uint64_t>(attempt) * 0x9e3779b9ULL));
-    backoff *= rng.UniformDouble(1.0 - jitter, 1.0 + jitter);
-  }
-  return backoff;
+  double backoff = kBaseBackoffSeconds;
+  for (int i = 1; i < attempt; ++i) backoff *= kBackoffMultiplier;
+  return std::min(backoff, kMaxBackoffSeconds);
 }
 
 }  // namespace ishare::recovery

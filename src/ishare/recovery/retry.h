@@ -1,17 +1,15 @@
 #ifndef ISHARE_RECOVERY_RETRY_H_
 #define ISHARE_RECOVERY_RETRY_H_
 
-// Bounded exponential backoff with deterministic jitter for transient
-// faults (DESIGN.md §8). Only Status::IsTransient() errors are retried;
-// permanent errors propagate on the first attempt so one query's logic
-// error can never stall co-scheduled queries behind a retry loop.
+// Bounded exponential backoff for transient faults (DESIGN.md §8). Only
+// Status::IsTransient() errors are retried; permanent errors propagate on
+// the first attempt so one query's logic error can never stall
+// co-scheduled queries behind a retry loop.
 //
 // Backoff time is *virtual*: BackoffSeconds() is a pure function and the
 // executors account it into metrics instead of sleeping, keeping every
 // test and bench deterministic and fast. A production deployment would
 // sleep for the same values.
-
-#include <cstdint>
 
 #include "ishare/common/status.h"
 
@@ -23,13 +21,6 @@ struct RetryPolicy {
   // zero or negative budget cannot turn RetryTransient into "never call
   // the operation" or an unbounded loop.
   int max_attempts = 4;
-  double base_backoff_seconds = 0.001;
-  double backoff_multiplier = 2.0;
-  double max_backoff_seconds = 0.100;
-  // Each backoff is scaled by a factor in [1 - jitter, 1 + jitter] drawn
-  // deterministically from jitter_seed and the attempt number.
-  double jitter = 0.25;
-  uint64_t jitter_seed = 0x15eed;
 
   int EffectiveMaxAttempts() const {
     return max_attempts < 1 ? 1 : max_attempts;
@@ -44,9 +35,10 @@ struct RetryPolicy {
     return status.IsTransient() && attempt < EffectiveMaxAttempts();
   }
 
-  // Jittered backoff before retry number `attempt` (attempt >= 1).
-  // Deterministic: same policy + attempt always yields the same value.
-  double BackoffSeconds(int attempt) const;
+  // Backoff before retry number `attempt`: min(1 ms · 2^(attempt-1),
+  // 100 ms), with attempts < 1 treated as 1. Never slept, so there is no
+  // contention for jitter to decorrelate.
+  static double BackoffSeconds(int attempt);
 };
 
 // Runs `op` (returning Status) under `policy`, accumulating virtual
@@ -64,7 +56,7 @@ Status RetryTransient(const RetryPolicy& policy, Op&& op,
     if (attempts != nullptr) *attempts = tries;
     if (st.ok() || !policy.ShouldRetry(st, tries)) return st;
     if (backoff_seconds != nullptr) {
-      *backoff_seconds += policy.BackoffSeconds(tries);
+      *backoff_seconds += RetryPolicy::BackoffSeconds(tries);
     }
   }
 }

@@ -92,7 +92,6 @@ Status ExchangeFabric::Init(const StreamSource& dataset,
   }
 
   staging_bytes_.assign(static_cast<size_t>(opts_.num_shards), 0);
-  over_limit_.assign(static_cast<size_t>(opts_.num_shards), false);
   return Status::OK();
 }
 
@@ -160,18 +159,6 @@ Status ExchangeFabric::DeliverUpTo(double fraction, const Fraction* exact) {
       for (const DeltaTuple& d : span) {
         RouteRow(t, d.row[0].AsInt());
       }
-    }
-  }
-  // Staging-limit latch: count one backpressure event per crossing.
-  if (opts_.staging_soft_limit_bytes > 0) {
-    for (int s = 0; s < opts_.num_shards; ++s) {
-      bool over =
-          staging_bytes_[static_cast<size_t>(s)] >
-          opts_.staging_soft_limit_bytes;
-      if (over && !over_limit_[static_cast<size_t>(s)]) {
-        stats_.backpressure_events += 1;
-      }
-      over_limit_[static_cast<size_t>(s)] = over;
     }
   }
   PublishStagingBytes();
@@ -317,7 +304,6 @@ void ExchangeFabric::ResetDelivery() {
   }
   std::fill(held_.begin(), held_.end(), false);
   std::fill(staging_bytes_.begin(), staging_bytes_.end(), 0);
-  std::fill(over_limit_.begin(), over_limit_.end(), false);
   PublishStagingBytes();
 }
 
@@ -330,22 +316,6 @@ void ExchangeFabric::AttachBudget(flow::MemoryBudget* budget) {
         budget_->Register("xchg:s" + std::to_string(s)));
   }
   PublishStagingBytes();
-}
-
-Status ExchangeFabric::StagingAdmit(int shard) const {
-  if (shard < 0 || shard >= opts_.num_shards) {
-    return Status::InvalidArgument("bad shard " + std::to_string(shard));
-  }
-  if (opts_.staging_soft_limit_bytes > 0 &&
-      staging_bytes_[static_cast<size_t>(shard)] >
-          opts_.staging_soft_limit_bytes) {
-    return Status::ResourceExhausted(
-        "shard " + std::to_string(shard) + " staging over soft limit: " +
-        std::to_string(staging_bytes_[static_cast<size_t>(shard)]) +
-        " bytes, limit " +
-        std::to_string(opts_.staging_soft_limit_bytes));
-  }
-  return Status::OK();
 }
 
 int64_t ExchangeFabric::StagingBytes(int shard) const {

@@ -33,11 +33,9 @@
 // that lets shard checkpoints persist only consumer offsets for base
 // buffers, exactly like the unsharded engine (DESIGN.md §8).
 //
-// Bounded staging (DESIGN.md §9): in-flight bytes per shard are published
-// to the flow MemoryBudget under "xchg:s<k>" when a budget is attached,
-// and a per-shard soft limit yields a kResourceExhausted admission signal
-// with the same semantics as DeltaBuffer watermarks — backpressure, never
-// a fault.
+// Budget-visible staging (DESIGN.md §9): in-flight bytes per shard are
+// published to the flow MemoryBudget under "xchg:s<k>" when a budget is
+// attached.
 
 #ifndef ISHARE_SHARD_EXCHANGE_H_
 #define ISHARE_SHARD_EXCHANGE_H_
@@ -67,8 +65,6 @@ struct ExchangeOptions {
   // make partitions deliver out of canonical order — the hazard
   // DrainCanonical's assert and the satellite test pin.
   FaultPlan partition_perturbation;
-  // Soft bound on one shard's in-flight staging bytes; 0 = unbounded.
-  int64_t staging_soft_limit_bytes = 0;
 };
 
 // Monotone counters describing what the fabric did.
@@ -76,7 +72,6 @@ struct ExchangeStats {
   int64_t delivered_tuples = 0;   // rows routed into staging (per shard copy)
   int64_t delivered_bytes = 0;
   int64_t drained_tuples = 0;     // rows handed to shard sources
-  int64_t backpressure_events = 0;  // staging limit crossings
   int64_t holds = 0;              // HoldPartition calls
 };
 
@@ -134,9 +129,7 @@ class ExchangeFabric {
   // Publishes per-shard in-flight bytes to `budget` under "xchg:s<k>".
   void AttachBudget(flow::MemoryBudget* budget);
 
-  // Backpressure probe for one shard's staging set (kResourceExhausted
-  // over the soft limit). Flow signal, never a fault.
-  Status StagingAdmit(int shard) const;
+  // In-flight bytes staged for one shard (delivered, not yet drained).
   int64_t StagingBytes(int shard) const;
 
   const ExchangeStats& stats() const { return stats_; }
@@ -175,7 +168,6 @@ class ExchangeFabric {
   std::vector<bool> held_;
 
   std::vector<int64_t> staging_bytes_;     // per shard, across tables
-  std::vector<bool> over_limit_;           // staging hysteresis-free latch
   flow::MemoryBudget* budget_ = nullptr;
   std::vector<int> budget_components_;     // per shard
   ExchangeStats stats_;

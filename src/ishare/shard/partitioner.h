@@ -34,10 +34,6 @@ namespace ishare::shard {
 // table name -> partition key column. Tables not listed are broadcast.
 struct ShardPlan {
   std::map<std::string, std::string> keys;
-
-  bool IsBroadcast(const std::string& table) const {
-    return keys.find(table) == keys.end();
-  }
 };
 
 // Owning shard of a key value: Value::Hash() (Mix64 for ints/doubles,

@@ -35,9 +35,7 @@ ShardedRuntime::ShardedRuntime(const Catalog* catalog,
 
   ExchangeOptions xo;
   xo.num_shards = opts_.num_shards;
-  xo.num_partitions = opts_.arrival_partitions;
   xo.partition_perturbation = opts_.partition_perturbation;
-  xo.staging_soft_limit_bytes = opts_.exchange_soft_limit_bytes;
   init_ = fabric_.Init(dataset, opts_.plan, xo);
   if (!init_.ok()) return;
   if (opts_.exec.flow.budget != nullptr) {
@@ -54,11 +52,15 @@ ShardedRuntime::ShardedRuntime(const Catalog* catalog,
                                                     mgr_.get(),
                                                     opts_.exec.flow.budget);
 
+  // Per-shard health breakers; straggler escalations count as failures.
+  constexpr chaos::BreakerOptions kShardBreaker{/*failure_threshold=*/2,
+                                                /*open_steps=*/2,
+                                                /*success_threshold=*/2};
   const size_t n = static_cast<size_t>(opts_.num_shards);
   breakers_.reserve(n);
   for (size_t s = 0; s < n; ++s) {
     breakers_.push_back(std::make_unique<chaos::CircuitBreaker>(
-        "shard" + std::to_string(s), opts_.shard_breaker));
+        "shard" + std::to_string(s), kShardBreaker));
   }
   crashed_.assign(n, false);
   stalled_until_.assign(n, 0);
@@ -188,11 +190,14 @@ Status ShardedRuntime::RunRound() {
     AdaptiveExecutor* e = execs_[static_cast<size_t>(s)].get();
     if (!e->HasPendingSteps()) continue;
     int64_t lag = std::max<int64_t>(0, lead_before - e->completed_steps());
+    // Extra steps per round a lagging shard runs: one while its lag is
+    // absorbed, a burst once escalated (straggler policy, DESIGN.md §14).
+    constexpr int kAbsorbCatchupSteps = 1;
+    constexpr int kEscalateCatchupSteps = 4;
     int steps = 1;
     if (lag > 0) {
-      steps += escalated_[static_cast<size_t>(s)]
-                   ? opts_.straggler.escalate_catchup_steps
-                   : opts_.straggler.absorb_catchup_steps;
+      steps += escalated_[static_cast<size_t>(s)] ? kEscalateCatchupSteps
+                                                  : kAbsorbCatchupSteps;
     }
     while (steps-- > 0 && e->HasPendingSteps() &&
            e->completed_steps() <= lead_before) {
@@ -468,8 +473,6 @@ void ShardedRuntime::PublishObs(const ShardRunResult& result) const {
       .Add(result.exchange.delivered_tuples);
   reg.GetCounter("shard.exchange.drained_tuples")
       .Add(result.exchange.drained_tuples);
-  reg.GetCounter("shard.exchange.backpressure_events")
-      .Add(result.exchange.backpressure_events);
   reg.GetHistogram("shard.exchange.bytes",
                    obs::Histogram::ExpBounds(64, 4, 16))
       .Observe(static_cast<double>(result.exchange.delivered_bytes));

@@ -30,10 +30,13 @@
 // (slack × absorb_slack_fraction × window steps). Within the allowance
 // the lag is *absorbed* — the shard quietly runs one extra catch-up step
 // per round, results untouched, zero tuples shed. Beyond it the shard is
-// *escalated*: burst catch-up plus a failure recorded against its health
-// breaker, while the chaos Supervisor's source breaker sees the group's
-// minimum data fraction stall and walks the existing degradation ladder
-// (kFull → kDeferred → ...). Stragglers never safe-stop: safe-stop is
+// *escalated*: burst catch-up of four extra steps per round (its own
+// AdaptiveExecutor degradation machinery sees the burst and may merge
+// intermediate executions — results stay exact by pace invariance) plus
+// a failure recorded against its health breaker, while the chaos
+// Supervisor's source breaker sees the group's minimum data fraction
+// stall and walks the existing degradation ladder (kFull → kDeferred →
+// ...). Stragglers never safe-stop: safe-stop is
 // reserved for the persistence axis (DESIGN.md §11).
 
 #ifndef ISHARE_SHARD_SHARDED_RUNTIME_H_
@@ -64,23 +67,14 @@ struct StragglerPolicy {
   // Fraction of a shard's minimum query slack convertible into lag
   // allowance (in window steps) before escalation.
   double absorb_slack_fraction = 0.5;
-  // Extra steps per round an absorbed straggler runs to drain its lag.
-  int absorb_catchup_steps = 1;
-  // Extra steps per round once escalated (burst catch-up; the shard's own
-  // AdaptiveExecutor degradation machinery sees the burst and may merge
-  // intermediate executions — results stay exact by pace invariance).
-  int escalate_catchup_steps = 4;
 };
 
 struct ShardOptions {
   int num_shards = 1;
-  // Arrival partitions of the exchange; 0 = num_shards.
-  int arrival_partitions = 0;
   ShardPlan plan;
-  // Perturbation of the arrival partition clocks (see ExchangeOptions).
+  // Perturbation of the arrival partition clocks (see ExchangeOptions);
+  // the exchange runs one arrival partition per shard.
   FaultPlan partition_perturbation;
-  // Per-shard staging soft limit in the exchange; 0 = unbounded.
-  int64_t exchange_soft_limit_bytes = 0;
 
   AdaptivePolicy policy;
   ExecOptions exec;
@@ -93,10 +87,6 @@ struct ShardOptions {
   recovery::CheckpointStore* store = nullptr;
   recovery::CheckpointManagerOptions checkpoint;
   chaos::SupervisorOptions supervisor;
-  // Per-shard health breaker (straggler escalations count as failures).
-  chaos::BreakerOptions shard_breaker{/*failure_threshold=*/2,
-                                     /*open_steps=*/2,
-                                     /*success_threshold=*/2};
   // When false, a crashed shard fails the round with kShardUnavailable
   // instead of triggering group recovery (tests pin the classification).
   bool recover_on_crash = true;

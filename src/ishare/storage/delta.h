@@ -68,8 +68,6 @@ class DeltaSpan {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  DeltaBatch ToBatch() const { return DeltaBatch(begin(), end()); }
-
  private:
   const DeltaTuple* data_ = nullptr;
   size_t size_ = 0;

@@ -18,18 +18,6 @@
 
 namespace ishare {
 
-// Retention/capacity limits for a bounded buffer (DESIGN.md §9). A soft
-// limit of 0 means unlimited. The watermarks give the backpressure signal
-// hysteresis: AdmitStatus() starts returning kResourceExhausted once
-// retained bytes reach high_watermark * soft_limit_bytes and keeps
-// returning it until they drain to low_watermark * soft_limit_bytes, so a
-// buffer hovering at the limit does not flap between admit and refuse.
-struct BufferLimits {
-  int64_t soft_limit_bytes = 0;
-  double high_watermark = 1.0;
-  double low_watermark = 0.5;
-};
-
 // Append-only log of delta tuples with independent consumer offsets.
 //
 // This replaces the Kafka topics of the paper's prototype: a subplan whose
@@ -232,22 +220,23 @@ class DeltaBuffer {
     return n;
   }
 
-  void set_limits(BufferLimits limits) {
-    limits_ = limits;
+  // Retention limit of a bounded buffer (DESIGN.md §9); 0 = unlimited.
+  void set_soft_limit_bytes(int64_t bytes) {
+    soft_limit_bytes_ = bytes;
     PublishBytes();
   }
-  const BufferLimits& limits() const { return limits_; }
 
   // Backpressure signal: kResourceExhausted while the buffer sits above
-  // its high watermark (with hysteresis down to the low watermark). The
-  // producer side is expected to route this to the shedding policy, not
-  // to a retry loop — see Status::IsRetryableBackpressure().
+  // its high watermark (with hysteresis down to the low watermark; see
+  // PublishBytes). The producer side is expected to route this to the
+  // shedding policy, not to a retry loop — see
+  // Status::IsRetryableBackpressure().
   Status AdmitStatus() const {
     if (!backpressured_) return Status::OK();
     return Status::ResourceExhausted(
         "buffer '" + name_ + "' over high watermark: " +
         std::to_string(retained_bytes_) + " bytes retained, soft limit " +
-        std::to_string(limits_.soft_limit_bytes));
+        std::to_string(soft_limit_bytes_));
   }
 
   // Registers this buffer with the memory arbiter under "buf:<name>" and
@@ -416,14 +405,20 @@ class DeltaBuffer {
 
   // Re-evaluates the watermark state and pushes retained bytes to the
   // attached budget. Called after every mutation of the retained log.
+  // The watermarks give the backpressure signal hysteresis: AdmitStatus()
+  // starts refusing once retained bytes reach kHighWatermark × the soft
+  // limit and keeps refusing until they drain to kLowWatermark × it, so a
+  // buffer hovering at the limit does not flap between admit and refuse.
   void PublishBytes() {
-    if (limits_.soft_limit_bytes > 0) {
-      double soft = static_cast<double>(limits_.soft_limit_bytes);
+    constexpr double kHighWatermark = 1.0;
+    constexpr double kLowWatermark = 0.5;
+    if (soft_limit_bytes_ > 0) {
+      double soft = static_cast<double>(soft_limit_bytes_);
       double bytes = static_cast<double>(retained_bytes_);
-      if (!backpressured_ && bytes >= limits_.high_watermark * soft) {
+      if (!backpressured_ && bytes >= kHighWatermark * soft) {
         backpressured_ = true;
         obs::Registry().GetCounter("flow.backpressure.buffer_events").Add(1);
-      } else if (backpressured_ && bytes <= limits_.low_watermark * soft) {
+      } else if (backpressured_ && bytes <= kLowWatermark * soft) {
         backpressured_ = false;
       }
     } else {
@@ -441,7 +436,7 @@ class DeltaBuffer {
   std::atomic<int64_t> logical_size_{0};
   int64_t base_offset_ = 0;     // logical offset of log_[0]
   int64_t retained_bytes_ = 0;  // ApproxDeltaBytes sum over log_
-  BufferLimits limits_;
+  int64_t soft_limit_bytes_ = 0;
   bool backpressured_ = false;
   flow::MemoryBudget* budget_ = nullptr;
   int budget_component_ = -1;

@@ -39,10 +39,6 @@ class Schema {
   // Index of the column with the given name; CHECK-fails if absent.
   int IndexOfOrDie(const std::string& name) const;
 
-  bool HasField(const std::string& name) const { return IndexOf(name) >= 0; }
-
-  void AddField(Field f) { fields_.push_back(std::move(f)); }
-
   // Concatenation of two schemas (e.g. join output = left ++ right).
   static Schema Concat(const Schema& a, const Schema& b);
 

@@ -12,6 +12,8 @@
 //  - the property: across 100 seeded random shared workloads, a run with
 //    an ArrangementCatalog is bit-identical (results, state fingerprint,
 //    curated metrics) to a run without one, serial and 4-threaded,
+//  - the executor's chain threshold: a lower one folds more and leaves
+//    shorter chains, with identical results,
 //  - the shed fork: a shared join side or aggregate that loses a batch
 //    forks into an arrangement of its own, then matches a catalog-less
 //    operator fed the same batches and stops pinning compaction,
@@ -20,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
@@ -503,6 +506,52 @@ TEST(ArrangeEquivalence, StateBytesPerQueryGaugePublishes) {
 #endif
   EXPECT_GT(cat.TotalStateBytes(), 0);
   EXPECT_EQ(cat.num_arrangements(), 1);
+}
+
+TEST(ArrangeEquivalence, ChainCompactThresholdBoundsChainsNotResults) {
+  // Four identical aggregate readers in lockstep share one arrangement.
+  // Their slack is full, so compaction is lazy and the threshold alone
+  // decides which chains fold at a boundary.
+  TestDb db;
+  std::vector<QueryPlan> qs;
+  for (int q = 0; q < 4; ++q) {
+    qs.push_back(MakeArrangeQuery(db.catalog, q, 0));
+  }
+  SubplanGraph g = SubplanGraph::Build(qs);
+  struct Outcome {
+    std::vector<ResultMap> results;
+    int64_t folded = 0;
+    int64_t max_chain = 0;
+  };
+  auto run = [&](int64_t threshold) {
+    StreamSource src;
+    CHECK(db.source.CloneTablesInto(&src).ok());
+    ArrangementCatalog cat;  // declared before the executor: must outlive it
+    ExecOptions opts;
+    opts.arrange.catalog = &cat;
+    opts.arrange.chain_compact_threshold = threshold;
+    AdaptiveExecutor exec(&g, &src, opts);
+    CHECK(exec.Run(PaceConfig(g.num_subplans(), 6)).ok());
+    Outcome out;
+    for (QueryId q = 0; q < g.num_queries(); ++q) {
+      out.results.push_back(MaterializeResult(*exec.query_output(q), q));
+    }
+    for (const std::string& sig : cat.Signatures()) {
+      const Arrangement* a = cat.Find(sig);
+      out.folded += a->folded_total();
+      out.max_chain = std::max(out.max_chain, a->MaxChainLength());
+    }
+    return out;
+  };
+  Outcome tight = run(1);
+  Outcome loose = run(int64_t{1} << 30);
+  EXPECT_GT(tight.folded, loose.folded);
+  EXPECT_LT(tight.max_chain, loose.max_chain);
+  ASSERT_EQ(tight.results.size(), loose.results.size());
+  for (size_t q = 0; q < loose.results.size(); ++q) {
+    EXPECT_TRUE(ExactSameResults(tight.results[q], loose.results[q]))
+        << "query " << q;
+  }
 }
 
 // ---------------------------------------------------------------------------

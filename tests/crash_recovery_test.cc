@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ishare/churn/churn_runtime.h"
@@ -454,6 +456,26 @@ QueryPlan ChurnCrashQuery(const Catalog& catalog, QueryId q) {
   return QueryPlan{q, "cc_q" + std::to_string(q), root};
 }
 
+// Drives an uninterrupted churn run to its snapshot point: q0-q2 from
+// the start, q1 departed at boundary 3, then q5 registered and left
+// pending at step 4 of 8.
+void DriveToChurnSnapshot(churn::ChurnRuntime* rt) {
+  auto drive = [rt](int64_t until) {
+    while (rt->HasPendingSteps() &&
+           rt->exec()->completed_steps() < until) {
+      ASSERT_TRUE(rt->RunStep().ok());
+    }
+  };
+  for (QueryId q : {0, 1, 2}) ASSERT_TRUE(rt->Register(q, 1e18).ok());
+  ASSERT_TRUE(rt->BeginWindow(8).ok());
+  drive(2);
+  ASSERT_TRUE(rt->Deregister(1).ok());
+  drive(4);
+  ASSERT_EQ(rt->epoch(), 2);
+  ASSERT_TRUE(rt->Register(5, 1e18).ok());
+  ASSERT_EQ(rt->pending_registrations(), 1);
+}
+
 // A churn-epoch-tagged checkpoint taken mid-window — after a departure's
 // epoch switch, with a fresh registration still pending ("register, then
 // crash") — restored into a fresh runtime over an un-advanced clone of
@@ -465,26 +487,12 @@ TEST(CrashRecoveryChurn, CrashMidChurnRestoreContinuesBitExact) {
   churn::QueryProvider provider = [cat = &db.catalog](QueryId q) {
     return ChurnCrashQuery(*cat, q);
   };
-  auto drive = [&](churn::ChurnRuntime* rt, int64_t until) {
-    while (rt->HasPendingSteps() &&
-           rt->exec()->completed_steps() < until) {
-      ASSERT_TRUE(rt->RunStep().ok());
-    }
-  };
 
-  // Uninterrupted run A: departure at boundary 3, then a registration
-  // left pending at the snapshot point (step 4 of 8).
   StreamSource src_a;
   ASSERT_TRUE(db.source.CloneTablesInto(&src_a).ok());
   churn::ChurnRuntime a(&db.catalog, &src_a, provider);
-  for (QueryId q : {0, 1, 2}) ASSERT_TRUE(a.Register(q, 1e18).ok());
-  ASSERT_TRUE(a.BeginWindow(8).ok());
-  drive(&a, 2);
-  ASSERT_TRUE(a.Deregister(1).ok());
-  drive(&a, 4);
-  ASSERT_EQ(a.epoch(), 2);
-  ASSERT_TRUE(a.Register(5, 1e18).ok());
-  ASSERT_EQ(a.pending_registrations(), 1);
+  DriveToChurnSnapshot(&a);
+  ASSERT_FALSE(HasFatalFailure());
 
   recovery::CheckpointWriter w;
   ASSERT_TRUE(a.Snapshot(&w).ok());
@@ -527,6 +535,53 @@ TEST(CrashRecoveryChurn, CrashMidChurnRestoreContinuesBitExact) {
     ASSERT_TRUE(ra.ok());
     ASSERT_TRUE(rb.ok());
     EXPECT_TRUE(ResultsNear(*ra, *rb)) << "query " << q;
+  }
+}
+
+// A checkpoint whose pending registration carries an id Register would
+// refuse, or a negative retry state, fails its restore instead of
+// aborting the process at the next epoch switch.
+TEST(CrashRecoveryChurn, RestoreRejectsMalformedPendingRegistration) {
+  TestDb db;
+  churn::QueryProvider provider = [cat = &db.catalog](QueryId q) {
+    return ChurnCrashQuery(*cat, q);
+  };
+  StreamSource src_a;
+  ASSERT_TRUE(db.source.CloneTablesInto(&src_a).ok());
+  churn::ChurnRuntime a(&db.catalog, &src_a, provider);
+  DriveToChurnSnapshot(&a);
+  ASSERT_FALSE(HasFatalFailure());
+  recovery::CheckpointWriter w;
+  ASSERT_TRUE(a.Snapshot(&w).ok());
+  const std::string blob = w.Take();
+
+  // Blob layout: three header words, the live count, two live entries of
+  // three words, the pending count, then the pending entry (id,
+  // constraint, unshared flag, attempts, retry_at), 8 bytes per word.
+  constexpr size_t kPendingId = 88;
+  constexpr size_t kAttempts = kPendingId + 24;
+  constexpr size_t kRetryAt = kPendingId + 32;
+  recovery::CheckpointReader id_reader(
+      std::string_view(blob).substr(kPendingId, 8));
+  ASSERT_EQ(id_reader.I64(), 5) << "checkpoint layout moved";
+
+  const std::pair<size_t, int64_t> patches[] = {
+      {kPendingId, int64_t{1} << 20},
+      {kPendingId, -3},
+      {kAttempts, -1},
+      {kRetryAt, -1},
+  };
+  for (const auto& [offset, value] : patches) {
+    recovery::CheckpointWriter pw;
+    pw.I64(value);
+    std::string bad = blob;
+    bad.replace(offset, 8, pw.Take());
+    StreamSource src_b;
+    ASSERT_TRUE(db.source.CloneTablesInto(&src_b).ok());
+    churn::ChurnRuntime b(&db.catalog, &src_b, provider);
+    recovery::CheckpointReader r(bad);
+    EXPECT_FALSE(b.Restore(&r).ok())
+        << "value " << value << " at byte " << offset;
   }
 }
 

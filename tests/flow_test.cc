@@ -12,7 +12,9 @@
 //    results versus an unbounded run — deferral moves work, never answers,
 //  - the static-schedule contract: an executor without an estimator runs
 //    exactly its pace configuration under bursts and a limited budget,
-//    where the estimator-driven executor defers.
+//    where the estimator-driven executor defers,
+//  - the policy knobs: boundary trimming off, the deferral start pressure
+//    and the drop target each change what the run does.
 
 #include <gtest/gtest.h>
 
@@ -334,7 +336,6 @@ TEST(AdaptiveShedding, DeferOnlyBoundedRunsAreBitExact) {
       opts.flow.budget = &budget;
       opts.flow.buffer_soft_limit_bytes = budget_bytes / 2;
       AdaptivePolicy policy;
-      policy.enable_shed_defer = true;
       policy.enable_shed_drop = false;  // defer-only: answers are sacred
 
       PerturbedStreamSource src(plan);  // same seed -> identical stream
@@ -437,6 +438,138 @@ TEST(StaticScheduleContract, RunsExactlyThePacesUnderBurstsAndPressure) {
   Result<AdaptiveRunResult> r = adaptive.Run(paces);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(r->flow.shed_deferred, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Policy knobs
+// ---------------------------------------------------------------------------
+
+TEST(FlowKnobs, TrimAtBoundariesOffTrimsNothing) {
+  // ShedDb's two queries over one shared scan: the scan's output buffer
+  // is the graph's non-root buffer.
+  ShedDb db;
+  QuerySet both = QuerySet::FromIds({0, 1});
+  PlanNodePtr scan = PlanNode::MakeScan(db.catalog, "t", both);
+  SubplanGraph g = SubplanGraph::Build(
+      {QueryPlan{0, "tight",
+                 PlanNode::MakeAggregate(scan, {"cat"}, {CountAgg("n")},
+                                         QuerySet::Single(0))},
+       QueryPlan{1, "slack",
+                 PlanNode::MakeAggregate(scan, {}, {CountAgg("n")},
+                                         QuerySet::Single(1))}});
+  ASSERT_EQ(g.num_subplans(), 3);
+  int shared = 0;
+  while (shared == g.query_root(0) || shared == g.query_root(1)) ++shared;
+  PaceConfig paces(3, 2);
+  paces[static_cast<size_t>(shared)] = 4;
+
+  struct Outcome {
+    ResultMap q0, q1;
+    double work = 0;
+    flow::FlowStats flow;
+    int64_t base_trimmed = 0;
+    int64_t shared_trimmed = 0;
+  };
+  auto run = [&](bool trim) {
+    ExecOptions opts;
+    opts.flow.trim_at_boundaries = trim;
+    StreamSource src;
+    src.AddTable("t", db.schema(), db.rows);
+    AdaptiveExecutor exec(&g, &src, opts);
+    AdaptiveRunResult r = exec.Run(paces).value();
+    Outcome out;
+    out.q0 = MaterializeResult(*exec.query_output(0), 0);
+    out.q1 = MaterializeResult(*exec.query_output(1), 1);
+    out.work = r.run.total_work;
+    out.flow = r.flow;
+    out.base_trimmed = src.buffer("t")->trimmed();
+    out.shared_trimmed = exec.subplan_output(shared)->trimmed();
+    return out;
+  };
+  Outcome on = run(true);
+  Outcome off = run(false);
+
+  // Not vacuous: by default both kinds of buffer are trimmed.
+  EXPECT_GT(on.flow.trims, 0);
+  EXPECT_GT(on.base_trimmed, 0);
+  EXPECT_GT(on.shared_trimmed, 0);
+
+  EXPECT_EQ(off.flow.trims, 0);
+  EXPECT_EQ(off.flow.trimmed_tuples, 0);
+  EXPECT_EQ(off.base_trimmed, 0);
+  EXPECT_EQ(off.shared_trimmed, 0);
+  EXPECT_EQ(off.work, on.work);
+  EXPECT_TRUE(ExactlyEqual(off.q0, on.q0));
+  EXPECT_TRUE(ExactlyEqual(off.q1, on.q1));
+}
+
+// One estimator-driven ShedDb run at pace 6 under a `budget_bytes`
+// budget (<= 0: track only).
+struct BudgetedRun {
+  flow::FlowStats flow;
+  int64_t peak_bytes = 0;
+  double peak_pressure = 0;  // peak bytes / budget; 0 when track-only
+};
+
+BudgetedRun RunBudgeted(const ShedDb& db, int64_t budget_bytes,
+                        const AdaptivePolicy& policy) {
+  CostEstimator est(&db.graph, &db.catalog);
+  flow::MemoryBudget budget(budget_bytes);
+  ExecOptions opts;
+  opts.flow.budget = &budget;
+  StreamSource src;
+  src.AddTable("t", db.schema(), db.rows);
+  AdaptiveExecutor exec(&est, &src, {1e-6, 1e18}, policy, opts);
+  BudgetedRun out;
+  out.flow = exec.Run(PaceConfig(db.graph.num_subplans(), 6)).value().flow;
+  out.peak_bytes = budget.peak();
+  if (budget.limited()) {
+    out.peak_pressure = static_cast<double>(budget.peak()) /
+                        static_cast<double>(budget_bytes);
+  }
+  return out;
+}
+
+TEST(FlowKnobs, ShedPressureStartGatesDeferral) {
+  ShedDb db;
+  const int64_t peak = RunBudgeted(db, 0, AdaptivePolicy()).peak_bytes;
+  ASSERT_GT(peak, 0);
+  // Four times the unbounded peak: pressure stays at or below 0.25 and
+  // every headroom request fits.
+  const int64_t budget_bytes = 4 * peak;
+
+  AdaptivePolicy late;
+  late.shed_pressure_start = 0.5;
+  BudgetedRun quiet = RunBudgeted(db, budget_bytes, late);
+  ASSERT_LT(quiet.peak_pressure, late.shed_pressure_start);
+  EXPECT_EQ(quiet.flow.shed_deferred, 0);
+
+  AdaptivePolicy early;
+  early.shed_pressure_start = 0.001;
+  ASSERT_GT(quiet.peak_pressure, early.shed_pressure_start);
+  BudgetedRun deferring = RunBudgeted(db, budget_bytes, early);
+  EXPECT_GT(deferring.flow.shed_deferred, 0);
+  EXPECT_EQ(deferring.flow.dropped_tuples, 0);
+}
+
+TEST(FlowKnobs, DropPressureTargetGatesDrops) {
+  ShedDb db;
+  const int64_t peak = RunBudgeted(db, 0, AdaptivePolicy()).peak_bytes;
+  ASSERT_GT(peak, 0);
+  const int64_t budget_bytes = 4 * peak;
+
+  AdaptivePolicy high;
+  high.enable_shed_drop = true;
+  high.drop_pressure_target = 0.5;
+  BudgetedRun kept = RunBudgeted(db, budget_bytes, high);
+  ASSERT_LT(kept.peak_pressure, high.drop_pressure_target);
+  EXPECT_EQ(kept.flow.dropped_tuples, 0);
+
+  AdaptivePolicy low = high;
+  low.drop_pressure_target = 0.001;
+  ASSERT_GT(kept.peak_pressure, low.drop_pressure_target);
+  BudgetedRun dropping = RunBudgeted(db, budget_bytes, low);
+  EXPECT_GT(dropping.flow.dropped_tuples, 0);
 }
 
 }  // namespace

@@ -127,6 +127,20 @@ TEST_F(PaceSearchTest, RefineDecreasingLowersWorkKeepingConstraints) {
   }
 }
 
+TEST_F(PaceSearchTest, DeadlineStopsASearchThatNeedsIterations) {
+  std::vector<double> L = Constraints(0.1);
+  PaceSearchResult full = PaceOptimizer(est_.get(), L).FindPaceConfiguration();
+  ASSERT_GT(full.iterations, 1);
+  EXPECT_FALSE(full.timed_out);
+
+  PaceOptimizerOptions opts;
+  opts.deadline_seconds = 1e-9;
+  PaceSearchResult cut =
+      PaceOptimizer(est_.get(), L, opts).FindPaceConfiguration();
+  EXPECT_TRUE(cut.timed_out);
+  EXPECT_LT(cut.iterations, full.iterations);
+}
+
 // --- ApplySplit (Sec. 4.2) ---
 
 TEST(ApplySplitTest, SplitsSharedSubplanAndRepairsParents) {
@@ -253,6 +267,28 @@ TEST(ApproachesTest, DecompositionHelpsDivergentConstraints) {
       OptimizePlan(Approach::kIShare, queries, db.catalog, rel, opts);
   EXPECT_LE(ishare.est_cost.total_work,
             no_unshare.est_cost.total_work * 1.0001);
+}
+
+TEST(ApproachesTest, DeadlineMarksThePlanTimedOut) {
+  TestDb db(400, 10);
+  std::vector<QueryPlan> queries = TwoFilteredAggQueries(db.catalog);
+  std::vector<double> rel = {1.0, 0.1};
+  for (Approach a : {Approach::kIShareNoUnshare, Approach::kIShare}) {
+    ApproachOptions opts;
+    opts.max_pace = 30;
+    OptimizedPlan full = OptimizePlan(a, queries, db.catalog, rel, opts);
+    EXPECT_FALSE(full.timed_out) << ApproachName(a);
+    if (a == Approach::kIShareNoUnshare) {
+      // Each search iteration raises one pace by one.
+      int iterations = 0;
+      for (int p : full.paces) iterations += p - 1;
+      ASSERT_GT(iterations, 1);
+    }
+    opts.deadline_seconds = 1e-9;
+    OptimizedPlan cut = OptimizePlan(a, queries, db.catalog, rel, opts);
+    EXPECT_TRUE(cut.timed_out) << ApproachName(a);
+    EXPECT_TRUE(cut.graph.Validate().ok()) << ApproachName(a);
+  }
 }
 
 TEST(ApproachesTest, AbsoluteConstraintsScaleWithRelative) {

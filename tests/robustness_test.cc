@@ -343,7 +343,7 @@ TEST(AdaptiveCorrectness, MatchesBatchUnderRandomFaultPlansAndPaces) {
     AdaptiveExecutor exec(&est, &psrc, abs);
     auto r = exec.Run(paces);
     ASSERT_TRUE(r.ok()) << r.status().ToString() << " " << plan.ToString();
-    EXPECT_LE(r->stats.rederivations, AdaptivePolicy().max_rederivations);
+    EXPECT_LE(r->stats.rederivations, AdaptiveExecutor::kMaxRederivations);
 
     EXPECT_TRUE(ResultsNear(MaterializeResult(*exec.query_output(0), 0),
                             base0))

@@ -291,22 +291,6 @@ TEST(ExchangeTest, HeldPartitionHeadOfLineBlocksUntilTrigger) {
             static_cast<int64_t>(FullLog(db.source, "orders").size()));
 }
 
-TEST(ExchangeTest, StagingSoftLimitIsBackpressureNotAFault) {
-  TestDb db(40, 8, 13);
-  ExchangeFabric fab;
-  ExchangeOptions xo;
-  xo.num_shards = 1;
-  xo.staging_soft_limit_bytes = 1;  // trip immediately
-  ASSERT_TRUE(fab.Init(db.source, BroadcastCustomer(), xo).ok());
-  Fraction half{1, 2};
-  ASSERT_TRUE(fab.DeliverUpTo(0.5, &half).ok());
-  Status admit = fab.StagingAdmit(0);
-  EXPECT_EQ(admit.code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(admit.IsRetryableBackpressure());
-  EXPECT_FALSE(admit.IsShardFault());
-  EXPECT_GE(fab.stats().backpressure_events, 1);
-}
-
 TEST(ExchangeTest, ShardSourceAtN1MatchesPlainSource) {
   TestDb db(45, 9, 21);
   ExchangeFabric fab;

@@ -220,11 +220,7 @@ TEST(DeltaBufferTrimTest, WatermarkHysteresis) {
   DeltaBuffer buf(OneCol(), "t");
   int c = buf.RegisterConsumer();
   int64_t per_tuple = ApproxDeltaBytes(Tup(0));
-  BufferLimits limits;
-  limits.soft_limit_bytes = 4 * per_tuple;
-  limits.high_watermark = 1.0;
-  limits.low_watermark = 0.5;
-  buf.set_limits(limits);
+  buf.set_soft_limit_bytes(4 * per_tuple);  // high 4 tuples, low 2
 
   for (int64_t i = 0; i < 3; ++i) buf.Append(Tup(i));
   EXPECT_TRUE(buf.AdmitStatus().ok());
