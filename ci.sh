@@ -6,6 +6,7 @@
 #   ./ci.sh tsan      -> concurrency tests only under -fsanitize=thread
 #   ./ci.sh noobs     -> same with ISHARE_OBS_ENABLED=OFF (obs compiled out)
 #   ./ci.sh bench     -> quick benchmark gates (non-zero on failure)
+#   ./ci.sh digest    -> every optimizer digest line vs tests/golden/digest.txt
 #   ./ci.sh docs      -> markdown link check
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -62,11 +63,18 @@ case "$mode" in
     ./build/bench/bench_shards --quick
     ./build/bench/bench_arrange --quick
     ;;
+  digest)
+    # The whole optimizer corpus, not ctest's stride: prints the first
+    # line that differs from the golden and exits non-zero.
+    cmake --preset default
+    cmake --build --preset default -j "$(nproc)" --target ishare_digest
+    ./build/tests/ishare_digest --golden=tests/golden/digest.txt
+    ;;
   docs)
     python3 tools/check_md_links.py
     ;;
   *)
-    echo "usage: $0 [default|asan|ubsan|tsan|noobs|bench|docs]" >&2
+    echo "usage: $0 [default|asan|ubsan|tsan|noobs|bench|digest|docs]" >&2
     exit 2
     ;;
 esac

@@ -2,20 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <functional>
 
 #include "ishare/cost/selectivity.h"
 
 namespace ishare {
 
 namespace {
-
-// Per-step delta flow on one plan edge.
-struct EdgeStats {
-  double card = 0;
-  double deletes = 0;
-  std::map<QueryId, double> per_query;
-};
 
 // Product of the group-by columns' NDVs, capped to keep estimates sane.
 double GroupCount(const std::vector<std::string>& cols,
@@ -30,396 +23,454 @@ double GroupCount(const std::vector<std::string>& cols,
   return g;
 }
 
-class OpModel {
- public:
-  explicit OpModel(const PlanNode* node) : node_(node) {}
-  virtual ~OpModel() = default;
-
-  // Advances the model by one incremental execution given the children's
-  // step outputs; returns this operator's step output and accumulates cost.
-  virtual EdgeStats Step(const std::vector<EdgeStats>& child_out) = 0;
-
-  const PlanNode* node() const { return node_; }
-  const ColumnProfile& profile() const { return profile_; }
-  double total_cost() const { return total_cost_; }
-
-  std::vector<std::unique_ptr<OpModel>> children;
-
- protected:
-  void Charge(double c) { total_cost_ += c; }
-
-  const PlanNode* node_;
-  ColumnProfile profile_;
-  double total_cost_ = 0;
-};
-
-// Leaf: emits 1/pace of its SimInput per step.
-class LeafModel : public OpModel {
- public:
-  LeafModel(const PlanNode* node, SimInput input, int pace)
-      : OpModel(node), input_(std::move(input)), pace_(pace) {
-    profile_ = input_.profile;
+// Product of the key columns' NDVs, capped like GroupCount.
+double KeyNdv(const std::vector<std::string>& keys,
+              const ColumnProfile& profile) {
+  double k = 1.0;
+  for (const std::string& c : keys) {
+    const ColumnStats* cs = FindColumn(profile, c);
+    k = std::min(1e12, k * (cs != nullptr ? std::max(1.0, cs->ndv) : 100));
   }
-
-  EdgeStats Step(const std::vector<EdgeStats>&) override {
-    EdgeStats out;
-    out.card = input_.card / pace_;
-    out.deletes = input_.deletes / pace_;
-    for (const auto& [q, c] : input_.per_query) out.per_query[q] = c / pace_;
-    if (node_->kind == PlanKind::kSubplanInput) {
-      // Mask to this subplan's queries; runtime drops unneeded tuples but
-      // still pays to read them (consume + masked emit).
-      double in_card = out.card;
-      EdgeStats masked;
-      for (QueryId q : node_->queries.ToIds()) {
-        auto it = out.per_query.find(q);
-        if (it != out.per_query.end()) masked.per_query[q] = it->second;
-      }
-      masked.card = in_card * UnionFraction(masked.per_query, in_card);
-      masked.deletes = out.deletes * (in_card > 0 ? masked.card / in_card : 0);
-      Charge(in_card + masked.card);
-      return masked;
-    }
-    Charge(out.card * 2);  // consume + emit (ScanOp counts both)
-    return out;
-  }
-
- private:
-  SimInput input_;
-  int pace_;
-};
-
-class FilterModel : public OpModel {
- public:
-  FilterModel(const PlanNode* node, const ColumnProfile& child_profile)
-      : OpModel(node) {
-    for (QueryId q : node->queries.ToIds()) {
-      auto it = node->predicates.find(q);
-      sel_[q] = (it == node->predicates.end())
-                    ? 1.0
-                    : EstimateSelectivity(it->second, child_profile);
-    }
-    double max_sel = kMinSelectivity;
-    for (const auto& [q, s] : sel_) max_sel = std::max(max_sel, s);
-    profile_ = child_profile;
-    for (auto& [name, cs] : profile_) {
-      cs.ndv = std::max(1.0, cs.ndv * max_sel);
-    }
-  }
-
-  EdgeStats Step(const std::vector<EdgeStats>& child_out) override {
-    const EdgeStats& in = child_out[0];
-    EdgeStats out;
-    for (const auto& [q, c] : in.per_query) {
-      auto it = sel_.find(q);
-      if (it == sel_.end()) continue;
-      out.per_query[q] = c * it->second;
-    }
-    out.card = in.card * UnionFraction(out.per_query, in.card);
-    out.deletes = in.card > 0 ? in.deletes * out.card / in.card : 0;
-    Charge(in.card + out.card);
-    return out;
-  }
-
- private:
-  std::map<QueryId, double> sel_;
-};
-
-class ProjectModel : public OpModel {
- public:
-  ProjectModel(const PlanNode* node, const ColumnProfile& child_profile)
-      : OpModel(node) {
-    for (const NamedExpr& ne : node->projections) {
-      if (ne.expr->kind() == ExprKind::kColumn) {
-        const ColumnStats* cs =
-            FindColumn(child_profile, ne.expr->column_name());
-        if (cs != nullptr) {
-          profile_[ne.alias] = *cs;
-          continue;
-        }
-      }
-      // Computed column: combine argument NDVs heuristically.
-      std::vector<std::string> cols;
-      ne.expr->CollectColumns(&cols);
-      double ndv = 1.0;
-      for (const std::string& c : cols) {
-        const ColumnStats* cs = FindColumn(child_profile, c);
-        if (cs != nullptr) ndv = std::min(1e9, ndv * std::max(1.0, cs->ndv));
-      }
-      ColumnStats cs;
-      cs.ndv = std::max(1.0, ndv);
-      cs.numeric = true;
-      profile_[ne.alias] = cs;
-    }
-  }
-
-  EdgeStats Step(const std::vector<EdgeStats>& child_out) override {
-    EdgeStats out = child_out[0];
-    Charge(out.card * 2);
-    return out;
-  }
-};
-
-class JoinModel : public OpModel {
- public:
-  JoinModel(const PlanNode* node, const ColumnProfile& left_profile,
-            const ColumnProfile& right_profile)
-      : OpModel(node) {
-    double lk = 1.0, rk = 1.0;
-    for (const std::string& c : node->left_keys) {
-      const ColumnStats* cs = FindColumn(left_profile, c);
-      lk = std::min(1e12, lk * (cs != nullptr ? std::max(1.0, cs->ndv) : 100));
-    }
-    for (const std::string& c : node->right_keys) {
-      const ColumnStats* cs = FindColumn(right_profile, c);
-      rk = std::min(1e12, rk * (cs != nullptr ? std::max(1.0, cs->ndv) : 100));
-    }
-    key_ndv_ = std::max(1.0, std::max(lk, rk));
-    right_key_ndv_ = std::max(1.0, rk);
-    if (node->join_type == JoinType::kInner) {
-      profile_ = left_profile;
-      for (const auto& [name, cs] : right_profile) profile_[name] = cs;
-    } else {
-      profile_ = left_profile;
-    }
-  }
-
-  EdgeStats Step(const std::vector<EdgeStats>& child_out) override {
-    const EdgeStats& dl = child_out[0];
-    const EdgeStats& dr = child_out[1];
-    if (node_->join_type == JoinType::kInner) return StepInner(dl, dr);
-    return StepSemiAnti(dl, dr);
-  }
-
- private:
-  EdgeStats StepInner(const EdgeStats& dl, const EdgeStats& dr) {
-    EdgeStats out;
-    double l_new = l_cum_ + NetInserts(dl);
-    double r_new = r_cum_ + NetInserts(dr);
-    out.card = (dl.card * r_cum_ + l_new * dr.card) / key_ndv_;
-    for (const auto& [q, c] : dl.per_query) {
-      double lq_new = l_q_[q] + c - 2 * std::min(c, dl.deletes);
-      double drq = 0, rq = r_q_[q];
-      auto it = dr.per_query.find(q);
-      if (it != dr.per_query.end()) drq = it->second;
-      out.per_query[q] = (c * rq + (lq_new)*drq) / key_ndv_;
-    }
-    double in_total = dl.card + dr.card;
-    double del_frac =
-        in_total > 0 ? (dl.deletes + dr.deletes) / in_total : 0.0;
-    out.deletes = out.card * del_frac;
-    Charge(in_total + 2 * out.card);  // probes ~ matches, plus emits
-    // Advance cumulative state.
-    l_cum_ = l_new;
-    r_cum_ = r_new;
-    for (const auto& [q, c] : dl.per_query) {
-      l_q_[q] += c - 2 * std::min(c, dl.deletes);
-    }
-    for (const auto& [q, c] : dr.per_query) {
-      r_q_[q] += c - 2 * std::min(c, dr.deletes);
-    }
-    return out;
-  }
-
-  EdgeStats StepSemiAnti(const EdgeStats& dl, const EdgeStats& dr) {
-    const bool semi = node_->join_type == JoinType::kLeftSemi;
-    EdgeStats out;
-    for (const auto& [q, c] : dl.per_query) {
-      double rq_before = r_q_[q];
-      double drq = 0;
-      auto it = dr.per_query.find(q);
-      if (it != dr.per_query.end()) drq = it->second;
-      double rq_after = rq_before + drq - 2 * std::min(drq, dr.deletes);
-      double p_before = MatchProb(rq_before);
-      double p_after = MatchProb(rq_after);
-      double lq = l_q_[q];
-      double dlq_net = c - 2 * std::min(c, dl.deletes);
-      // New left tuples emitted under the current match probability, plus
-      // stored left tuples flipped by the right-side transition.
-      double emitted = c * (semi ? p_after : 1.0 - p_after) +
-                       lq * std::abs(p_after - p_before);
-      out.per_query[q] = emitted;
-      l_q_[q] = lq + dlq_net;
-      r_q_[q] = rq_after;
-    }
-    out.card = (dl.card > 0 || dr.card > 0)
-                   ? std::max(dl.card, 1.0) *
-                         UnionFraction(out.per_query, std::max(dl.card, 1.0))
-                   : 0.0;
-    // Flip emissions are delete+insert-ish; approximate deletes as the
-    // transition-driven half.
-    out.deletes = 0.5 * std::max(0.0, out.card - dl.card);
-    Charge(dl.card + dr.card + out.card);
-    return out;
-  }
-
-  double MatchProb(double right_count) const {
-    if (right_count <= 0) return 0.0;
-    return std::min(1.0, CardenasDistinct(right_key_ndv_, right_count) /
-                             right_key_ndv_);
-  }
-
-  static double NetInserts(const EdgeStats& e) {
-    return e.card - 2 * std::min(e.card, e.deletes);
-  }
-
-  double key_ndv_ = 1.0;
-  double right_key_ndv_ = 1.0;
-  double l_cum_ = 0, r_cum_ = 0;
-  std::map<QueryId, double> l_q_;
-  std::map<QueryId, double> r_q_;
-};
-
-class AggregateModel : public OpModel {
- public:
-  AggregateModel(const PlanNode* node, const ColumnProfile& child_profile)
-      : OpModel(node) {
-    groups_ = GroupCount(node->group_by, child_profile);
-    for (const AggSpec& a : node->aggregates) {
-      if (a.kind == AggKind::kMin || a.kind == AggKind::kMax) has_minmax_ = true;
-    }
-    for (const std::string& g : node->group_by) {
-      const ColumnStats* cs = FindColumn(child_profile, g);
-      if (cs != nullptr) profile_[g] = *cs;
-    }
-    for (const AggSpec& a : node->aggregates) {
-      ColumnStats cs;
-      cs.numeric = true;
-      cs.ndv = groups_;
-      profile_[a.alias] = cs;
-    }
-  }
-
-  EdgeStats Step(const std::vector<EdgeStats>& child_out) override {
-    const EdgeStats& in = child_out[0];
-    EdgeStats out;
-
-    // Queries seeing (nearly) the whole input share output rows; estimate
-    // their churn once as a class. Queries with restricted inputs get their
-    // own output rows.
-    double full_class_n = 0;
-    bool has_full = false;
-    for (const auto& [q, c] : in.per_query) {
-      bool full = (in.card > 0 && c >= 0.99 * in.card);
-      double o = StepQuery(q, c, in);
-      out.per_query[q] = o;
-      if (full) {
-        has_full = true;
-        full_class_n = std::max(full_class_n, o);
-      } else {
-        out.card += o;
-      }
-    }
-    if (has_full) out.card += full_class_n;
-
-    // Deletes among outputs: everything beyond one insert per new group is
-    // delete+reinsert churn.
-    out.deletes = out.card / 2.0 * (cum_in_ > in.card ? 1.0 : 0.0);
-
-    double minmax_penalty = has_minmax_ ? in.deletes : 0.0;
-    Charge(in.card + out.card + in.card /*state updates*/ + minmax_penalty);
-    cum_in_ += in.card;
-    return out;
-  }
-
- private:
-  // Churn estimate for one query's step input of c tuples.
-  double StepQuery(QueryId q, double c, const EdgeStats& in) {
-    double net = c - 2 * std::min(c, in.deletes * SafeFrac(c, in.card));
-    double& n_cum = cum_q_[q];
-    double before = CardenasDistinct(groups_, n_cum);
-    double after = CardenasDistinct(groups_, n_cum + std::max(0.0, net));
-    double new_groups = std::max(0.0, after - before);
-    double touched = CardenasDistinct(groups_, c);
-    double existing = std::max(0.0, touched - new_groups);
-    n_cum += std::max(0.0, net);
-    return new_groups + 2.0 * existing;
-  }
-
-  static double SafeFrac(double a, double b) { return b > 0 ? a / b : 0.0; }
-
-  double groups_ = 1.0;
-  bool has_minmax_ = false;
-  double cum_in_ = 0;
-  std::map<QueryId, double> cum_q_;
-};
-
-// Builds the model tree; consumes `inputs` (preorder) for kSubplanInput
-// leaves and the catalog for kScan leaves.
-std::unique_ptr<OpModel> BuildModel(const PlanNodePtr& node,
-                                    const Catalog& catalog, int pace,
-                                    const std::vector<SimInput>& inputs,
-                                    size_t* next_input) {
-  switch (node->kind) {
-    case PlanKind::kScan: {
-      SimInput in;
-      const TableStats& st = catalog.GetStats(node->table_name);
-      in.card = st.row_count;
-      in.deletes = 0;
-      for (QueryId q : node->queries.ToIds()) in.per_query[q] = st.row_count;
-      in.profile = ProfileFromStats(st);
-      return std::make_unique<LeafModel>(node.get(), std::move(in), pace);
-    }
-    case PlanKind::kSubplanInput: {
-      CHECK_LT(*next_input, inputs.size())
-          << "missing SimInput for subplan input leaf";
-      SimInput in = inputs[(*next_input)++];
-      return std::make_unique<LeafModel>(node.get(), std::move(in), pace);
-    }
-    default:
-      break;
-  }
-  std::vector<std::unique_ptr<OpModel>> kids;
-  for (const PlanNodePtr& c : node->children) {
-    kids.push_back(BuildModel(c, catalog, pace, inputs, next_input));
-  }
-  std::unique_ptr<OpModel> m;
-  switch (node->kind) {
-    case PlanKind::kFilter:
-      m = std::make_unique<FilterModel>(node.get(), kids[0]->profile());
-      break;
-    case PlanKind::kProject:
-      m = std::make_unique<ProjectModel>(node.get(), kids[0]->profile());
-      break;
-    case PlanKind::kJoin:
-      m = std::make_unique<JoinModel>(node.get(), kids[0]->profile(),
-                                      kids[1]->profile());
-      break;
-    case PlanKind::kAggregate:
-      m = std::make_unique<AggregateModel>(node.get(), kids[0]->profile());
-      break;
-    default:
-      CHECK(false) << "unexpected node kind";
-  }
-  m->children = std::move(kids);
-  return m;
+  return k;
 }
 
-EdgeStats StepTree(OpModel* m) {
-  std::vector<EdgeStats> child_out;
-  child_out.reserve(m->children.size());
-  for (auto& c : m->children) child_out.push_back(StepTree(c.get()));
-  return m->Step(child_out);
+double NetInserts(double card, double deletes) {
+  return card - 2 * std::min(card, deletes);
 }
 
-double TreeCost(const OpModel* m) {
-  double c = m->total_cost();
-  for (const auto& k : m->children) c += TreeCost(k.get());
-  return c;
-}
+double SafeFrac(double a, double b) { return b > 0 ? a / b : 0.0; }
 
-void CollectOpWork(const OpModel* m, std::vector<double>* out) {
-  out->push_back(m->total_cost());
-  for (const auto& k : m->children) CollectOpWork(k.get(), out);
+// Position of `q` in the ascending `ids`, or -1.
+int PositionOf(const std::vector<QueryId>& ids, QueryId q) {
+  auto it = std::lower_bound(ids.begin(), ids.end(), q);
+  return (it != ids.end() && *it == q) ? static_cast<int>(it - ids.begin())
+                                       : -1;
 }
 
 }  // namespace
 
-double UnionFraction(const std::map<QueryId, double>& per_query,
-                     double base_card) {
+// Builds the op layout in preorder, computing every pace-independent
+// quantity from the column profiles flowing up the tree.
+class CompiledSubplan::Compiler {
+ public:
+  Compiler(const Catalog& catalog, std::span<const SimInput> inputs,
+           CompiledSubplan* out)
+      : catalog_(catalog), inputs_(inputs), out_(out) {}
+
+  struct Built {
+    int index = 0;
+    std::vector<QueryId> ids;  // the op's output queries, ascending
+    ColumnProfile profile;
+  };
+
+  Built Build(const PlanNodePtr& node) {
+    Built b;
+    b.index = static_cast<int>(out_->ops_.size());
+    out_->ops_.emplace_back();
+    switch (node->kind) {
+      case PlanKind::kScan: {
+        const TableStats& st = catalog_.GetStats(node->table_name);
+        Op& op = out_->ops_[b.index];
+        op.kind = PlanKind::kScan;
+        op.rows = st.row_count;
+        b.ids = node->queries.ToIds();
+        b.profile = ProfileFromStats(st);
+        Finish(&b, /*alias=*/-1);
+        return b;
+      }
+      case PlanKind::kSubplanInput: {
+        CHECK_LT(next_input_, inputs_.size())
+            << "missing SimInput for subplan input leaf";
+        const SimInput& in = inputs_[next_input_];
+        CHECK(std::adjacent_find(in.queries.begin(), in.queries.end(),
+                                 std::greater_equal<QueryId>()) ==
+              in.queries.end())
+            << "SimInput queries must be strictly ascending";
+        Op& op = out_->ops_[b.index];
+        op.kind = PlanKind::kSubplanInput;
+        op.input = static_cast<int>(next_input_++);
+        out_->input_sizes_.push_back(in.queries.size());
+        // Masked to this subplan's queries, in ascending id order.
+        for (QueryId q : node->queries.ToIds()) {
+          int pos = PositionOf(in.queries, q);
+          if (pos < 0) continue;
+          op.pick.push_back(pos);
+          b.ids.push_back(q);
+        }
+        if (in.profile != nullptr) b.profile = *in.profile;
+        Finish(&b, -1);
+        return b;
+      }
+      default:
+        break;
+    }
+    std::vector<Built> kids;
+    for (const PlanNodePtr& c : node->children) kids.push_back(Build(c));
+    Op& op = out_->ops_[b.index];
+    op.kind = node->kind;
+    for (const Built& k : kids) op.children.push_back(k.index);
+    int alias = -1;
+    switch (node->kind) {
+      case PlanKind::kFilter: {
+        const ColumnProfile& child = kids[0].profile;
+        // Every query of the node has a selectivity, whether or not the
+        // input carries it; the widest one scales the profile.
+        std::vector<QueryId> node_ids = node->queries.ToIds();
+        std::vector<double> sels;
+        double max_sel = kMinSelectivity;
+        for (QueryId q : node_ids) {
+          auto it = node->predicates.find(q);
+          sels.push_back(it == node->predicates.end()
+                             ? 1.0
+                             : EstimateSelectivity(it->second, child));
+          max_sel = std::max(max_sel, sels.back());
+        }
+        const std::vector<QueryId>& in_ids = kids[0].ids;
+        for (size_t k = 0; k < in_ids.size(); ++k) {
+          int pos = PositionOf(node_ids, in_ids[k]);
+          if (pos < 0) continue;
+          op.pick.push_back(static_cast<int>(k));
+          op.sel.push_back(sels[pos]);
+          b.ids.push_back(in_ids[k]);
+        }
+        b.profile = child;
+        for (auto& [name, cs] : b.profile) {
+          cs.ndv = std::max(1.0, cs.ndv * max_sel);
+        }
+        break;
+      }
+      case PlanKind::kProject: {
+        const ColumnProfile& child = kids[0].profile;
+        for (const NamedExpr& ne : node->projections) {
+          if (ne.expr->kind() == ExprKind::kColumn) {
+            const ColumnStats* cs = FindColumn(child, ne.expr->column_name());
+            if (cs != nullptr) {
+              b.profile[ne.alias] = *cs;
+              continue;
+            }
+          }
+          // Computed column: combine argument NDVs heuristically.
+          std::vector<std::string> cols;
+          ne.expr->CollectColumns(&cols);
+          double ndv = 1.0;
+          for (const std::string& c : cols) {
+            const ColumnStats* cs = FindColumn(child, c);
+            if (cs != nullptr) {
+              ndv = std::min(1e9, ndv * std::max(1.0, cs->ndv));
+            }
+          }
+          ColumnStats cs;
+          cs.ndv = std::max(1.0, ndv);
+          cs.numeric = true;
+          b.profile[ne.alias] = cs;
+        }
+        // A projection passes its input's counts through unchanged.
+        b.ids = kids[0].ids;
+        alias = kids[0].index;
+        break;
+      }
+      case PlanKind::kJoin: {
+        const ColumnProfile& left = kids[0].profile;
+        const ColumnProfile& right = kids[1].profile;
+        double lk = KeyNdv(node->left_keys, left);
+        double rk = KeyNdv(node->right_keys, right);
+        op.key_ndv = std::max(1.0, std::max(lk, rk));
+        op.right_key_ndv = std::max(1.0, rk);
+        op.inner = node->join_type == JoinType::kInner;
+        op.semi = node->join_type == JoinType::kLeftSemi;
+        b.profile = left;
+        if (op.inner) {
+          for (const auto& [name, cs] : right) b.profile[name] = cs;
+        }
+        // Output queries are the left side's; each may or may not be
+        // carried by the right side.
+        b.ids = kids[0].ids;
+        for (QueryId q : b.ids) {
+          op.right_pick.push_back(PositionOf(kids[1].ids, q));
+        }
+        break;
+      }
+      case PlanKind::kAggregate: {
+        const ColumnProfile& child = kids[0].profile;
+        op.groups = GroupCount(node->group_by, child);
+        for (const AggSpec& a : node->aggregates) {
+          if (a.kind == AggKind::kMin || a.kind == AggKind::kMax) {
+            op.has_minmax = true;
+          }
+        }
+        for (const std::string& g : node->group_by) {
+          const ColumnStats* cs = FindColumn(child, g);
+          if (cs != nullptr) b.profile[g] = *cs;
+        }
+        for (const AggSpec& a : node->aggregates) {
+          ColumnStats cs;
+          cs.numeric = true;
+          cs.ndv = op.groups;
+          b.profile[a.alias] = cs;
+        }
+        b.ids = kids[0].ids;
+        break;
+      }
+      default:
+        CHECK(false) << "unexpected node kind";
+    }
+    Finish(&b, alias);
+    return b;
+  }
+
+  size_t inputs_used() const { return next_input_; }
+
+ private:
+  // Assigns the op's output slots (or shares `alias`'s) and its state.
+  void Finish(Built* b, int alias) {
+    Op& op = out_->ops_[b->index];
+    op.num_out = static_cast<int>(b->ids.size());
+    if (alias >= 0) {
+      op.out = out_->ops_[alias].out;
+    } else {
+      op.out = Take(op.num_out);
+    }
+    if (op.kind == PlanKind::kJoin) op.state = Take(2 * op.num_out);
+    if (op.kind == PlanKind::kAggregate) op.state = Take(op.num_out);
+  }
+
+  int Take(int n) {
+    int at = out_->num_slots_;
+    out_->num_slots_ += n;
+    return at;
+  }
+
+  const Catalog& catalog_;
+  std::span<const SimInput> inputs_;
+  CompiledSubplan* out_;
+  size_t next_input_ = 0;
+};
+
+CompiledSubplan::CompiledSubplan(const PlanNodePtr& root,
+                                 const Catalog& catalog,
+                                 std::span<const SimInput> inputs) {
+  Compiler c(catalog, inputs, this);
+  Compiler::Built b = c.Build(root);
+  CHECK_EQ(c.inputs_used(), inputs.size()) << "unused SimInputs";
+  out_queries_ = std::move(b.ids);
+  out_profile_ = std::move(b.profile);
+}
+
+void CompiledSubplan::Step(const Op& op, int pace,
+                           std::span<const SimFlow> inputs,
+                           std::vector<OpState>* states, double* q,
+                           OpState* self) const {
+  std::vector<OpState>& st = *states;
+  double* out = q + op.out;
+  switch (op.kind) {
+    case PlanKind::kScan: {
+      // Emits 1/pace of the table per step; consume + emit.
+      self->card = op.rows / pace;
+      self->deletes = 0;
+      for (int j = 0; j < op.num_out; ++j) out[j] = op.rows / pace;
+      self->cost += self->card * 2;
+      return;
+    }
+    case PlanKind::kSubplanInput: {
+      // Masked to this subplan's queries; the runtime drops unneeded
+      // tuples but still pays to read them (consume + masked emit).
+      const SimFlow& in = inputs[op.input];
+      double in_card = in.card / pace;
+      double in_deletes = in.deletes / pace;
+      for (int j = 0; j < op.num_out; ++j) {
+        out[j] = in.per_query[op.pick[j]] / pace;
+      }
+      self->card =
+          in_card * UnionFraction({out, static_cast<size_t>(op.num_out)},
+                                  in_card);
+      self->deletes = in_deletes * (in_card > 0 ? self->card / in_card : 0);
+      self->cost += in_card + self->card;
+      return;
+    }
+    case PlanKind::kFilter: {
+      const OpState& in = st[op.children[0]];
+      const double* in_q = q + ops_[op.children[0]].out;
+      for (int j = 0; j < op.num_out; ++j) {
+        out[j] = in_q[op.pick[j]] * op.sel[j];
+      }
+      self->card =
+          in.card * UnionFraction({out, static_cast<size_t>(op.num_out)},
+                                  in.card);
+      self->deletes = in.card > 0 ? in.deletes * self->card / in.card : 0;
+      self->cost += in.card + self->card;
+      return;
+    }
+    case PlanKind::kProject: {
+      const OpState& in = st[op.children[0]];
+      self->card = in.card;
+      self->deletes = in.deletes;
+      self->cost += self->card * 2;
+      return;
+    }
+    case PlanKind::kJoin: {
+      const OpState& dl = st[op.children[0]];
+      const OpState& dr = st[op.children[1]];
+      const double* dl_q = q + ops_[op.children[0]].out;
+      const double* dr_q = q + ops_[op.children[1]].out;
+      double* l_q = q + op.state;
+      double* r_q = l_q + op.num_out;
+      auto right_count = [&](int j) {
+        return op.right_pick[j] >= 0 ? dr_q[op.right_pick[j]] : 0.0;
+      };
+      if (op.inner) {
+        double l_new = self->cum_a + NetInserts(dl.card, dl.deletes);
+        double r_new = self->cum_b + NetInserts(dr.card, dr.deletes);
+        self->card =
+            (dl.card * self->cum_b + l_new * dr.card) / op.key_ndv;
+        for (int j = 0; j < op.num_out; ++j) {
+          double c = dl_q[j];
+          double lq_new = l_q[j] + c - 2 * std::min(c, dl.deletes);
+          out[j] = (c * r_q[j] + (lq_new)*right_count(j)) / op.key_ndv;
+        }
+        double in_total = dl.card + dr.card;
+        double del_frac =
+            in_total > 0 ? (dl.deletes + dr.deletes) / in_total : 0.0;
+        self->deletes = self->card * del_frac;
+        self->cost += in_total + 2 * self->card;  // probes ~ matches, emits
+        // Advance cumulative state.
+        self->cum_a = l_new;
+        self->cum_b = r_new;
+        for (int j = 0; j < op.num_out; ++j) {
+          double c = dl_q[j];
+          l_q[j] += c - 2 * std::min(c, dl.deletes);
+          if (op.right_pick[j] >= 0) {
+            double d = right_count(j);
+            r_q[j] += d - 2 * std::min(d, dr.deletes);
+          }
+        }
+        return;
+      }
+      for (int j = 0; j < op.num_out; ++j) {
+        double c = dl_q[j];
+        double rq_before = r_q[j];
+        double drq = right_count(j);
+        double rq_after = rq_before + drq - 2 * std::min(drq, dr.deletes);
+        auto match_prob = [&op](double right) {
+          if (right <= 0) return 0.0;
+          return std::min(1.0, CardenasDistinct(op.right_key_ndv, right) /
+                                   op.right_key_ndv);
+        };
+        double p_before = match_prob(rq_before);
+        double p_after = match_prob(rq_after);
+        double lq = l_q[j];
+        double dlq_net = c - 2 * std::min(c, dl.deletes);
+        // New left tuples emitted under the current match probability,
+        // plus stored left tuples flipped by the right-side transition.
+        out[j] = c * (op.semi ? p_after : 1.0 - p_after) +
+                 lq * std::abs(p_after - p_before);
+        l_q[j] = lq + dlq_net;
+        r_q[j] = rq_after;
+      }
+      self->card =
+          (dl.card > 0 || dr.card > 0)
+              ? std::max(dl.card, 1.0) *
+                    UnionFraction({out, static_cast<size_t>(op.num_out)},
+                                  std::max(dl.card, 1.0))
+              : 0.0;
+      // Flip emissions are delete+insert-ish; approximate deletes as the
+      // transition-driven half.
+      self->deletes = 0.5 * std::max(0.0, self->card - dl.card);
+      self->cost += dl.card + dr.card + self->card;
+      return;
+    }
+    case PlanKind::kAggregate: {
+      const OpState& in = st[op.children[0]];
+      const double* in_q = q + ops_[op.children[0]].out;
+      double* cum_q = q + op.state;
+      // Queries seeing (nearly) the whole input share output rows;
+      // estimate their churn once as a class. Queries with restricted
+      // inputs get their own output rows.
+      double card = 0;
+      double full_class_n = 0;
+      bool has_full = false;
+      for (int j = 0; j < op.num_out; ++j) {
+        double c = in_q[j];
+        bool full = (in.card > 0 && c >= 0.99 * in.card);
+        // Churn estimate for this query's step input of c tuples.
+        double net = c - 2 * std::min(c, in.deletes * SafeFrac(c, in.card));
+        double before = CardenasDistinct(op.groups, cum_q[j]);
+        double after =
+            CardenasDistinct(op.groups, cum_q[j] + std::max(0.0, net));
+        double new_groups = std::max(0.0, after - before);
+        double touched = CardenasDistinct(op.groups, c);
+        double existing = std::max(0.0, touched - new_groups);
+        cum_q[j] += std::max(0.0, net);
+        double o = new_groups + 2.0 * existing;
+        out[j] = o;
+        if (full) {
+          has_full = true;
+          full_class_n = std::max(full_class_n, o);
+        } else {
+          card += o;
+        }
+      }
+      if (has_full) card += full_class_n;
+      self->card = card;
+      // Deletes among outputs: everything beyond one insert per new group
+      // is delete+reinsert churn.
+      self->deletes = card / 2.0 * (self->cum_a > in.card ? 1.0 : 0.0);
+      double minmax_penalty = op.has_minmax ? in.deletes : 0.0;
+      self->cost += in.card + card + in.card /*state updates*/ +
+                    minmax_penalty;
+      self->cum_a += in.card;
+      return;
+    }
+  }
+}
+
+SimResult CompiledSubplan::Run(int pace, std::span<const SimFlow> inputs,
+                               const ExecOptions& opts) const {
+  CHECK_GE(pace, 1);
+  CHECK_GE(inputs.size(), input_sizes_.size())
+      << "missing SimInput for subplan input leaf";
+  CHECK_EQ(inputs.size(), input_sizes_.size()) << "unused SimInputs";
+  for (size_t k = 0; k < inputs.size(); ++k) {
+    CHECK_EQ(inputs[k].per_query.size(), input_sizes_[k])
+        << "input " << k << " carries other queries than it was compiled for";
+  }
+  const int n = static_cast<int>(ops_.size());
+  std::vector<OpState> st(n);
+  std::vector<double> q(num_slots_, 0.0);
+  const Op& root = ops_[0];
+  SimResult res;
+  res.out_per_query.assign(root.num_out, 0.0);
+  double prev_cost = 0;
+  for (int step = 0; step < pace; ++step) {
+    // Children before parents: reverse preorder.
+    for (int i = n - 1; i >= 0; --i) {
+      Step(ops_[i], pace, inputs, &st, q.data(), &st[i]);
+    }
+    // Each subtree is summed before it is added to its parent.
+    for (int i = n - 1; i >= 0; --i) {
+      double c = st[i].cost;
+      for (int k : ops_[i].children) c += st[k].subtree;
+      st[i].subtree = c;
+    }
+    double cost = st[0].subtree;
+    double step_cost = (cost - prev_cost) + opts.startup_cost;
+    prev_cost = cost;
+    res.private_total_work += step_cost;
+    res.private_final_work = step_cost;
+    res.out_card += st[0].card;
+    res.out_deletes += st[0].deletes;
+    for (int j = 0; j < root.num_out; ++j) {
+      res.out_per_query[j] += q[root.out + j];
+    }
+  }
+  res.per_op_work.resize(n);
+  for (int i = 0; i < n; ++i) res.per_op_work[i] = st[i].cost;
+  return res;
+}
+
+double UnionFraction(std::span<const double> per_query, double base_card) {
   if (base_card <= 0) return 0.0;
   double miss_all = 1.0;
-  for (const auto& [q, c] : per_query) {
+  for (double c : per_query) {
     double frac = std::min(1.0, std::max(0.0, c / base_card));
     miss_all *= (1.0 - frac);
   }
@@ -429,8 +480,10 @@ double UnionFraction(const std::map<QueryId, double>& per_query,
 SimInput RestrictSimInput(const SimInput& in, QuerySet keep) {
   SimInput out;
   out.profile = in.profile;
-  for (const auto& [q, c] : in.per_query) {
-    if (keep.Contains(q)) out.per_query[q] = c;
+  for (size_t k = 0; k < in.queries.size(); ++k) {
+    if (!keep.Contains(in.queries[k])) continue;
+    out.queries.push_back(in.queries[k]);
+    out.per_query.push_back(in.per_query[k]);
   }
   double frac = UnionFraction(out.per_query, in.card);
   out.card = in.card * frac;
@@ -442,27 +495,11 @@ SimResult SimulateSubplan(const PlanNodePtr& root, const Catalog& catalog,
                           int pace, const std::vector<SimInput>& inputs,
                           const ExecOptions& opts) {
   CHECK_GE(pace, 1);
-  size_t next_input = 0;
-  std::unique_ptr<OpModel> model =
-      BuildModel(root, catalog, pace, inputs, &next_input);
-  CHECK_EQ(next_input, inputs.size()) << "unused SimInputs";
-
-  SimResult res;
-  double prev_cost = 0;
-  for (int step = 0; step < pace; ++step) {
-    EdgeStats out = StepTree(model.get());
-    double cost = TreeCost(model.get());
-    double step_cost = (cost - prev_cost) + opts.startup_cost;
-    prev_cost = cost;
-    res.private_total_work += step_cost;
-    res.private_final_work = step_cost;
-    res.out_card += out.card;
-    res.out_deletes += out.deletes;
-    for (const auto& [q, c] : out.per_query) res.out_per_query[q] += c;
-  }
-  res.out_profile = model->profile();
-  CollectOpWork(model.get(), &res.per_op_work);
-  return res;
+  CompiledSubplan model(root, catalog, inputs);
+  std::vector<SimFlow> flows;
+  flows.reserve(inputs.size());
+  for (const SimInput& in : inputs) flows.push_back(FlowOf(in));
+  return model.Run(pace, flows, opts);
 }
 
 }  // namespace ishare

@@ -26,6 +26,20 @@ void CollectInputLeaves(const PlanNodePtr& node, std::vector<int>* out) {
   for (const PlanNodePtr& c : node->children) CollectInputLeaves(c, out);
 }
 
+// Child subplan `c`'s whole-window output under `paces`, as its parent's
+// SimInput. The profile is borrowed from `est`'s compiled model.
+SimInput SubplanOutput(CostEstimator* est, int c, const PaceConfig& paces) {
+  const SimResult& r = est->SubplanResult(c, paces);
+  SimInput in;
+  in.card = r.out_card;
+  in.deletes = r.out_deletes;
+  in.per_query = r.out_per_query;
+  const CompiledSubplan& model = est->Model(c);
+  in.queries = model.out_queries();
+  in.profile = &model.out_profile();
+  return in;
+}
+
 int FindPartIndex(const std::vector<QuerySet>& parts, QuerySet subset) {
   for (size_t j = 0; j < parts.size(); ++j) {
     if (parts[j].ContainsAll(subset)) return static_cast<int>(j);
@@ -217,17 +231,14 @@ void Decomposer::ComputeLocalConstraints(const SubplanGraph& graph,
     const Subplan& sp = graph.subplan(s);
     std::vector<int> leaves;
     CollectInputLeaves(sp.root, &leaves);
+    std::vector<SimInput> outputs;
+    for (int c : leaves) outputs.push_back(SubplanOutput(est, c, ones));
     for (QueryId q : sp.queries.ToIds()) {
       std::vector<SimInput> inputs;
-      for (int c : leaves) {
-        const SimResult& r = est->SubplanResult(c, ones);
-        SimInput in;
-        in.card = r.out_card;
-        in.deletes = r.out_deletes;
-        in.per_query = r.out_per_query;
-        in.profile = r.out_profile;
-        inputs.push_back(RestrictSimInput(in, QuerySet::Single(q)));
+      for (const SimInput& out : outputs) {
+        inputs.push_back(RestrictSimInput(out, QuerySet::Single(q)));
       }
+      // One restricted tree, compiled and run once at pace 1.
       PlanNodePtr tree =
           PlanNode::CloneRestricted(sp.root, QuerySet::Single(q));
       SimResult r = SimulateSubplan(tree, *catalog_, 1, inputs, exec_);
@@ -252,15 +263,7 @@ Decomposer::LocalProblem Decomposer::BuildLocalProblem(
   prob.root = sp.root;
   std::vector<int> leaves;
   CollectInputLeaves(sp.root, &leaves);
-  for (int c : leaves) {
-    const SimResult& r = est->SubplanResult(c, paces);
-    SimInput in;
-    in.card = r.out_card;
-    in.deletes = r.out_deletes;
-    in.per_query = r.out_per_query;
-    in.profile = r.out_profile;
-    prob.inputs.push_back(std::move(in));
-  }
+  for (int c : leaves) prob.inputs.push_back(SubplanOutput(est, c, paces));
   CHECK_LT(static_cast<size_t>(s), local_constraints_.size());
   prob.local_constraints = local_constraints_[s];
   return prob;
@@ -293,23 +296,23 @@ Decomposer::PartitionEval Decomposer::EvaluatePartition(
           ? arrange::ArrangedSharedWork(tree.get(), *catalog_)
           : 0.0;
 
+  // The partition's tree is compiled at the first pace the memo does not
+  // hold and reused for the rest of the pace loop.
+  std::unique_ptr<CompiledSubplan> model;
+  std::vector<SimFlow> flows;
   auto simulate = [&](int pace) -> std::pair<double, double> {
-    auto key = std::make_pair(part.Hash() ^ Mix64(pace), pace);
+    auto key = std::make_pair(part, pace);
     auto it = partition_memo_.find(key);
-    if (it != partition_memo_.end()) {
-      // Memo stores WPT; WF is re-derived only when needed (cache WF in the
-      // low bits trick would be fragile — simulate() is cheap enough that
-      // we cache the pair via two entries).
-      auto wf_it = partition_memo_.find(std::make_pair(key.first ^ 1, pace));
-      if (wf_it != partition_memo_.end()) {
-        return {it->second, wf_it->second};
-      }
+    if (it != partition_memo_.end()) return it->second;
+    if (model == nullptr) {
+      model = std::make_unique<CompiledSubplan>(tree, *catalog_, inputs);
+      for (const SimInput& in : inputs) flows.push_back(FlowOf(in));
     }
-    SimResult r = SimulateSubplan(tree, *catalog_, pace, inputs, exec_);
-    partition_memo_[key] = r.private_total_work;
-    partition_memo_[std::make_pair(key.first ^ 1, pace)] =
-        r.private_final_work;
-    return {r.private_total_work, r.private_final_work};
+    SimResult r = model->Run(pace, flows, exec_);
+    std::pair<double, double> work{r.private_total_work,
+                                   r.private_final_work};
+    partition_memo_.emplace(key, work);
+    return work;
   };
 
   // Selected pace R*: the laziest pace meeting the partition's lowest local

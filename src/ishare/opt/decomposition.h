@@ -68,7 +68,9 @@ class Decomposer {
  private:
   struct LocalProblem {
     std::vector<QueryId> queries;
-    std::vector<SimInput> inputs;          // subplan inputs under current P
+    // Subplan inputs under current P; their profiles are borrowed from
+    // the estimator the problem was built with.
+    std::vector<SimInput> inputs;
     std::map<QueryId, double> local_constraints;  // S_j
     PlanNodePtr root;                      // subplan tree to split
   };
@@ -106,8 +108,10 @@ class Decomposer {
 
   // S(s, q), rebuilt for each adopted graph.
   std::vector<std::map<QueryId, double>> local_constraints_;
-  // Memo for EvaluatePartition, cleared per local problem.
-  std::map<std::pair<uint64_t, int>, double> partition_memo_;
+  // Memo for EvaluatePartition, cleared per local problem: (query set,
+  // pace) -> (partial total work, final work).
+  std::map<std::pair<QuerySet, int>, std::pair<double, double>>
+      partition_memo_;
 };
 
 // Applies a split of subplan `s` into `split` (a partition of its query

@@ -101,9 +101,9 @@ PaceSearchResult PaceOptimizer::FindPaceConfiguration(
         if (res.paces[c] < res.paces[i] + 1) ok = false;
       }
       if (!ok) continue;
-      PaceConfig cand = res.paces;
-      cand[i] += 1;
-      PlanCost cc = estimator_->Estimate(cand);
+      // Only i and its ancestors are re-estimated for this candidate.
+      PlanCost cc =
+          estimator_->EstimateWithPace(res.paces, i, res.paces[i] + 1);
       double inc = Incrementability(cc, res.cost, constraints_);
       double extra = cc.total_work - res.cost.total_work;
       if (inc > best_inc + kEps ||
@@ -146,9 +146,8 @@ PaceSearchResult PaceOptimizer::RefineDecreasing(const PaceConfig& initial) {
         if (res.paces[p] > res.paces[i] - 1) ok = false;
       }
       if (!ok) continue;
-      PaceConfig cand = res.paces;
-      cand[i] -= 1;
-      PlanCost cc = estimator_->Estimate(cand);
+      PlanCost cc =
+          estimator_->EstimateWithPace(res.paces, i, res.paces[i] - 1);
       if (cc.total_work >= res.cost.total_work - kEps) continue;  // no gain
       // Feasibility: no query may become (more) violated than it is now.
       bool feasible = true;

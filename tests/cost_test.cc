@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "ishare/cost/estimator.h"
 #include "ishare/cost/selectivity.h"
+#include "ishare/mqo/mqo_optimizer.h"
+#include "ishare/opt/approaches.h"
 #include "ishare/plan/builder.h"
+#include "ishare/workload/tpch_queries.h"
 #include "test_util.h"
 
 namespace ishare {
@@ -127,11 +132,12 @@ TEST_F(SimTest, RestrictSimInputScalesCards) {
   SimInput in;
   in.card = 100;
   in.deletes = 10;
-  in.per_query[0] = 100;
-  in.per_query[1] = 50;
+  in.queries = {0, 1};
+  in.per_query = {100, 50};
   SimInput only1 = RestrictSimInput(in, QuerySet::Single(1));
   EXPECT_EQ(only1.per_query.size(), 1u);
-  EXPECT_DOUBLE_EQ(only1.per_query[1], 50);
+  ASSERT_EQ(only1.queries, std::vector<QueryId>{1});
+  EXPECT_DOUBLE_EQ(only1.per_query[0], 50);
   EXPECT_DOUBLE_EQ(only1.card, 50);
   EXPECT_DOUBLE_EQ(only1.deletes, 5);
 
@@ -140,7 +146,7 @@ TEST_F(SimTest, RestrictSimInputScalesCards) {
 }
 
 TEST(UnionFractionTest, IndependenceModel) {
-  std::map<QueryId, double> pq{{0, 50}, {1, 50}};
+  std::vector<double> pq{50, 50};  // queries 0 and 1
   // Two independent half-coverage queries: 1 - 0.25 = 0.75.
   EXPECT_NEAR(UnionFraction(pq, 100), 0.75, 1e-9);
   EXPECT_DOUBLE_EQ(UnionFraction({}, 100), 0.0);
@@ -202,9 +208,9 @@ TEST(EstimatorTest, MemoMatchesNoMemo) {
     PaceConfig pc(g.num_subplans(), p);
     PlanCost a = with.Estimate(pc);
     PlanCost b = without.Estimate(pc);
-    EXPECT_NEAR(a.total_work, b.total_work, 1e-6);
+    EXPECT_EQ(a.total_work, b.total_work);
     for (int q = 0; q < 2; ++q) {
-      EXPECT_NEAR(a.query_final_work[q], b.query_final_work[q], 1e-6);
+      EXPECT_EQ(a.query_final_work[q], b.query_final_work[q]);
     }
   }
 }
@@ -229,6 +235,197 @@ TEST(EstimatorTest, StandaloneBatchWorkPositive) {
               b.Aggregate(b.Scan("orders"), {"o_custkey"},
                           {SumAgg(Col("o_amount"), "t")})};
   EXPECT_GT(EstimateStandaloneBatchWork(q, db.catalog), 0);
+}
+
+// --- Incremental candidates and compiled models ---
+
+// Every double of two PlanCosts, exactly.
+void ExpectSameCost(const PlanCost& a, const PlanCost& b) {
+  EXPECT_EQ(a.total_work, b.total_work);
+  ASSERT_EQ(a.query_final_work.size(), b.query_final_work.size());
+  for (size_t q = 0; q < a.query_final_work.size(); ++q) {
+    EXPECT_EQ(a.query_final_work[q], b.query_final_work[q]) << "query " << q;
+  }
+}
+
+// Every double of two SimResults, exactly.
+void ExpectSameResult(const SimResult& a, const SimResult& b) {
+  EXPECT_EQ(a.private_total_work, b.private_total_work);
+  EXPECT_EQ(a.private_final_work, b.private_final_work);
+  EXPECT_EQ(a.out_card, b.out_card);
+  EXPECT_EQ(a.out_deletes, b.out_deletes);
+  EXPECT_EQ(a.out_per_query, b.out_per_query);
+  EXPECT_EQ(a.per_op_work, b.per_op_work);
+}
+
+// A plan under test: its subplan graph and the absolute constraints of a
+// relative constraint of 0.2.
+struct TestPlan {
+  SubplanGraph graph;
+  std::vector<double> constraints;
+};
+
+TestPlan MakeTestPlan(const std::vector<QueryPlan>& queries,
+                      const Catalog& catalog, bool merge) {
+  TestPlan p;
+  p.graph = SubplanGraph::Build(
+      merge ? MqoOptimizer(&catalog).Merge(queries) : queries);
+  p.constraints = AbsoluteConstraints(
+      queries, catalog, std::vector<double>(queries.size(), 0.2));
+  return p;
+}
+
+// Valid start configurations: all 1s, the greedy search's result, and a
+// seeded random configuration with parent <= child.
+std::vector<PaceConfig> StartConfigs(const TestPlan& p, const Catalog& catalog,
+                                     int max_pace) {
+  const SubplanGraph& g = p.graph;
+  std::vector<PaceConfig> out;
+  out.emplace_back(g.num_subplans(), 1);
+  CostEstimator est(&g, &catalog);
+  PaceOptimizer po(&est, p.constraints, PaceOptimizerOptions{max_pace});
+  out.push_back(po.FindPaceConfiguration().paces);
+  Rng rng(17);
+  PaceConfig rnd(g.num_subplans(), 1);
+  for (int i : g.TopoParentsFirst()) {
+    int floor = 1;
+    for (int parent : g.subplan(i).parents) {
+      floor = std::max(floor, rnd[parent]);
+    }
+    int step = static_cast<int>(rng.UniformInt(0, 3));
+    rnd[i] = std::min(max_pace, floor + step);
+  }
+  out.push_back(rnd);
+  return out;
+}
+
+// Every legal single-subplan move from `base`: raises keep each child's
+// pace >= the new pace, lowers keep each parent's pace <= it.
+std::vector<std::pair<int, int>> LegalMoves(const SubplanGraph& g,
+                                            const PaceConfig& base,
+                                            int max_pace) {
+  std::vector<std::pair<int, int>> moves;
+  for (int i = 0; i < g.num_subplans(); ++i) {
+    bool raise = base[i] < max_pace;
+    for (int c : g.subplan(i).children) raise = raise && base[c] >= base[i] + 1;
+    if (raise) moves.emplace_back(i, base[i] + 1);
+    bool lower = base[i] > 1;
+    for (int parent : g.subplan(i).parents) {
+      lower = lower && base[parent] <= base[i] - 1;
+    }
+    if (lower) moves.emplace_back(i, base[i] - 1);
+  }
+  return moves;
+}
+
+// Sweeps every legal move from each start configuration, then adopts the
+// first move (as the greedy search does, without a whole-plan estimate)
+// and sweeps again. Each incremental candidate must equal a fresh
+// estimator's whole-plan estimate in every double and add exactly the memo
+// misses a whole-plan estimate adds on an estimator with the same history.
+void CheckIncrementalCandidates(const TestPlan& p, const Catalog& catalog,
+                                int max_pace) {
+  const SubplanGraph& g = p.graph;
+  CostEstimator incremental(&g, &catalog);
+  CostEstimator whole(&g, &catalog);
+  int checked = 0;
+  for (const PaceConfig& start : StartConfigs(p, catalog, max_pace)) {
+    ExpectSameCost(incremental.Estimate(start), whole.Estimate(start));
+    ASSERT_EQ(incremental.memo_misses(), whole.memo_misses());
+    PaceConfig base = start;
+    for (int round = 0; round < 2; ++round) {
+      std::vector<std::pair<int, int>> moves = LegalMoves(g, base, max_pace);
+      ASSERT_FALSE(moves.empty());
+      for (auto [s, pace] : moves) {
+        PaceConfig cand = base;
+        cand[s] = pace;
+        int64_t inc_before = incremental.memo_misses();
+        int64_t whole_before = whole.memo_misses();
+        PlanCost got = incremental.EstimateWithPace(base, s, pace);
+        PlanCost want = whole.Estimate(cand);
+        CostEstimator fresh(&g, &catalog);
+        ExpectSameCost(got, fresh.Estimate(cand));
+        ExpectSameCost(got, want);
+        // A candidate on an estimator that never estimated its base.
+        CostEstimator cold(&g, &catalog);
+        ExpectSameCost(got, cold.EstimateWithPace(base, s, pace));
+        EXPECT_EQ(incremental.memo_misses() - inc_before,
+                  whole.memo_misses() - whole_before)
+            << "subplan " << s << " to pace " << pace;
+        ++checked;
+      }
+      base[moves[0].first] = moves[0].second;
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+TEST(EstimatorTest, IncrementalCandidateEqualsWholePlanOnSharedDag) {
+  TestDb db(300, 10);
+  std::vector<QueryPlan> queries = SharedDag(db.catalog);
+  CheckIncrementalCandidates(MakeTestPlan(queries, db.catalog, false),
+                             db.catalog, 20);
+}
+
+TEST(EstimatorTest, IncrementalCandidateEqualsWholePlanOnMerged22) {
+  TpchDb db(TpchScale{0.002, 3});
+  CheckIncrementalCandidates(
+      MakeTestPlan(AllTpchQueries(db.catalog), db.catalog, true), db.catalog,
+      50);
+}
+
+// One compiled model run at paces 50, 1 and 7, in that order, returns
+// exactly what a fresh compile returns at each pace, for every subplan of
+// the plan (inputs taken from the children at pace 3).
+void CheckModelsCarryNoState(const SubplanGraph& g, const Catalog& catalog) {
+  CostEstimator est(&g, &catalog);
+  PaceConfig threes(g.num_subplans(), 3);
+  ExecOptions opts;
+  for (int s : g.TopoChildrenFirst()) {
+    std::vector<int> children;
+    std::function<void(const PlanNodePtr&)> leaves = [&](const PlanNodePtr& n) {
+      if (n->kind == PlanKind::kSubplanInput) {
+        children.push_back(n->input_subplan);
+        return;
+      }
+      for (const PlanNodePtr& c : n->children) leaves(c);
+    };
+    leaves(g.subplan(s).root);
+    std::vector<SimInput> inputs;
+    for (int c : children) {
+      const SimResult& r = est.SubplanResult(c, threes);
+      SimInput in;
+      in.card = r.out_card;
+      in.deletes = r.out_deletes;
+      in.per_query = r.out_per_query;
+      in.queries = est.Model(c).out_queries();
+      in.profile = &est.Model(c).out_profile();
+      inputs.push_back(std::move(in));
+    }
+    std::vector<SimFlow> flows;
+    for (const SimInput& in : inputs) flows.push_back(FlowOf(in));
+    CompiledSubplan reused(g.subplan(s).root, catalog, inputs);
+    for (int pace : {50, 1, 7}) {
+      SCOPED_TRACE("subplan " + std::to_string(s) + " pace " +
+                   std::to_string(pace));
+      ExpectSameResult(reused.Run(pace, flows, opts),
+                       SimulateSubplan(g.subplan(s).root, catalog, pace,
+                                       inputs, opts));
+    }
+  }
+}
+
+TEST(EstimatorTest, ReusedModelCarriesNoStateOnSharedDag) {
+  TestDb db(300, 10);
+  CheckModelsCarryNoState(SubplanGraph::Build(SharedDag(db.catalog)),
+                          db.catalog);
+}
+
+TEST(EstimatorTest, ReusedModelCarriesNoStateOnMerged22) {
+  TpchDb db(TpchScale{0.002, 3});
+  CheckModelsCarryNoState(
+      MakeTestPlan(AllTpchQueries(db.catalog), db.catalog, true).graph,
+      db.catalog);
 }
 
 }  // namespace

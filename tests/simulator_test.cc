@@ -89,11 +89,13 @@ TEST_F(SimModelTest, MinMaxChargesDeletePenalty) {
                                   {"o_custkey"},
                                   {SumAgg(Col("o_amount"), "t")});
   SimInput in;
-  SimResult inner_r = SimulateSubplan(inner, db_.catalog, 8, {}, exec_);
+  CompiledSubplan inner_model(inner, db_.catalog, {});
+  SimResult inner_r = inner_model.Run(8, {}, exec_);
   in.card = inner_r.out_card;
   in.deletes = inner_r.out_deletes;
+  in.queries = inner_model.out_queries();
   in.per_query = inner_r.out_per_query;
-  in.profile = inner_r.out_profile;
+  in.profile = &inner_model.out_profile();
   EXPECT_GT(in.deletes, 0);
 
   PlanNodePtr input_leaf =
@@ -112,12 +114,14 @@ TEST_F(SimModelTest, SubplanInputMaskDropsForeignCards) {
   SimInput in;
   in.card = 1000;
   in.deletes = 0;
-  in.per_query[0] = 1000;
-  in.per_query[1] = 100;
+  in.queries = {0, 1};
+  in.per_query = {1000, 100};
   ColumnStats cs;
   cs.numeric = true;
   cs.ndv = 10;
-  in.profile["x"] = cs;
+  ColumnProfile profile;
+  profile["x"] = cs;
+  in.profile = &profile;
 
   PlanNodePtr leaf = PlanNode::MakeSubplanInput(0, s, QuerySet::Single(1));
   PlanNodePtr agg = PlanNode::MakeAggregate(leaf, {"x"}, {CountAgg("n")},
@@ -125,7 +129,9 @@ TEST_F(SimModelTest, SubplanInputMaskDropsForeignCards) {
   SimResult r = SimulateSubplan(agg, db_.catalog, 1, {in}, exec_);
   // Only q1's ~100 tuples survive the mask; groups capped at ndv 10.
   ASSERT_EQ(r.out_per_query.size(), 1u);
-  EXPECT_NEAR(r.out_per_query[1], 10, 3);
+  ASSERT_EQ(CompiledSubplan(agg, db_.catalog, {&in, 1}).out_queries(),
+            std::vector<QueryId>{1});
+  EXPECT_NEAR(r.out_per_query[0], 10, 3);
 }
 
 TEST_F(SimModelTest, FilterSelectivityShapesPerQueryCards) {
@@ -136,6 +142,8 @@ TEST_F(SimModelTest, FilterSelectivityShapesPerQueryCards) {
   PlanNodePtr filt = PlanNode::MakeFilter(scan, std::move(preds), both);
   SimResult r = SimulateSubplan(filt, db_.catalog, 1, {}, exec_);
   double n = db_.catalog.GetStats("orders").row_count;
+  ASSERT_EQ(CompiledSubplan(filt, db_.catalog, {}).out_queries(),
+            (std::vector<QueryId>{0, 1}));
   EXPECT_NEAR(r.out_per_query[0], n, 1);          // pass-through
   EXPECT_NEAR(r.out_per_query[1], 0.25 * n, 0.1 * n);
   // Union ≈ q0's full coverage.
