@@ -5,12 +5,16 @@
 // early return — the same hot-path shape as an ISHARE_OBS_ENABLED=0
 // build). Exits non-zero on violation, so CI can gate on it.
 //
-// Methodology: min-of-N repetitions of an identical workload, interleaved
-// enabled/disabled to cancel thermal and cache drift, with an absolute
-// floor so micro-runs dominated by timer noise cannot fail spuriously.
+// Methodology: N back-to-back pairs of an identical workload, one run per
+// mode, alternating which mode runs first so drift within a pair lands on
+// both modes alike. The gate is the median of the per-pair ratios, so a
+// host that slows down for a while moves both halves of a pair rather
+// than one mode's minimum; an absolute floor on the median per-pair
+// difference keeps micro-runs dominated by timer noise from failing.
 
 #include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -32,6 +36,12 @@ double RunOnce(TpchDb* db, const std::vector<QueryPlan>& queries,
       .count();
 }
 
+double Median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const size_t n = xs.size();
+  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
+}
+
 int Main(int argc, char** argv) {
   BenchConfig cfg = BenchConfig::Parse(argc, argv);
   PrintHeader("Observability overhead — instrumented vs disabled", cfg);
@@ -42,7 +52,8 @@ int Main(int argc, char** argv) {
       TpchQuery(db.catalog, 5, 0), TpchQuery(db.catalog, 7, 1),
       TpchQuery(db.catalog, 8, 2), TpchQuery(db.catalog, 9, 3)};
 
-  const int kReps = cfg.quick ? 5 : 9;
+  // Even, so each mode runs first in half the pairs.
+  const int kReps = cfg.quick ? 6 : 10;
   double sink = 0;
 
   // Warmup: populate allocator caches and the standalone-batch baselines'
@@ -52,38 +63,41 @@ int Main(int argc, char** argv) {
   obs::SetEnabled(false);
   RunOnce(&db, queries, cfg, &sink);
 
-  std::vector<double> on_secs, off_secs;
+  std::vector<double> on_secs, off_secs, ratios, diffs;
   for (int rep = 0; rep < kReps; ++rep) {
-    obs::SetEnabled(true);
-    on_secs.push_back(RunOnce(&db, queries, cfg, &sink));
-    obs::SetEnabled(false);
-    off_secs.push_back(RunOnce(&db, queries, cfg, &sink));
+    const bool on_first = rep % 2 == 0;
+    double secs[2] = {0, 0};  // [disabled, enabled]
+    for (bool enabled : {on_first, !on_first}) {
+      obs::SetEnabled(enabled);
+      secs[enabled ? 1 : 0] = RunOnce(&db, queries, cfg, &sink);
+    }
+    on_secs.push_back(secs[1]);
+    off_secs.push_back(secs[0]);
+    ratios.push_back(secs[0] > 0 ? secs[1] / secs[0] : 1.0);
+    diffs.push_back(secs[1] - secs[0]);
   }
   obs::SetEnabled(true);
 
-  double min_on = *std::min_element(on_secs.begin(), on_secs.end());
-  double min_off = *std::min_element(off_secs.begin(), off_secs.end());
-  double max_off = *std::max_element(off_secs.begin(), off_secs.end());
-  double ratio = min_off > 0 ? min_on / min_off : 1.0;
-  // Two noise guards, since a shared CI runner jitters far more than the
-  // instrumentation costs: an absolute floor for micro-runs, and the
-  // disabled mode's own run-to-run spread — a delta indistinguishable from
-  // how much the uninstrumented runs disagree with each other is not
-  // evidence of overhead.
+  const double ratio = Median(ratios);
+  const double diff = Median(diffs);
   const double kMaxRatio = 1.03;
   const double kAbsFloorSeconds = 0.010;
-  double noise = std::max(kAbsFloorSeconds, max_off - min_off);
-  bool pass = ratio <= kMaxRatio || (min_on - min_off) <= noise;
+  const bool pass = ratio <= kMaxRatio || diff <= kAbsFloorSeconds;
 
-  TextTable t({"mode", "min_seconds", "max_seconds"});
-  t.AddRow({"obs enabled", TextTable::Num(min_on, 4),
-            TextTable::Num(*std::max_element(on_secs.begin(), on_secs.end()),
-                           4)});
-  t.AddRow({"obs disabled", TextTable::Num(min_off, 4),
-            TextTable::Num(max_off, 4)});
+  TextTable t({"mode", "median_seconds", "min_seconds", "max_seconds"});
+  for (const auto& [mode, secs] :
+       {std::pair{"obs enabled", &on_secs}, {"obs disabled", &off_secs}}) {
+    t.AddRow({mode, TextTable::Num(Median(*secs), 4),
+              TextTable::Num(*std::min_element(secs->begin(), secs->end()),
+                             4),
+              TextTable::Num(*std::max_element(secs->begin(), secs->end()),
+                             4)});
+  }
   t.Print();
-  std::printf("\noverhead ratio %.4f (limit %.2f, noise floor %.4fs): %s\n",
-              ratio, kMaxRatio, noise, pass ? "PASS" : "FAIL");
+  std::printf(
+      "\nmedian pair ratio %.4f over %d pairs (limit %.2f; median "
+      "difference %.4fs, floor %.3fs): %s\n",
+      ratio, kReps, kMaxRatio, diff, kAbsFloorSeconds, pass ? "PASS" : "FAIL");
   std::printf("(checksum %.1f)\n", sink);
 
   int json_rc = FinishBench(cfg, "bench_obs_overhead", {});

@@ -1,5 +1,4 @@
-// ishare::sched — fixed-size worker pool with per-worker deques
-// (DESIGN.md section 10).
+// ishare::sched — fixed-size fork-join worker pool (DESIGN.md section 10).
 //
 // Paper anchor: the pace-tuned shared plans of "Resource-efficient Shared
 // Query Execution via Exploiting Time Slackness" (Sec. 4) stagger subplan
@@ -10,23 +9,18 @@
 // Arrangements (McSherry et al.), where inter-query sharing composes with
 // data-parallel workers.
 //
-// Structure: one double-ended task queue per worker. An owner pushes and
-// pops at the back of its own deque; idle workers steal from the front
-// of a victim's deque. All deques are guarded by a single pool mutex —
-// dispatch granularity here is a subplan execution (microseconds to
-// milliseconds), so a contended lock per push/pop is noise, and the
-// coarse lock keeps the pool trivially race-free under tsan. The deque-per-worker shape is kept so the
-// steal/locality accounting (sched.pool.steals, per-worker series)
-// reflects real scheduling behaviour.
+// Structure: one job slot. `num_threads - 1` workers sleep until
+// ParallelFor publishes a job; the caller and the woken workers then claim
+// indices from one atomic counter, and the call returns once every index
+// has finished. A dispatch is a whole subplan execution (microseconds to
+// milliseconds), so one mutex for the slot and the wake-ups is noise.
 //
-// ParallelFor is the only submission API the executors use. It is
-// cooperative and reentrant: the calling thread claims indices itself,
-// and while waiting for stragglers it executes other pool tasks
-// (help-while-waiting), so nested ParallelFor calls from inside a task
-// cannot deadlock. Determinism contract: ParallelFor guarantees each
-// index runs exactly once and the call returns only after all indices
-// finished; it guarantees nothing about order, so callers that need
-// bit-exact results must make iterations write to disjoint state (see
+// ParallelFor is the only submission API the executors use, and it does
+// not nest: a ParallelFor issued while the pool runs a job (from inside a
+// task, or from a second thread) is a CHECK failure. Determinism contract:
+// each index runs exactly once and the call returns only after all
+// indices finished; nothing is guaranteed about order, so callers that
+// need bit-exact results must make iterations write to disjoint state (see
 // the level loop in exec/adaptive_executor.cc).
 #ifndef ISHARE_SCHED_WORKER_POOL_H_
 #define ISHARE_SCHED_WORKER_POOL_H_
@@ -34,7 +28,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -56,70 +49,54 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  int num_threads() const { return num_threads_; }
-
   // Runs fn(0), ..., fn(n - 1), each exactly once, across the pool plus
-  // the calling thread; returns after all have finished. Reentrant: fn
-  // may itself call ParallelFor on the same pool.
+  // the calling thread; returns after all have finished. A 1-thread pool
+  // and n == 1 run inline in index order.
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn);
 
-  // Chaos hook (DESIGN.md §11): each of the next `tasks` dequeued pool
-  // tasks busy-waits for `seconds` of wall clock before running, modelling
-  // a stalled/descheduled worker. Results are unchanged by the pool's
+  // Chaos hook (DESIGN.md §11): the next `tasks` times a worker joins a
+  // job, it busy-waits for `seconds` of wall clock first, modelling a
+  // stalled/descheduled worker. Results are unchanged by the pool's
   // determinism contract — every index still runs exactly once — only
-  // timing and steal/idle accounting move, which is exactly what the
-  // chaos harness's bit-exactness gate verifies. A second call replaces
-  // any remaining delay budget; counted in sched.pool.injected_delays.
+  // timing moves, which is exactly what the chaos harness's bit-exactness
+  // gate verifies. A second call replaces any remaining delay budget;
+  // counted in sched.pool.injected_delays.
   void InjectDelay(int64_t tasks, double seconds);
 
-  // Remaining injected-delay budget (tasks not yet stalled).
-  int64_t pending_delays() const {
-    return delay_tasks_.load(std::memory_order_relaxed);
-  }
-
  private:
-  struct ForState {
-    int64_t n = 0;
-    const std::function<void(int64_t)>* fn = nullptr;
-    std::atomic<int64_t> next{0};
-    std::atomic<int64_t> done{0};
-  };
-
-  using Task = std::function<void()>;
-
-  void WorkerLoop(int worker_id);
-  // Claims indices from `st` until exhausted, running them inline.
-  void Drain(ForState* st);
+  void WorkerLoop();
+  // Claims indices of the current job until none is left.
+  void Claim(int64_t n, const std::function<void(int64_t)>& fn);
   // Consumes one unit of injected-delay budget, spinning if one was held.
   void MaybeStall();
-  // Pops one task (own deque back first, then steal a victim's front)
-  // and runs it. Returns false when every deque is empty.
-  bool TryRunOne(int self_id);
-  bool HaveWorkLocked() const;
 
-  const int num_threads_;
-  std::vector<std::thread> threads_;
-
-  // All deques share `mu_` (see file comment for why this is coarse on
-  // purpose). deques_[i] belongs to worker i; the last slot belongs to
-  // external (non-pool) submitters such as the executor's driver thread.
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<std::deque<Task>> deques_;
+  // The job slot. `job_` numbers published jobs so a worker joins each at
+  // most once; `seats_` is how many workers may still join the current
+  // one (0 once the caller has claimed its last index); `active_` counts
+  // workers inside it. `fn_` is non-null while a job runs.
+  std::mutex mu_;
+  std::condition_variable wake_;  // workers: a job was published, or stop
+  std::condition_variable left_;  // caller: the last worker left the job
+  const std::function<void(int64_t)>* fn_ = nullptr;
+  int64_t n_ = 0;
+  uint64_t job_ = 0;
+  int seats_ = 0;
+  int active_ = 0;
   bool stop_ = false;
+  std::atomic<int64_t> next_{0};
 
-  // Injected-delay budget (InjectDelay): remaining stalled tasks and the
-  // per-task stall length in nanoseconds.
+  // Injected-delay budget (InjectDelay): remaining stalled joins and the
+  // per-join stall length in nanoseconds.
   std::atomic<int64_t> delay_tasks_{0};
   std::atomic<int64_t> delay_nanos_{0};
 
   obs::Counter* tasks_counter_;
   obs::Counter* delay_counter_;
-  obs::Counter* steals_counter_;
   obs::Counter* parallel_for_counter_;
   obs::Histogram* idle_hist_;
-  std::vector<obs::Counter*> worker_task_counters_;
-  std::vector<obs::Counter*> worker_steal_counters_;
+
+  // Last: the workers use every member above.
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace sched

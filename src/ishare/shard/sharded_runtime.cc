@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "ishare/obs/obs.h"
@@ -33,14 +34,9 @@ ShardedRuntime::ShardedRuntime(const Catalog* catalog,
     return;
   }
 
-  ExchangeOptions xo;
-  xo.num_shards = opts_.num_shards;
-  xo.partition_perturbation = opts_.partition_perturbation;
-  init_ = fabric_.Init(dataset, opts_.plan, xo);
+  init_ = fabric_.Init(dataset, opts_.plan, opts_.num_shards,
+                       opts_.exec.flow.budget);
   if (!init_.ok()) return;
-  if (opts_.exec.flow.budget != nullptr) {
-    fabric_.AttachBudget(opts_.exec.flow.budget);
-  }
 
   if (opts_.store == nullptr) {
     owned_store_ = std::make_unique<recovery::MemoryCheckpointStore>();
@@ -437,12 +433,21 @@ Status ShardedRuntime::Restore(recovery::CheckpointReader* r) {
             "x" + std::to_string(num_queries_));
     return r->status();
   }
+  if (round < 0 || pace < 1 ||
+      pace > static_cast<uint32_t>(std::numeric_limits<int>::max())) {
+    r->Fail("shard checkpoint round " + std::to_string(round) + " pace " +
+            std::to_string(pace));
+    return r->status();
+  }
 
-  std::vector<Fraction> positions(static_cast<size_t>(n));
   Fraction max_pos{0, 1};
-  for (auto& p : positions) {
-    p.num = r->I64();
-    p.den = r->I64();
+  for (uint32_t s = 0; s < n; ++s) {
+    const Fraction p{r->I64(), r->I64()};  // num, then den
+    if (r->ok() && (p.den <= 0 || p.num < 0 || p.num > p.den)) {
+      r->Fail("shard " + std::to_string(s) + " checkpoint position " +
+              std::to_string(p.num) + "/" + std::to_string(p.den));
+    }
+    if (!r->ok()) return r->status();
     if (max_pos < p) max_pos = p;
   }
   for (auto& su : stalled_until_) su = r->I64();
@@ -450,9 +455,7 @@ Status ShardedRuntime::Restore(recovery::CheckpointReader* r) {
 
   // Pre-deliver so every shard's replay (below) finds at least the rows
   // it had consumed at checkpoint time already releasable.
-  if (max_pos.num > 0) {
-    ISHARE_RETURN_NOT_OK(fabric_.DeliverUpTo(max_pos.ToDouble(), &max_pos));
-  }
+  if (max_pos.num > 0) ISHARE_RETURN_NOT_OK(fabric_.DeliverUpTo(max_pos));
 
   for (auto& buf : group_out_) ISHARE_RETURN_NOT_OK(buf->Restore(r));
   for (auto& e : execs_) ISHARE_RETURN_NOT_OK(e->Restore(r));

@@ -72,9 +72,6 @@ struct StragglerPolicy {
 struct ShardOptions {
   int num_shards = 1;
   ShardPlan plan;
-  // Perturbation of the arrival partition clocks (see ExchangeOptions);
-  // the exchange runs one arrival partition per shard.
-  FaultPlan partition_perturbation;
 
   AdaptivePolicy policy;
   ExecOptions exec;
@@ -163,18 +160,14 @@ class ShardedRuntime : public recovery::Checkpointable {
   Status InjectCrash(int s);
 
   // ---- introspection ----------------------------------------------------
-  int num_shards() const { return opts_.num_shards; }
   int num_queries() const { return num_queries_; }
   int64_t round() const { return round_; }
-  const ShardGroupStats& stats() const { return stats_; }
-  const ExchangeFabric& fabric() const { return fabric_; }
-  ExchangeFabric* fabric_mutable() { return &fabric_; }
   AdaptiveExecutor* shard_exec(int s) const {
     return execs_[static_cast<size_t>(s)].get();
   }
-  chaos::Supervisor* supervisor() { return supervisor_.get(); }
-  const chaos::CircuitBreaker& shard_breaker(int s) const {
-    return *breakers_[static_cast<size_t>(s)];
+  // Shard s's exchange-fed source: its base logs.
+  const StreamSource& shard_source(int s) const {
+    return *sources_[static_cast<size_t>(s)];
   }
   recovery::CheckpointManager* checkpoint_manager() { return mgr_.get(); }
 

@@ -1,7 +1,8 @@
 // Scheduler suite (DESIGN.md §10):
-//  - WorkerPool units: every ParallelFor index runs exactly once, nested
-//    ParallelFor does not deadlock, the 1-thread pool degenerates to an
-//    in-order serial loop, degenerate counts are no-ops,
+//  - WorkerPool units: every ParallelFor index runs exactly once, a
+//    nested ParallelFor is a CHECK failure, the 1-thread pool degenerates
+//    to an in-order serial loop, degenerate counts are no-ops, and a
+//    worker joins each call at most once,
 //  - level construction units: levels respect producer/consumer edges,
 //    concatenated levels are a permutation of the subplans, StaticLevels
 //    covers the graph, and sched.step.waves counts exactly the levels
@@ -53,15 +54,18 @@ TEST(WorkerPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
   }
 }
 
-TEST(WorkerPoolTest, NestedParallelForDoesNotDeadlock) {
-  // The caller of an inner ParallelFor helps while waiting, so a task
-  // that itself fans out cannot deadlock even when every worker is busy.
-  sched::WorkerPool pool(4);
-  std::atomic<int64_t> sum{0};
-  pool.ParallelFor(8, [&](int64_t) {
-    pool.ParallelFor(16, [&](int64_t) { sum.fetch_add(1); });
-  });
-  EXPECT_EQ(sum.load(), 8 * 16);
+TEST(WorkerPoolDeathTest, NestedParallelForIsACheckFailure) {
+  // The pool runs one job at a time: a task that fans out again on the
+  // same pool dies at once instead of waiting on itself.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sched::WorkerPool pool(2);
+        pool.ParallelFor(2, [&](int64_t) {
+          pool.ParallelFor(2, [](int64_t) {});
+        });
+      },
+      "nested ParallelFor");
 }
 
 TEST(WorkerPoolTest, SingleThreadPoolIsAnInOrderSerialLoop) {
@@ -88,9 +92,10 @@ TEST(WorkerPoolTest, DegenerateCountsAreNoOps) {
 }
 
 TEST(WorkerPoolTest, ManySmallParallelForsDrainCleanly) {
-  // Leftover helper tasks from a finished ParallelFor must exit without
-  // touching the (destroyed) loop body; hammering small loops back to
-  // back is the stress shape that would expose a stale-task bug.
+  // A worker that wakes after its job closed must go back to sleep
+  // without touching the (destroyed) loop body or the next job's
+  // counter; hammering small loops back to back is the stress shape that
+  // would expose a stale-join bug.
   sched::WorkerPool pool(4);
   std::atomic<int64_t> sum{0};
   for (int round = 0; round < 200; ++round) {
@@ -98,6 +103,26 @@ TEST(WorkerPoolTest, ManySmallParallelForsDrainCleanly) {
   }
   EXPECT_EQ(sum.load(), 200 * 6);
 }
+
+#if ISHARE_OBS_ENABLED
+TEST(WorkerPoolTest, WorkersJoinEachCallAtMostOnce) {
+  // sched.pool.tasks counts joins: at most min(n - 1, workers) per call.
+  auto tasks = [] {
+    return obs::Registry().Snapshot().counters.at("sched.pool.tasks");
+  };
+  sched::WorkerPool pool(4);
+  const double before = tasks();
+  for (int round = 0; round < 50; ++round) {
+    pool.ParallelFor(2, [](int64_t) {});
+  }
+  EXPECT_LE(tasks() - before, 50.0);
+  const double mid = tasks();
+  for (int round = 0; round < 50; ++round) {
+    pool.ParallelFor(100, [](int64_t) {});
+  }
+  EXPECT_LE(tasks() - mid, 50.0 * 3);
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Level construction
@@ -263,20 +288,12 @@ RunOutput RunPace(TpchDb* db, const SubplanGraph& g, const PaceConfig& paces,
 
 TEST(SchedEquivalence, ParallelPaceRunsAreBitExactOverRandomSharedPlans) {
   TpchDb db(TpchScale{0.001, 11});
-  MqoOptimizer mqo(&db.catalog);
   const int kSeeds = 100;
   const int kThreads[] = {2, 4, 8};
   for (int seed = 1; seed <= kSeeds; ++seed) {
-    Rng rng(static_cast<uint64_t>(seed));
-    int nq = static_cast<int>(2 + rng.UniformInt(0, 2));
-    std::vector<QueryPlan> qs;
-    for (int q = 0; q < nq; ++q) {
-      int qnum = static_cast<int>(1 + rng.UniformInt(0, 21));
-      qs.push_back(TpchQuery(db.catalog, qnum, q));
-    }
-    SubplanGraph g = SubplanGraph::Build(mqo.Merge(qs));
-    PaceConfig paces(g.num_subplans());
-    for (int& p : paces) p = static_cast<int>(1 + rng.UniformInt(0, 3));
+    RandomSharedPlan plan = MakeRandomSharedPlan(db.catalog, seed);
+    const SubplanGraph& g = plan.graph;
+    const PaceConfig& paces = plan.paces;
     int threads = kThreads[seed % 3];
     // A third of the seeds, spread over every thread count.
     bool budget = seed % 9 < 3;

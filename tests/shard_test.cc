@@ -1,11 +1,14 @@
 // Sharded execution tests (DESIGN.md §14): hash partitioner edge cases,
-// exchange canonicalization under reorder perturbation, head-of-line
-// blocking, the kShardUnavailable classification, group-consistent crash
-// recovery, the slackness straggler policy, and a 100-seed sharded-vs-
-// unsharded equivalence property at one and four threads.
+// exchange delivery and drain order, the kShardUnavailable classification,
+// group-consistent crash recovery and its checkpoint validation, the
+// slackness straggler policy, and a 100-seed sharded-vs-unsharded
+// equivalence property at one and four threads.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "ishare/chaos/supervisor.h"
 #include "ishare/harness/result_compare.h"
 #include "ishare/harness/shard_harness.h"
+#include "ishare/recovery/serializer.h"
 #include "ishare/shard/exchange.h"
 #include "ishare/shard/partitioner.h"
 #include "ishare/shard/sharded_runtime.h"
@@ -26,44 +30,11 @@ using chaos::ChaosLayer;
 using chaos::ChaosScheduleOptions;
 using chaos::FaultSchedule;
 using shard::ExchangeFabric;
-using shard::ExchangeOptions;
 using shard::ExchangeShardSource;
 using shard::OwnerShard;
 using shard::ShardedRuntime;
 using shard::ShardOptions;
 using shard::ShardPlan;
-
-// Shard-friendly query family: group-by keys aligned with the partition
-// key (the co-partitioning contract), so sharded merges are disjoint
-// unions.
-std::vector<QueryPlan> MakeShardQueries(const Catalog& catalog) {
-  std::vector<QueryPlan> plans;
-  {
-    PlanBuilder b(&catalog, 0);
-    PlanNodePtr orders =
-        b.ScanFiltered("orders", Gt(Col("o_amount"), Lit(10.0)));
-    plans.push_back({0, "shard_q0",
-                     b.Aggregate(orders, {"o_custkey"},
-                                 {SumAgg(Col("o_amount"), "total"),
-                                  CountAgg("n")})});
-  }
-  {
-    PlanBuilder b(&catalog, 1);
-    PlanNodePtr orders = b.ScanFiltered("orders", nullptr);
-    PlanNodePtr cust = b.ScanFiltered("customer", nullptr);
-    PlanNodePtr join = b.Join(orders, cust, {"o_custkey"}, {"c_custkey"});
-    plans.push_back({1, "shard_q1",
-                     b.Aggregate(join, {"o_custkey"},
-                                 {SumAgg(Col("o_amount"), "amt")})});
-  }
-  return plans;
-}
-
-ShardPlan CoPartitioned() {
-  ShardPlan plan;
-  plan.keys = {{"orders", "o_custkey"}, {"customer", "c_custkey"}};
-  return plan;
-}
 
 ShardPlan BroadcastCustomer() {
   ShardPlan plan;
@@ -179,9 +150,7 @@ TEST(PartitionerTest, SkewAllKeysToOneShardLeavesOthersEmpty) {
   source.AddTable("customer", customer, customer_rows);
 
   ExchangeFabric fab;
-  ExchangeOptions xo;
-  xo.num_shards = 4;
-  ASSERT_TRUE(fab.Init(source, BroadcastCustomer(), xo).ok());
+  ASSERT_TRUE(fab.Init(source, BroadcastCustomer(), 4).ok());
   int shards_with_rows = 0;
   int64_t total_owned = 0;
   for (int s = 0; s < 4; ++s) {
@@ -203,101 +172,114 @@ TEST(PartitionerTest, SkewAllKeysToOneShardLeavesOthersEmpty) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 2: exchange canonicalization.
+// Exchange delivery and drains.
 
-TEST(ExchangeTest, CanonicalDrainOrderUnderReorderPerturbation) {
-  TestDb db(48, 8, 7);
+TEST(ExchangeTest, DrainFollowsDatasetOrderPerOwner) {
+  // Three shards at every step of paces 7 and 10, as a group whose
+  // shards run those paces would ask for them. Shards 0 and 1 drain after
+  // every delivery; shard 2 drains only at the trigger, so its staging
+  // holds everything delivered to it until then.
+  constexpr int kShards = 3;
+  TestDb db(97, 11, 7);
   ExchangeFabric fab;
-  ExchangeOptions xo;
-  xo.num_shards = 2;
-  xo.num_partitions = 3;
-  // Reorder the whole window on every partition clock: delivery order is
-  // scrambled, consumption order must stay canonical.
-  FaultEvent reorder;
-  reorder.kind = FaultEvent::Kind::kReorder;
-  reorder.at = 0.0;
-  reorder.duration = 1.0;
-  xo.partition_perturbation.seed = 11;
-  xo.partition_perturbation.events.push_back(reorder);
-  ASSERT_TRUE(fab.Init(db.source, CoPartitioned(), xo).ok());
-
-  std::vector<DeltaTuple> orders_log = FullLog(db.source, "orders");
-  std::vector<std::vector<DeltaTuple>> drained(2);
-  std::vector<int64_t> prev_releasable(2, 0);
-  for (int i = 1; i <= 10; ++i) {
-    Fraction f{i, 10};
-    ASSERT_TRUE(fab.DeliverUpTo(f.ToDouble(), &f).ok());
-    for (int s = 0; s < 2; ++s) {
-      int64_t releasable = fab.ReleasableCount("orders", s);
-      EXPECT_GE(releasable, prev_releasable[static_cast<size_t>(s)])
-          << "releasable prefix moved backwards";
-      prev_releasable[static_cast<size_t>(s)] = releasable;
-      int64_t have = fab.ConsumedCount("orders", s);
-      if (releasable > have) {
-        // DrainCanonical CHECK-dies on any non-canonical order.
-        ASSERT_TRUE(fab.DrainCanonical("orders", s, releasable - have,
-                                       &drained[static_cast<size_t>(s)])
-                        .ok());
-      }
-    }
+  ASSERT_TRUE(fab.Init(db.source, CoPartitioned(), kShards).ok());
+  const std::map<std::string, int> key_col = {{"customer", 0},
+                                              {"orders", 1}};
+  std::map<std::string, std::vector<DeltaTuple>> logs;
+  for (const auto& [table, col] : key_col) {
+    logs[table] = FullLog(db.source, table);
   }
-  // Every row was routed and drained exactly once, in dataset order
-  // restricted to the owner — reorder delays consumption, never scrambles
-  // or loses it.
-  int key_col = 1;  // o_custkey
-  for (int s = 0; s < 2; ++s) {
-    std::vector<DeltaTuple> expected;
-    for (const DeltaTuple& d : orders_log) {
-      if (OwnerShard(d.row[static_cast<size_t>(key_col)], 2) == s) {
-        expected.push_back(d);
+  auto owner = [&](const std::string& table, const DeltaTuple& d) {
+    return OwnerShard(d.row[static_cast<size_t>(key_col.at(table))],
+                      kShards);
+  };
+  // Row idx of an n-row table is delivered at num/den once its rank in
+  // arrival partition idx mod N is below floor(num * n_p / den).
+  auto delivered = [](int64_t idx, int64_t n, const Fraction& f) {
+    const int64_t p = idx % kShards;
+    const int64_t n_p = (n - p + kShards - 1) / kShards;
+    return idx / kShards < f.num * n_p / f.den;
+  };
+
+  std::set<Fraction> points;
+  for (int pace : {7, 10}) {
+    for (int i = 1; i <= pace; ++i) points.insert(Fraction::Make(i, pace));
+  }
+  std::map<std::string, std::vector<std::vector<DeltaTuple>>> drained;
+  std::map<std::string, std::vector<int64_t>> prev_releasable;
+  for (const auto& [table, col] : key_col) {
+    drained[table].resize(kShards);
+    prev_releasable[table].assign(kShards, 0);
+  }
+  for (const Fraction& f : points) {
+    ASSERT_TRUE(fab.DeliverUpTo(f).ok());
+    const bool trigger = f.num == f.den;
+    int64_t staged_for_2 = 0;
+    for (const auto& [table, col] : key_col) {
+      const std::vector<DeltaTuple>& log = logs[table];
+      for (size_t i = 0; i < log.size(); ++i) {
+        if (owner(table, log[i]) == 2 &&
+            delivered(static_cast<int64_t>(i),
+                      static_cast<int64_t>(log.size()), f)) {
+          staged_for_2 += ApproxDeltaBytes(log[i]);
+        }
+      }
+      for (int s = 0; s < kShards; ++s) {
+        const int64_t releasable = fab.ReleasableCount(table, s);
+        EXPECT_GE(releasable, prev_releasable[table][static_cast<size_t>(s)])
+            << table << " shard " << s << " at " << f.num << "/" << f.den;
+        prev_releasable[table][static_cast<size_t>(s)] = releasable;
+        if (s == 2 && !trigger) continue;
+        fab.DrainReleasable(table, s, &drained[table][static_cast<size_t>(s)]);
       }
     }
-    const auto& got = drained[static_cast<size_t>(s)];
-    ASSERT_EQ(got.size(), expected.size()) << "shard " << s;
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_TRUE(RowsNear(got[i].row, expected[i].row))
-          << "shard " << s << " row " << i;
+    if (!trigger) {
+      EXPECT_EQ(fab.StagingBytes(2), staged_for_2)
+          << "at " << f.num << "/" << f.den;
+    }
+    // Delivered rows form a prefix in dataset order, so a shard that has
+    // drained what it may release stages nothing.
+    EXPECT_EQ(fab.StagingBytes(0), 0) << "at " << f.num << "/" << f.den;
+    EXPECT_EQ(fab.StagingBytes(1), 0) << "at " << f.num << "/" << f.den;
+  }
+  EXPECT_EQ(fab.StagingBytes(2), 0);
+
+  // Every row reached its owner exactly once, in dataset order.
+  for (const auto& [table, col] : key_col) {
+    for (int s = 0; s < kShards; ++s) {
+      std::vector<DeltaTuple> expected;
+      for (const DeltaTuple& d : logs[table]) {
+        if (owner(table, d) == s) expected.push_back(d);
+      }
+      const auto& got = drained[table][static_cast<size_t>(s)];
+      ASSERT_EQ(got.size(), expected.size()) << table << " shard " << s;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].row, expected[i].row)
+            << table << " shard " << s << " row " << i;
+        EXPECT_EQ(got[i].weight, expected[i].weight);
+      }
     }
   }
 }
 
-TEST(ExchangeTest, HeldPartitionHeadOfLineBlocksUntilTrigger) {
-  TestDb db(40, 8, 9);
+TEST(ExchangeTest, ShardSourceAdvancesOnlyToExactPoints) {
+  TestDb db(30, 6, 3);
   ExchangeFabric fab;
-  ExchangeOptions xo;
-  xo.num_shards = 1;
-  xo.num_partitions = 2;
-  ASSERT_TRUE(fab.Init(db.source, BroadcastCustomer(), xo).ok());
-  ASSERT_TRUE(fab.HoldPartition(0).ok());
-  EXPECT_TRUE(fab.IsHeld(0));
-  EXPECT_EQ(fab.stats().holds, 1);
-
-  Fraction half{1, 2};
-  ASSERT_TRUE(fab.DeliverUpTo(0.5, &half).ok());
-  // Partition 0 owns global index 0; while it is held the canonical
-  // prefix is empty even though partition 1 delivered plenty.
-  EXPECT_EQ(fab.ReleasableCount("orders", 0), 0);
-  EXPECT_GT(fab.StagingBytes(0), 0);  // rows staged, none consumable
-
-  ASSERT_TRUE(fab.ReleasePartition(0).ok());
-  ASSERT_TRUE(fab.DeliverUpTo(0.5, &half).ok());
-  EXPECT_GT(fab.ReleasableCount("orders", 0), 0);
-
-  // The trigger flushes held partitions too: a stall delays, never loses.
-  ASSERT_TRUE(fab.HoldPartition(1).ok());
-  Fraction one{1, 1};
-  ASSERT_TRUE(fab.DeliverUpTo(1.0, &one).ok());
-  EXPECT_EQ(fab.ReleasableCount("orders", 0),
-            static_cast<int64_t>(FullLog(db.source, "orders").size()));
+  ASSERT_TRUE(fab.Init(db.source, CoPartitioned(), 2).ok());
+  EXPECT_EQ(fab.DeliverUpTo(Fraction{3, 2}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fab.DeliverUpTo(Fraction{1, 0}).code(),
+            StatusCode::kInvalidArgument);
+  ExchangeShardSource src(&fab, 0);
+  EXPECT_EQ(src.AdvanceTo(0.5).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(src.AdvanceToStep(1, 1).ok());
+  EXPECT_EQ(src.buffer("orders")->size(), fab.OwnedRows("orders", 0));
 }
 
 TEST(ExchangeTest, ShardSourceAtN1MatchesPlainSource) {
   TestDb db(45, 9, 21);
   ExchangeFabric fab;
-  ExchangeOptions xo;
-  xo.num_shards = 1;
-  xo.num_partitions = 1;
-  ASSERT_TRUE(fab.Init(db.source, ShardPlan{}, xo).ok());  // all broadcast
+  ASSERT_TRUE(fab.Init(db.source, ShardPlan{}, 1).ok());  // all broadcast
   ExchangeShardSource via_fabric(&fab, 0);
 
   StreamSource plain;
@@ -450,6 +432,48 @@ TEST(ShardRecoveryTest, CrashBeforeFirstEpochFallsBackToRerun) {
   EXPECT_TRUE(r.AllGatesPass()) << r.mismatch;
   EXPECT_GE(r.stats.recoveries, 1);
   EXPECT_GE(r.stats.restarts, 1);  // nothing committed yet: rerun the window
+}
+
+TEST(ShardRecoveryTest, RestoreRefusesOutOfRangePaceAndPositions) {
+  // A group blob whose pace or shard position is out of range fails the
+  // restore with a status before the exchange delivers anything.
+  TestDb db(60, 10, 6);
+  ShardOptions so;
+  so.num_shards = 2;
+  so.plan = CoPartitioned();
+  ShardedRuntime rt(&db.catalog, db.source, MakeShardQueries(db.catalog),
+                    {1e18, 1e18}, so);
+  ASSERT_TRUE(rt.init_status().ok()) << rt.init_status().ToString();
+  ASSERT_TRUE(rt.BeginWindow(8).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(rt.RunRound().ok());
+  recovery::CheckpointWriter w;
+  ASSERT_TRUE(rt.Snapshot(&w).ok());
+  const std::string blob(w.data());
+
+  // Layout: version u32 @0, round i64 @4, shards u32 @12, queries u32
+  // @16, pace u32 @20, then shard 0's position num i64 @24, den i64 @32.
+  int64_t den;
+  std::memcpy(&den, blob.data() + 32, sizeof(den));
+  ASSERT_GT(den, 0);
+  auto patched = [&blob](size_t at, auto value) {
+    std::string b = blob;
+    std::memcpy(b.data() + at, &value, sizeof(value));
+    return b;
+  };
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"pace 0", patched(20, uint32_t{0})},
+      {"den 0", patched(32, int64_t{0})},
+      {"num den+1", patched(24, den + 1)},
+  };
+  for (const auto& [what, bad] : cases) {
+    recovery::CheckpointReader r(bad);
+    EXPECT_FALSE(rt.Restore(&r).ok()) << what;
+  }
+
+  // The untouched blob still restores and the window completes.
+  recovery::CheckpointReader r(blob);
+  ASSERT_TRUE(rt.Restore(&r).ok()) << r.status().ToString();
+  EXPECT_TRUE(rt.FinishWindow().ok());
 }
 
 // ---------------------------------------------------------------------------

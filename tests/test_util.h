@@ -12,8 +12,12 @@
 
 #include "ishare/catalog/catalog.h"
 #include "ishare/common/rng.h"
+#include "ishare/mqo/mqo_optimizer.h"
 #include "ishare/plan/builder.h"
+#include "ishare/plan/subplan_graph.h"
+#include "ishare/shard/partitioner.h"
 #include "ishare/storage/stream_source.h"
+#include "ishare/workload/tpch_queries.h"
 
 namespace ishare {
 
@@ -58,6 +62,63 @@ class TestDb {
   Catalog catalog;
   StreamSource source;
 };
+
+// One random shared TPC-H plan of the scheduler property and the
+// equivalence digest: 2-4 random queries of the 22, merged by MQO, with
+// every subplan at a random pace in [1, 4], all drawn from Rng(seed).
+struct RandomSharedPlan {
+  SubplanGraph graph;
+  PaceConfig paces;
+};
+
+inline RandomSharedPlan MakeRandomSharedPlan(const Catalog& catalog,
+                                             int seed) {
+  Rng rng(static_cast<uint64_t>(seed));
+  int nq = static_cast<int>(2 + rng.UniformInt(0, 2));
+  std::vector<QueryPlan> qs;
+  for (int q = 0; q < nq; ++q) {
+    int qnum = static_cast<int>(1 + rng.UniformInt(0, 21));
+    qs.push_back(TpchQuery(catalog, qnum, q));
+  }
+  RandomSharedPlan out;
+  out.graph = SubplanGraph::Build(MqoOptimizer(&catalog).Merge(qs));
+  out.paces.resize(static_cast<size_t>(out.graph.num_subplans()));
+  for (int& p : out.paces) p = static_cast<int>(1 + rng.UniformInt(0, 3));
+  return out;
+}
+
+// Shard-friendly query family over TestDb: group-by keys aligned with the
+// partition key (the co-partitioning contract), so sharded merges are
+// disjoint unions.
+inline std::vector<QueryPlan> MakeShardQueries(const Catalog& catalog) {
+  std::vector<QueryPlan> plans;
+  {
+    PlanBuilder b(&catalog, 0);
+    PlanNodePtr orders =
+        b.ScanFiltered("orders", Gt(Col("o_amount"), Lit(10.0)));
+    plans.push_back({0, "shard_q0",
+                     b.Aggregate(orders, {"o_custkey"},
+                                 {SumAgg(Col("o_amount"), "total"),
+                                  CountAgg("n")})});
+  }
+  {
+    PlanBuilder b(&catalog, 1);
+    PlanNodePtr orders = b.ScanFiltered("orders", nullptr);
+    PlanNodePtr cust = b.ScanFiltered("customer", nullptr);
+    PlanNodePtr join = b.Join(orders, cust, {"o_custkey"}, {"c_custkey"});
+    plans.push_back({1, "shard_q1",
+                     b.Aggregate(join, {"o_custkey"},
+                                 {SumAgg(Col("o_amount"), "amt")})});
+  }
+  return plans;
+}
+
+// Both TestDb tables partitioned on the customer key.
+inline shard::ShardPlan CoPartitioned() {
+  shard::ShardPlan plan;
+  plan.keys = {{"orders", "o_custkey"}, {"customer", "c_custkey"}};
+  return plan;
+}
 
 // Compares two materialized results with a relative tolerance on doubles:
 // incremental execution accumulates floating-point sums in a different
