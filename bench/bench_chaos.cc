@@ -48,7 +48,7 @@ double TimedWindow(const SubplanGraph& g, const StreamSource& dataset,
   mopts.epoch_len = 2;
   mopts.overhead_budget = 0;
   recovery::CheckpointManager mgr(&store, mopts);
-  chaos::Supervisor sup(chaos::SupervisorOptions{}, &mgr);
+  chaos::Supervisor sup(&mgr);
   const double steps = static_cast<double>(paces.empty() ? 1 : paces[0]);
   exec.set_after_step_hook([&](int64_t step) -> Status {
     if (!supervised) return mgr.OnStepComplete(step, exec);

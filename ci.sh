@@ -6,7 +6,8 @@
 #   ./ci.sh tsan      -> concurrency tests only under -fsanitize=thread
 #   ./ci.sh noobs     -> same with ISHARE_OBS_ENABLED=OFF (obs compiled out)
 #   ./ci.sh bench     -> quick benchmark gates (non-zero on failure)
-#   ./ci.sh digest    -> every optimizer digest line vs tests/golden/digest.txt
+#   ./ci.sh digest    -> every equivalence digest line (opt, exec, shard,
+#                        chaos, arrange) vs tests/golden/digest.txt
 #   ./ci.sh docs      -> markdown link check
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -64,8 +65,8 @@ case "$mode" in
     ./build/bench/bench_arrange --quick
     ;;
   digest)
-    # The whole optimizer corpus, not ctest's stride: prints the first
-    # line that differs from the golden and exits non-zero.
+    # The whole corpus of every line kind, not ctest's strides: prints
+    # the first line that differs from the golden and exits non-zero.
     cmake --preset default
     cmake --build --preset default -j "$(nproc)" --target ishare_digest
     ./build/tests/ishare_digest --golden=tests/golden/digest.txt

@@ -74,6 +74,29 @@ std::string FaultSchedule::ToString() const {
   return s;
 }
 
+namespace {
+// Bounds of the events FaultSchedule::Random draws. Buffer storms stay
+// below the executor's consume-retry budget so they are absorbed, never
+// fatal.
+constexpr int64_t kMaxBufferFaults = 2;
+// Short store blips (absorbed by the manager's store retry) ...
+constexpr int64_t kMaxTransientCount = 2;
+// ... vs. real outages that outlast the retry budget and trip the
+// checkpoint breaker, occasionally forever (safe-stop path).
+constexpr double kOutageProbability = 0.2;
+constexpr int64_t kOutageCount = 8;
+constexpr double kForeverOutageProbability = 0.05;
+// Memory-pressure spikes: phantom fraction of the budget and hold time.
+constexpr double kMaxPressureMagnitude = 1.5;
+constexpr int64_t kMaxPressureSteps = 4;
+// Worker stalls: tasks stalled and seconds per task (kept tiny — the
+// point is reordering stress, not wall-clock waste).
+constexpr int64_t kMaxStallTasks = 8;
+constexpr double kMaxStallSeconds = 0.002;
+// Rounds a stalled shard skips.
+constexpr int64_t kMaxShardStallRounds = 3;
+}  // namespace
+
 FaultSchedule FaultSchedule::Random(uint64_t seed,
                                     const ChaosScheduleOptions& opts,
                                     const std::vector<std::string>& tables) {
@@ -90,17 +113,16 @@ FaultSchedule FaultSchedule::Random(uint64_t seed,
     switch (rng.UniformInt(0, 4)) {
       case 0:
         ev.layer = ChaosLayer::kBufferStorm;
-        ev.count = rng.UniformInt(1, std::max<int64_t>(opts.max_buffer_faults, 1));
+        ev.count = rng.UniformInt(1, kMaxBufferFaults);
         break;
       case 1:
         ev.layer = ChaosLayer::kStoreTransient;
-        if (rng.Bernoulli(opts.forever_outage_probability)) {
+        if (rng.Bernoulli(kForeverOutageProbability)) {
           ev.count = -1;
-        } else if (rng.Bernoulli(opts.outage_probability)) {
-          ev.count = opts.outage_count;
+        } else if (rng.Bernoulli(kOutageProbability)) {
+          ev.count = kOutageCount;
         } else {
-          ev.count =
-              rng.UniformInt(1, std::max<int64_t>(opts.max_transient_count, 1));
+          ev.count = rng.UniformInt(1, kMaxTransientCount);
         }
         break;
       case 2:
@@ -108,13 +130,13 @@ FaultSchedule FaultSchedule::Random(uint64_t seed,
         break;
       case 3:
         ev.layer = ChaosLayer::kMemoryPressure;
-        ev.count = rng.UniformInt(1, std::max<int64_t>(opts.max_pressure_steps, 1));
-        ev.magnitude = rng.UniformDouble(0.25, opts.max_pressure_magnitude);
+        ev.count = rng.UniformInt(1, kMaxPressureSteps);
+        ev.magnitude = rng.UniformDouble(0.25, kMaxPressureMagnitude);
         break;
       default:
         ev.layer = ChaosLayer::kWorkerStall;
-        ev.count = rng.UniformInt(1, std::max<int64_t>(opts.max_stall_tasks, 1));
-        ev.magnitude = rng.UniformDouble(0, opts.max_stall_seconds);
+        ev.count = rng.UniformInt(1, kMaxStallTasks);
+        ev.magnitude = rng.UniformDouble(0, kMaxStallSeconds);
         break;
     }
     out.events.push_back(ev);
@@ -143,8 +165,7 @@ FaultSchedule FaultSchedule::Random(uint64_t seed,
       ev.count = 1;
     } else {
       ev.layer = ChaosLayer::kShardStall;
-      ev.count =
-          rng.UniformInt(1, std::max<int64_t>(opts.max_shard_stall_rounds, 1));
+      ev.count = rng.UniformInt(1, kMaxShardStallRounds);
     }
     out.events.push_back(ev);
   }

@@ -8,7 +8,7 @@
 //   kBufferStorm     transient admission faults on the base delta buffers
 //                    (the consume path's retry spine absorbs them);
 //   kStoreTransient  checkpoint-store Stage/Commit outages, from blips the
-//                    manager's retry policy absorbs to multi-epoch outages
+//                    manager's store retry absorbs to multi-epoch outages
 //                    that trip the Supervisor's checkpoint breaker;
 //   kStoreBitRot     in-place corruption of the newest committed epoch
 //                    (recovery must fall back to an older intact one);
@@ -87,28 +87,12 @@ struct ChaosEvent {
 };
 
 // Knobs for FaultSchedule::Random. The defaults compose a few absorbable
-// faults with occasional breaker-tripping outages over a small window.
+// faults with occasional breaker-tripping outages over a small window;
+// each event's size is drawn under the bounds beside Random.
 struct ChaosScheduleOptions {
   int num_events = 6;         // step-armed events (non-source layers)
   int num_source_events = 2;  // FaultPlan events (0 = clean stream)
   int64_t max_step = 8;       // events land on steps [1, max_step]
-  // Buffer storms stay below the executor's consume-retry budget so they
-  // are absorbed, never fatal.
-  int64_t max_buffer_faults = 2;
-  // Short store blips (absorbed by the manager's store retry) ...
-  int64_t max_transient_count = 2;
-  // ... vs. real outages that outlast the retry budget and trip the
-  // checkpoint breaker, occasionally forever (safe-stop path).
-  double outage_probability = 0.2;
-  int64_t outage_count = 8;
-  double forever_outage_probability = 0.05;
-  // Memory-pressure spikes: phantom fraction of the budget and hold time.
-  double max_pressure_magnitude = 1.5;
-  int64_t max_pressure_steps = 4;
-  // Worker stalls: tasks stalled and seconds per task (kept tiny — the
-  // point is reordering stress, not wall-clock waste).
-  int64_t max_stall_tasks = 8;
-  double max_stall_seconds = 0.002;
   // Query-churn events (arrival storms / departures against a churn
   // callback). Default 0 keeps every pre-churn schedule byte-identical
   // for a given seed; churn runs opt in explicitly.
@@ -120,7 +104,6 @@ struct ChaosScheduleOptions {
   // event, so pre-shard schedules stay byte-identical for a given seed.
   int shard_events = 0;
   int num_shards_hint = 2;          // shard ids drawn from [0, hint)
-  int64_t max_shard_stall_rounds = 3;
   double shard_crash_probability = 0.3;  // else the event is a stall
 };
 

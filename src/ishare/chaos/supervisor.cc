@@ -26,30 +26,33 @@ const char* ServiceLevelName(ServiceLevel level) {
 Reaction ClassifyFailure(const Status& st) {
   if (st.IsTransient()) return Reaction::kRetry;
   if (st.IsRetryableBackpressure()) return Reaction::kDefer;
-  // A shard fault is group state loss, never a blip: retrying would
-  // re-ask a dead shard, deferring would wait on one. The reaction is to
-  // degrade into group recovery (DESIGN.md §14 classification table).
-  if (st.IsShardFault()) return Reaction::kDegrade;
   if (st.code() == StatusCode::kDataLoss) return Reaction::kDegrade;
   return Reaction::kFail;
 }
 
 namespace {
+constexpr BreakerOptions kCheckpointBreaker{/*failure_threshold=*/2,
+                                            /*open_steps=*/4,
+                                            /*success_threshold=*/2};
 constexpr BreakerOptions kSourceBreaker{/*failure_threshold=*/2,
                                         /*open_steps=*/2,
                                         /*success_threshold=*/2};
 constexpr BreakerOptions kMemoryBreaker{/*failure_threshold=*/3,
                                         /*open_steps=*/2,
                                         /*success_threshold=*/2};
+// While the checkpoint breaker is half-open, only every
+// kCadenceStretch-th due epoch boundary actually probes the store.
+constexpr int64_t kCadenceStretch = 2;
+// Checkpoint-breaker trips beyond this enter safe-stop: the store has
+// proven it recovers only to fail again, so stop feeding it.
+constexpr int kMaxCheckpointTrips = 3;
 }  // namespace
 
-Supervisor::Supervisor(SupervisorOptions opts,
-                       recovery::CheckpointManager* mgr,
+Supervisor::Supervisor(recovery::CheckpointManager* mgr,
                        flow::MemoryBudget* budget)
-    : opts_(opts),
-      mgr_(mgr),
+    : mgr_(mgr),
       budget_(budget),
-      checkpoint_breaker_("checkpoint", opts.checkpoint_breaker),
+      checkpoint_breaker_("checkpoint", kCheckpointBreaker),
       source_breaker_("source", kSourceBreaker),
       memory_breaker_("memory", kMemoryBreaker) {
   CHECK(mgr_ != nullptr);
@@ -136,10 +139,9 @@ Status Supervisor::OnStepComplete(int64_t step,
       ++stats_.catchup_deferred;
       reg.GetCounter("chaos.supervisor.catchup_deferred").Add(1);
     } else if (cb == BreakerState::kHalfOpen &&
-               (half_open_boundaries_++ % std::max<int64_t>(
-                    opts_.cadence_stretch, 1)) != 0) {
+               (half_open_boundaries_++ % kCadenceStretch) != 0) {
       // Stretched cadence: while recovery is unproven, probe the store
-      // only every cadence_stretch-th due boundary.
+      // only every kCadenceStretch-th due boundary.
       ++stats_.checkpoints_stretched;
       reg.GetCounter("chaos.supervisor.checkpoints_stretched").Add(1);
     } else {
@@ -147,14 +149,14 @@ Status Supervisor::OnStepComplete(int64_t step,
       if (st.ok()) {
         checkpoint_breaker_.RecordSuccess(step);
       } else {
-        // The manager already retried transients under its store policy;
+        // The manager already retried transients (recovery/retry.h);
         // reaching here means the budget is exhausted or the error is
         // permanent. Either way: degrade persistence, never the window.
         ++stats_.checkpoint_failures;
         reg.GetCounter("chaos.supervisor.checkpoint_failures").Add(1);
         checkpoint_breaker_.RecordFailure(step, st.message());
         if (ClassifyFailure(st) == Reaction::kFail ||
-            checkpoint_breaker_.trips() > opts_.max_checkpoint_trips) {
+            checkpoint_breaker_.trips() > kMaxCheckpointTrips) {
           EnterSafeStop(step, st.message());
         }
       }

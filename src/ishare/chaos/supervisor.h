@@ -3,7 +3,7 @@
 // fault reactions behind one policy spine keyed off the status taxonomy:
 //
 //   IsTransient (kUnavailable)            → retry, capped deterministic
-//                                           backoff (RetryPolicy);
+//                                           backoff (recovery/retry.h);
 //   IsRetryableBackpressure (kResourceExhausted)
 //                                         → defer, never retry-loop (the
 //                                           flow layer owns the fix);
@@ -15,10 +15,10 @@
 //                                   fallback: the window keeps answering,
 //                                   recovery degrades to rerun);
 //                       half-open → stretched cadence (probe every
-//                                   cadence_stretch-th due boundary);
-//                       re-trips beyond max_checkpoint_trips, or any
-//                       permanent store error → safe-stop (persistence
-//                       disabled for the rest of the window);
+//                                   2nd due boundary);
+//                       a 4th trip, or any permanent store error →
+//                                   safe-stop (persistence disabled for
+//                                   the rest of the window);
 //   source breaker      open/half-open → catch-up mode: persistence is
 //                                   deferred while the stream drains its
 //                                   backlog (checkpointing a window that
@@ -79,18 +79,6 @@ struct LadderTransition {
   std::string cause;
 };
 
-struct SupervisorOptions {
-  BreakerOptions checkpoint_breaker{/*failure_threshold=*/2,
-                                    /*open_steps=*/4,
-                                    /*success_threshold=*/2};
-  // While the checkpoint breaker is half-open, only every
-  // cadence_stretch-th due epoch boundary actually probes the store.
-  int64_t cadence_stretch = 2;
-  // Checkpoint-breaker trips beyond this enter safe-stop: the store has
-  // proven it recovers only to fail again, so stop feeding it.
-  int max_checkpoint_trips = 3;
-};
-
 struct SupervisorStats {
   int64_t checkpoint_failures = 0;      // failed supervised boundaries
   int64_t checkpoints_skipped_open = 0; // track-only fallback boundaries
@@ -109,8 +97,8 @@ struct SupervisorStats {
 // bare CheckpointManager::OnStepComplete call.
 class Supervisor {
  public:
-  Supervisor(SupervisorOptions opts, recovery::CheckpointManager* mgr,
-             flow::MemoryBudget* budget = nullptr);
+  explicit Supervisor(recovery::CheckpointManager* mgr,
+                      flow::MemoryBudget* budget = nullptr);
 
   // ---- per-step observations (all optional, call before OnStepComplete)
   // Window advanced to `window_fraction` while the source had released
@@ -148,7 +136,6 @@ class Supervisor {
   void EnterSafeStop(int64_t step, const std::string& cause);
   void UpdateLadder(int64_t step);
 
-  const SupervisorOptions opts_;
   recovery::CheckpointManager* mgr_;
   flow::MemoryBudget* budget_;
 

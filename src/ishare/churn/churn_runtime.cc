@@ -320,10 +320,11 @@ Status ChurnRuntime::ProcessBoundary(const Fraction& f) {
   // Admission control (DESIGN.md §9/§13): at/above kAdmissionPressure a
   // due registration is deferred — kResourceExhausted semantics, retried
   // after kBackoffBaseSteps << (k-1) steps on its k-th defer — never
-  // failed. Once the retry budget is spent, the query is admitted on the
-  // private rung.
+  // failed. After kMaxAdmissionRetries defers, the query is admitted on
+  // the private rung.
   constexpr double kAdmissionPressure = 0.9;
   constexpr int64_t kBackoffBaseSteps = 1;
+  constexpr int kMaxAdmissionRetries = 4;
   std::vector<PendingReg> due, keep;
   flow::MemoryBudget* budget = opts_.exec.flow.budget;
   for (PendingReg& p : pending_reg_) {
@@ -333,7 +334,7 @@ Status ChurnRuntime::ProcessBoundary(const Fraction& f) {
     }
     bool pressured = budget != nullptr && budget->limited() &&
                      budget->Pressure() >= kAdmissionPressure;
-    if (pressured && p.attempts < opts_.max_admission_retries) {
+    if (pressured && p.attempts < kMaxAdmissionRetries) {
       ++p.attempts;
       p.retry_at =
           step + (kBackoffBaseSteps << std::min(p.attempts - 1, 20));
@@ -630,11 +631,23 @@ Status ChurnRuntime::Snapshot(recovery::CheckpointWriter* w) const {
 }
 
 Status ChurnRuntime::Restore(recovery::CheckpointReader* r) {
+  // The max pace and the pace table warm-start the next epoch switch's
+  // pace search, which aborts on a pace below 1: both are range-checked
+  // before the cast to int.
+  auto valid_pace = [](int64_t p) {
+    return p >= 1 && p <= std::numeric_limits<int>::max();
+  };
   epoch_ = r->I64();
   next_id_ = static_cast<QueryId>(r->I64());
-  max_pace_ = static_cast<int>(r->I64());
+  int64_t max_pace = r->I64();
   uint64_t nl = r->U64();
   if (!r->ok()) return r->status();
+  if (!valid_pace(max_pace)) {
+    r->Fail("churn checkpoint max pace " + std::to_string(max_pace) +
+            " out of range");
+    return r->status();
+  }
+  max_pace_ = static_cast<int>(max_pace);
   if (nl > r->remaining()) {
     r->Fail("churn membership count exceeds payload");
     return r->status();
@@ -702,7 +715,16 @@ Status ChurnRuntime::Restore(recovery::CheckpointReader* r) {
     return r->status();
   }
   paces_.assign(np, 1);
-  for (int& p : paces_) p = static_cast<int>(r->I64());
+  for (int& p : paces_) {
+    int64_t pace = r->I64();
+    if (!r->ok()) break;
+    if (!valid_pace(pace)) {
+      r->Fail("churn checkpoint pace " + std::to_string(pace) +
+              " out of range");
+      return r->status();
+    }
+    p = static_cast<int>(pace);
+  }
   uint64_t nd = r->U64();
   if (nd > r->remaining()) {
     r->Fail("churn drained-result count exceeds payload");
@@ -755,10 +777,9 @@ Status ChurnRuntime::Restore(recovery::CheckpointReader* r) {
     return r->status();
   }
   ISHARE_RETURN_NOT_OK(RebuildEngine(std::move(g)));
-  if (paces_.size() != static_cast<size_t>(graph_->num_subplans())) {
-    r->Fail("churn pace table has " + std::to_string(paces_.size()) +
-            " entries for a graph with " +
-            std::to_string(graph_->num_subplans()) + " subplans");
+  st = ValidatePaceConfig(*graph_, paces_);
+  if (!st.ok()) {
+    r->Fail("churn pace table: " + st.ToString());
     return r->status();
   }
   return exec_->Restore(r);

@@ -77,10 +77,6 @@ struct ChurnOptions {
   ExecOptions exec;
   PaceOptimizerOptions opt;
   MqoOptions mqo;
-
-  // Defers before a pressured registration is admitted unshared anyway
-  // (inert without exec.flow.budget).
-  int max_admission_retries = 4;
 };
 
 // What churn did over the session so far (monotone counters; also

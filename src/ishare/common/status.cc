@@ -26,8 +26,6 @@ const char* CodeName(StatusCode code) {
       return "DataLoss";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
-    case StatusCode::kShardUnavailable:
-      return "ShardUnavailable";
   }
   return "Unknown";
 }

@@ -41,16 +41,6 @@ enum class StatusCode {
   // without making progress. Callers test IsRetryableBackpressure() and
   // route through the flow-control layer (defer/shed) instead.
   kResourceExhausted,
-  // A shard runtime in a sharded group is crashed or stalled past its
-  // slack (DESIGN.md §14). Deliberately NEITHER transient NOR
-  // backpressure: blindly retrying the failing step cannot resurrect a
-  // dead shard (and would burn the kUnavailable retry budget), and
-  // routing it through the flow layer would shed tuples for a fault that
-  // loses none. The correct reaction is *group-level* recovery — restore
-  // every shard to the last consistent epoch — which the chaos
-  // Supervisor's ClassifyFailure maps to Reaction::kDegrade via
-  // IsShardFault(). See the classification table in DESIGN.md §14.
-  kShardUnavailable,
 };
 
 // True for codes whose failures are worth retrying (see taxonomy above).
@@ -95,9 +85,6 @@ class [[nodiscard]] Status {
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
-  static Status ShardUnavailable(std::string msg) {
-    return Status(StatusCode::kShardUnavailable, std::move(msg));
-  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -114,15 +101,6 @@ class [[nodiscard]] Status {
   // faults). Disjoint from IsTransient() by construction.
   bool IsRetryableBackpressure() const {
     return code_ == StatusCode::kResourceExhausted;
-  }
-
-  // True when the failure is a shard-group fault (a crashed or
-  // slack-exhausted shard). Disjoint from both IsTransient() and
-  // IsRetryableBackpressure() by construction: the fix is group recovery
-  // to a consistent epoch, not a step retry and not flow-control
-  // deferral (DESIGN.md §14 classification table).
-  bool IsShardFault() const {
-    return code_ == StatusCode::kShardUnavailable;
   }
 
   // Human-readable rendering, e.g. "InvalidArgument: bad pace".

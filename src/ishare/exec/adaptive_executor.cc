@@ -14,6 +14,9 @@ namespace ishare {
 namespace {
 
 constexpr double kEps = 1e-9;
+// Drift and overload decisions need at least this many observed
+// scheduled executions (early executions are noise-dominated).
+constexpr int kMinDriftSamples = 3;
 
 // Checkpoint serde for RunResult. `include_timings = false` skips every
 // wall-clock field and is what StateFingerprint() uses: timings differ
@@ -355,7 +358,7 @@ void AdaptiveExecutor::RebuildPoints(const Fraction& after) {
 }
 
 double AdaptiveExecutor::DriftRatio() const {
-  if (ws_.sched_execs < policy_.min_drift_samples ||
+  if (ws_.sched_execs < kMinDriftSamples ||
       ws_.drift_pred <= kEps) {
     return 1.0;
   }
@@ -469,12 +472,13 @@ Status AdaptiveExecutor::StepOnce() {
     }
   }
 
-  // Overload: cumulative work has outrun the drift-corrected pro-rata
-  // budget for the window progress so far.
+  // Overload: cumulative work has outrun kOverloadFactor times the
+  // drift-corrected pro-rata budget for the window progress so far.
+  constexpr double kOverloadFactor = 2.0;
   const bool overloaded =
-      adaptive && ws_.sched_execs >= policy_.min_drift_samples &&
-      ws_.observed_total > DriftRatio() * pred_total_ * f.ToDouble() *
-                               policy_.overload_factor;
+      adaptive && ws_.sched_execs >= kMinDriftSamples &&
+      ws_.observed_total >
+          DriftRatio() * pred_total_ * f.ToDouble() * kOverloadFactor;
 
   std::vector<char> ran(n, 0);
   std::vector<char> was_catchup(n, 0);

@@ -71,13 +71,6 @@ struct RunResult {
 // Every decision is deterministic given the observed stream, so a run is
 // replayable from a seeded FaultPlan.
 struct AdaptivePolicy {
-  // Declare overload when cumulative observed work exceeds this multiple
-  // of the (drift-corrected) pro-rata work budget for the window so far.
-  double overload_factor = 2.0;
-  // Drift and overload decisions need at least this many observed
-  // scheduled executions (early executions are noise-dominated).
-  int min_drift_samples = 3;
-
   // ---- Memory flow control (DESIGN.md §9) -------------------------------
   // All of these are inert until ExecOptions::flow.budget is set. Under a
   // limited budget, scheduled intermediate executions of sheddable

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ishare/recovery/retry.h"
 #include "ishare/sched/options.h"
 
 namespace ishare {
@@ -58,11 +57,6 @@ struct ExecOptions {
   // per-job startup overhead the paper's Spark prototype pays (mitigated
   // but not eliminated by Drizzle-style scheduling [47]).
   double startup_cost = 32.0;
-
-  // Transient storage faults (Status::IsTransient) hit while draining leaf
-  // buffers are retried under this policy with virtual exponential backoff
-  // (DESIGN.md §8); permanent faults propagate on the first attempt.
-  recovery::RetryPolicy retry;
 
   // Flow control (DESIGN.md §9). All fields are inert until `budget` is
   // set (bench_overload and the overload harness do; plain runs don't).

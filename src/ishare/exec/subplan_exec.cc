@@ -6,6 +6,7 @@
 
 #include "ishare/flow/memory_budget.h"
 #include "ishare/obs/obs.h"
+#include "ishare/recovery/retry.h"
 
 namespace ishare {
 
@@ -96,31 +97,28 @@ SubplanExecutor::OpNode SubplanExecutor::BuildTree(const PlanNodePtr& node) {
 // faults fail the run on the first attempt, preserving fail-soft isolation
 // between co-scheduled queries.
 Result<DeltaSpan> SubplanExecutor::ConsumeLeafWithRetry(OpNode& n) {
-  int attempt = 0;
+  DeltaSpan span;
+  int attempts = 0;
   double backoff = 0;
-  for (;;) {
-    Result<DeltaSpan> raw = n.input_buffer->ConsumeNew(n.consumer_id);
-    ++attempt;
-    if (raw.ok()) {
-      if (attempt > 1) {
-        obs::MetricsRegistry& reg = obs::Registry();
-        reg.GetCounter("recovery.retry.attempts").Add(attempt - 1);
-        reg.GetCounter("recovery.retry.success").Add(1);
-        reg.GetCounter("recovery.retry.backoff_seconds").Add(backoff);
-      }
-      return raw;
-    }
-    if (!opts_.retry.ShouldRetry(raw.status(), attempt)) {
-      if (raw.status().IsTransient()) {
-        obs::MetricsRegistry& reg = obs::Registry();
-        reg.GetCounter("recovery.retry.attempts").Add(attempt - 1);
-        reg.GetCounter("recovery.retry.exhausted").Add(1);
-        reg.GetCounter("recovery.retry.backoff_seconds").Add(backoff);
-      }
-      return raw;
-    }
-    backoff += recovery::RetryPolicy::BackoffSeconds(attempt);
+  Status st = recovery::RetryTransient(
+      [&]() -> Status {
+        ISHARE_ASSIGN_OR_RETURN(span,
+                                n.input_buffer->ConsumeNew(n.consumer_id));
+        return Status::OK();
+      },
+      &attempts, &backoff);
+  // A success after retries or an exhausted transient is published; a
+  // permanent error is not.
+  if (st.ok() ? attempts > 1 : st.IsTransient()) {
+    obs::MetricsRegistry& reg = obs::Registry();
+    reg.GetCounter("recovery.retry.attempts").Add(attempts - 1);
+    reg.GetCounter(st.ok() ? "recovery.retry.success"
+                           : "recovery.retry.exhausted")
+        .Add(1);
+    reg.GetCounter("recovery.retry.backoff_seconds").Add(backoff);
   }
+  ISHARE_RETURN_NOT_OK(st);
+  return span;
 }
 
 Result<DeltaBatch> SubplanExecutor::Pump(OpNode& n, int64_t* tuples_in) {

@@ -9,6 +9,7 @@
 #include "ishare/harness/result_compare.h"
 #include "ishare/obs/obs.h"
 #include "ishare/recovery/checkpoint_manager.h"
+#include "ishare/recovery/retry.h"
 #include "ishare/storage/perturbed_source.h"
 
 namespace ishare {
@@ -71,10 +72,12 @@ Result<ChaosReport> RunChaos(CostEstimator* estimator,
     }
   }
 
-  // The margin keeps organic pressure well below the memory breaker's
-  // trip threshold; only injected spikes can cross it (attribution gate).
+  // Bounded budget = kBudgetMargin * fault-free peak. Kept > 1 so only
+  // injected pressure spikes (never organic usage) cross the memory
+  // breaker's trip threshold — the attribution gate depends on it.
+  constexpr double kBudgetMargin = 1.6;
   rep.budget_bytes = std::max<int64_t>(
-      1, static_cast<int64_t>(options.budget_margin *
+      1, static_cast<int64_t>(kBudgetMargin *
                               static_cast<double>(rep.peak_baseline)));
 
   // ---- Pass B: supervised chaos run -------------------------------------
@@ -90,7 +93,7 @@ Result<ChaosReport> RunChaos(CostEstimator* estimator,
 
   recovery::MemoryCheckpointStore store;
   recovery::CheckpointManager mgr(&store, options.checkpoint);
-  chaos::Supervisor supervisor(options.supervisor, &mgr, &bounded);
+  chaos::Supervisor supervisor(&mgr, &bounded);
 
   chaos::ChaosInjector::Targets targets;
   targets.store = &store;
@@ -233,9 +236,7 @@ Result<CrashRunReport> RunChaosCrash(const SubplanGraph& graph,
       faults += ev.count;
     }
   }
-  int64_t budget =
-      options.checkpoint.store_retry.EffectiveMaxAttempts() - 1;
-  faults = std::min(faults, std::max<int64_t>(0, budget));
+  faults = std::min<int64_t>(faults, recovery::kMaxAttempts - 1);
   if (faults > 0) {
     store->InjectWriteFault(
         Status::Unavailable("chaos: store outage during crash cycle"),

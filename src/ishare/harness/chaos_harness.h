@@ -43,14 +43,9 @@ struct ChaosOptions {
     checkpoint.overhead_budget = 0;
   }
 
-  chaos::SupervisorOptions supervisor;
   recovery::CheckpointManagerOptions checkpoint;
   AdaptivePolicy policy;  // defer-only by default (enable_shed_drop=false)
   ExecOptions exec;
-  // Bounded budget = budget_margin * fault-free peak. Kept > 1 so only
-  // injected pressure spikes (never organic usage) cross the memory
-  // breaker's trip threshold — the attribution gate depends on it.
-  double budget_margin = 1.6;
 };
 
 struct ChaosReport {
@@ -94,8 +89,9 @@ Result<ChaosReport> RunChaos(CostEstimator* estimator,
 // with its transient store faults pre-armed, so Stage/Commit retries land
 // while the (possibly parallel, options.exec.sched.num_threads > 1)
 // window is in flight. Fault counts are clamped below the store-retry
-// budget: the crashed run must die from the *planned* kill, not from an
-// exhausted retry. `store` doubles as options.store.
+// budget (recovery::kMaxAttempts): the crashed run must die from the
+// *planned* kill, not from an exhausted retry. `store` doubles as
+// options.store.
 Result<CrashRunReport> RunChaosCrash(const SubplanGraph& graph,
                                      const PaceConfig& paces,
                                      const StreamSource& dataset,

@@ -57,7 +57,7 @@ struct CrashRecoveryOptions {
   }
 
   CrashPlan plan;
-  // Checkpoint cadence and store-retry policy. The harness default epoch
+  // Checkpoint cadence and budget. The harness default epoch
   // (2) checkpoints more often than the manager default so small test
   // windows exercise multi-epoch recovery.
   recovery::CheckpointManagerOptions checkpoint;

@@ -90,15 +90,18 @@ Result<OverloadReport> RunOverload(CostEstimator* estimator,
   }
 
   // ---- Budget derivation ------------------------------------------------
-  // Room for the protective working set plus a margin of the sheddable
-  // one. Sums of per-component peaks over-approximate the joint peak, so
-  // the budget is conservative but still well under peak_unbounded for
-  // margins < 1.
+  // Budget = protective_peak + kBudgetMargin * (peak_unbounded -
+  // protective_peak): always enough for the protective working set,
+  // deliberately not enough for the full one (a margin in (0, 1) forces
+  // shedding). Sums of per-component peaks over-approximate the joint
+  // peak, so the budget is conservative but still well under
+  // peak_unbounded.
+  constexpr double kBudgetMargin = 0.35;
   double sheddable_span = static_cast<double>(
       std::max<int64_t>(0, rep.peak_unbounded - rep.protective_peak));
   rep.budget_bytes = std::max<int64_t>(
       1, rep.protective_peak +
-             static_cast<int64_t>(options.budget_margin * sheddable_span));
+             static_cast<int64_t>(kBudgetMargin * sheddable_span));
 
   // ---- Pass B: bounded, defer + drop ------------------------------------
   flow::MemoryBudget bounded(rep.budget_bytes);
@@ -107,8 +110,10 @@ Result<OverloadReport> RunOverload(CostEstimator* estimator,
   policy_b.drop_pressure_target = options.drop_pressure_target;
   ExecOptions opts_b = options.exec;
   opts_b.flow.budget = &bounded;
+  // Per-buffer soft limit as a fraction of the derived budget.
+  constexpr double kBufferLimitFraction = 0.5;
   opts_b.flow.buffer_soft_limit_bytes = static_cast<int64_t>(
-      options.buffer_limit_fraction * static_cast<double>(rep.budget_bytes));
+      kBufferLimitFraction * static_cast<double>(rep.budget_bytes));
   ISHARE_ASSIGN_OR_RETURN(
       PassResult b, RunPass(estimator, paces, abs_constraints, make_source,
                             policy_b, opts_b));

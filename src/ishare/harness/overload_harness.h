@@ -35,17 +35,10 @@
 namespace ishare {
 
 struct OverloadOptions {
-  // Budget = protective_peak + margin * (peak_unbounded - protective_peak):
-  // always enough for the protective working set, deliberately not enough
-  // for the full one. Values in (0, 1) force shedding.
-  double budget_margin = 0.35;
   // Pressure at which the drop pass drains to, leaving headroom for the
   // growth of the next step's executions (AdaptivePolicy field of the
   // same name).
   double drop_pressure_target = 0.6;
-  // Per-buffer soft limit as a fraction of the derived budget (0 disables
-  // buffer watermarks).
-  double buffer_limit_fraction = 0.5;
   AdaptivePolicy policy;  // shedding knobs are overridden per pass
   ExecOptions exec;       // flow options are overridden per pass
 };

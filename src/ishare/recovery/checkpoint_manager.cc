@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "ishare/obs/obs.h"
+#include "ishare/recovery/retry.h"
 
 namespace ishare::recovery {
 
@@ -96,19 +97,19 @@ Status CheckpointManager::CheckpointImpl(int64_t step,
   header.step = step;
   std::string frame = EncodeCheckpoint(header, payload.data());
 
+  // Store Stage/Commit calls are retried (recovery/retry.h), so a
+  // transiently flaky store does not abort the window.
   int attempts = 0;
   double backoff = 0;
   int64_t extra_attempts = 0;
-  Status st = RetryTransient(
-      options_.store_retry, [&] { return store_->Stage(step, frame); },
-      &attempts, &backoff);
+  Status st = RetryTransient([&] { return store_->Stage(step, frame); },
+                             &attempts, &backoff);
   extra_attempts += attempts - 1;
   ISHARE_RETURN_NOT_OK(st);
 
   if (commit) {
-    st = RetryTransient(
-        options_.store_retry, [&] { return store_->Commit(step); },
-        &attempts, &backoff);
+    st = RetryTransient([&] { return store_->Commit(step); }, &attempts,
+                        &backoff);
     extra_attempts += attempts - 1;
     ISHARE_RETURN_NOT_OK(st);
   }

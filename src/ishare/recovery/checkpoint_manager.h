@@ -29,7 +29,6 @@
 #include "ishare/recovery/checkpoint.h"
 #include "ishare/recovery/checkpoint_store.h"
 #include "ishare/recovery/checkpointable.h"
-#include "ishare/recovery/retry.h"
 
 namespace ishare::recovery {
 
@@ -49,9 +48,6 @@ struct CheckpointManagerOptions {
   // std::chrono::steady_clock; tests inject a scripted clock for
   // determinism.
   std::function<double()> clock;
-  // Store Stage/Commit calls are retried under this policy, so a
-  // transiently flaky store does not abort the window.
-  RetryPolicy store_retry;
 };
 
 // Plain-struct mirror of the recovery.* obs counters, kept independent of

@@ -4,7 +4,7 @@
 
 namespace ishare::recovery {
 
-double RetryPolicy::BackoffSeconds(int attempt) {
+double BackoffSeconds(int attempt) {
   constexpr double kBaseBackoffSeconds = 0.001;
   constexpr double kBackoffMultiplier = 2.0;
   constexpr double kMaxBackoffSeconds = 0.100;

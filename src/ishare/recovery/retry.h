@@ -15,49 +15,38 @@
 
 namespace ishare::recovery {
 
-struct RetryPolicy {
-  // Total tries = 1 initial attempt + up to (max_attempts - 1) retries.
-  // Values < 1 are treated as 1: the initial attempt always runs, so a
-  // zero or negative budget cannot turn RetryTransient into "never call
-  // the operation" or an unbounded loop.
-  int max_attempts = 4;
+// Total tries = 1 initial attempt + up to (kMaxAttempts - 1) retries.
+inline constexpr int kMaxAttempts = 4;
 
-  int EffectiveMaxAttempts() const {
-    return max_attempts < 1 ? 1 : max_attempts;
-  }
+// True if `status` is transient and `attempt` (1-based count of tries
+// already made) leaves budget for another try. The boundary is exact:
+// attempt == kMaxAttempts is the last try and never retries, so
+// RetryTransient makes exactly kMaxAttempts calls against a persistent
+// transient fault, with one fewer backoff accruals.
+inline bool ShouldRetry(const Status& status, int attempt) {
+  return status.IsTransient() && attempt < kMaxAttempts;
+}
 
-  // True if `status` is transient and `attempt` (1-based count of tries
-  // already made) leaves budget for another try. The boundary is exact:
-  // attempt == EffectiveMaxAttempts() is the last try and never retries,
-  // so RetryTransient makes exactly EffectiveMaxAttempts() calls against
-  // a persistent transient fault, with one fewer backoff accruals.
-  bool ShouldRetry(const Status& status, int attempt) const {
-    return status.IsTransient() && attempt < EffectiveMaxAttempts();
-  }
+// Backoff before retry number `attempt`: min(1 ms · 2^(attempt-1),
+// 100 ms), with attempts < 1 treated as 1. Never slept, so there is no
+// contention for jitter to decorrelate.
+double BackoffSeconds(int attempt);
 
-  // Backoff before retry number `attempt`: min(1 ms · 2^(attempt-1),
-  // 100 ms), with attempts < 1 treated as 1. Never slept, so there is no
-  // contention for jitter to decorrelate.
-  static double BackoffSeconds(int attempt);
-};
-
-// Runs `op` (returning Status) under `policy`, accumulating virtual
-// backoff into *backoff_seconds and attempt count into *attempts (both
-// optional). Returns the first permanent error, the last transient error
-// if the budget is exhausted, or OK.
+// Runs `op` (returning Status) until it succeeds, fails permanently or
+// has made kMaxAttempts tries, accumulating virtual backoff into
+// *backoff_seconds and the attempt count into *attempts (both optional).
+// Returns the first permanent error, the last transient error if the
+// budget is exhausted, or OK.
 template <typename Op>
-Status RetryTransient(const RetryPolicy& policy, Op&& op,
-                      int* attempts = nullptr,
+Status RetryTransient(Op&& op, int* attempts = nullptr,
                       double* backoff_seconds = nullptr) {
   int tries = 0;
   for (;;) {
     Status st = op();
     ++tries;
     if (attempts != nullptr) *attempts = tries;
-    if (st.ok() || !policy.ShouldRetry(st, tries)) return st;
-    if (backoff_seconds != nullptr) {
-      *backoff_seconds += RetryPolicy::BackoffSeconds(tries);
-    }
+    if (st.ok() || !ShouldRetry(st, tries)) return st;
+    if (backoff_seconds != nullptr) *backoff_seconds += BackoffSeconds(tries);
   }
 }
 

@@ -23,7 +23,7 @@ Status ExchangeFabric::Init(const StreamSource& dataset,
   // source's protected state: clone the datasets and release everything.
   StreamSource probe;
   ISHARE_RETURN_NOT_OK(dataset.CloneTablesInto(&probe));
-  ISHARE_RETURN_NOT_OK(probe.AdvanceTo(1.0));
+  ISHARE_RETURN_NOT_OK(probe.AdvanceToStep(1, 1));
 
   // Copy datasets and precompute routing.
   for (const std::string& name : dataset.TableNames()) {
@@ -193,11 +193,6 @@ ExchangeShardSource::ExchangeShardSource(ExchangeFabric* fabric, int shard)
 
 Status ExchangeShardSource::DoAdvance(double /*fraction*/,
                                       const Fraction* exact) {
-  if (exact == nullptr) {
-    return Status::InvalidArgument(
-        "exchange shard source " + std::to_string(shard_) +
-        " advances only to exact window points");
-  }
   ISHARE_RETURN_NOT_OK(fabric_->DeliverUpTo(*exact));
   for (auto& [name, t] : tables_) {
     std::vector<DeltaTuple> batch;

@@ -132,10 +132,9 @@ class ExchangeFabric {
 // shard's owned rows in dataset order, released through the shared
 // fabric. DoAdvance delivers and then appends the newly releasable rows
 // of every table to the shard's base buffers — so a shard's base log is
-// always the dataset order restricted to the rows it owns. It advances
-// only to exact window points (AdvanceToStep); AdvanceTo returns
-// InvalidArgument. Fabric delivery state is group-scoped and reset
-// separately (ExchangeFabric::ResetDelivery).
+// always the dataset order restricted to the rows it owns. Fabric
+// delivery state is group-scoped and reset separately
+// (ExchangeFabric::ResetDelivery).
 class ExchangeShardSource : public StreamSource {
  public:
   ExchangeShardSource(ExchangeFabric* fabric, int shard);

@@ -44,8 +44,7 @@ ShardedRuntime::ShardedRuntime(const Catalog* catalog,
   mgr_ = std::make_unique<recovery::CheckpointManager>(
       opts_.store != nullptr ? opts_.store : owned_store_.get(),
       opts_.checkpoint);
-  supervisor_ = std::make_unique<chaos::Supervisor>(opts_.supervisor,
-                                                    mgr_.get(),
+  supervisor_ = std::make_unique<chaos::Supervisor>(mgr_.get(),
                                                     opts_.exec.flow.budget);
 
   // Per-shard health breakers; straggler escalations count as failures.
@@ -168,13 +167,7 @@ Status ShardedRuntime::RunRound() {
 
   bool any_crashed = false;
   for (size_t s = 0; s < crashed_.size(); ++s) any_crashed |= crashed_[s];
-  if (any_crashed) {
-    if (!opts_.recover_on_crash) {
-      return Status::ShardUnavailable(
-          "shard crashed and group recovery is disabled");
-    }
-    ISHARE_RETURN_NOT_OK(Recover());
-  }
+  if (any_crashed) ISHARE_RETURN_NOT_OK(Recover());
 
   ++round_;
   ++stats_.rounds;

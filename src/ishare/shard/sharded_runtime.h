@@ -83,10 +83,6 @@ struct ShardOptions {
   // every 2 rounds, no wall-clock budget.
   recovery::CheckpointStore* store = nullptr;
   recovery::CheckpointManagerOptions checkpoint;
-  chaos::SupervisorOptions supervisor;
-  // When false, a crashed shard fails the round with kShardUnavailable
-  // instead of triggering group recovery (tests pin the classification).
-  bool recover_on_crash = true;
 
   ShardOptions() {
     checkpoint.epoch_len = 2;
@@ -155,8 +151,7 @@ class ShardedRuntime : public recovery::Checkpointable {
   // Shard `s` skips its steps for the next `rounds` rounds, building lag
   // the straggler policy must absorb or escalate.
   Status InjectStall(int s, int64_t rounds);
-  // Marks shard `s` crashed; the next RunRound performs group recovery
-  // (or fails with kShardUnavailable when recover_on_crash is off).
+  // Marks shard `s` crashed; the next RunRound performs group recovery.
   Status InjectCrash(int s);
 
   // ---- introspection ----------------------------------------------------

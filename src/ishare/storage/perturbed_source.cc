@@ -215,8 +215,8 @@ const std::vector<int64_t>& PerturbedStreamSource::Permutation(
 Status PerturbedStreamSource::DoAdvance(double fraction,
                                         const Fraction* exact) {
   ISHARE_RETURN_NOT_OK(plan_status_);
-  // The warp is irrational in general, so the exact rational fast path
-  // does not apply; the trigger point still releases everything.
+  // The warp is irrational in general, so the exact rational point does
+  // not apply; the trigger point still releases everything.
   (void)exact;
   for (auto& [name, t] : tables_) {
     int64_t total = static_cast<int64_t>(t->rows.size());

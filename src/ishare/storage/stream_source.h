@@ -27,8 +27,8 @@ namespace ishare {
 // real deployments see; executors therefore drive the source through the
 // virtual advance spine and must not assume uniform arrival.
 //
-// Advancement is part of the recoverable error spine: NaN or backwards
-// fractions return Status instead of aborting.
+// Advancement is part of the recoverable error spine: malformed or
+// backwards window steps return Status instead of aborting.
 class StreamSource {
  public:
   StreamSource() = default;
@@ -78,20 +78,12 @@ class StreamSource {
     return static_cast<int64_t>(it->second->rows.size());
   }
 
-  // Releases rows so that each table has received fraction t of its data.
-  // Fractions must be non-decreasing across calls.
-  Status AdvanceTo(double fraction) {
-    ISHARE_RETURN_NOT_OK(CheckFraction(fraction));
-    fraction = std::min(std::max(fraction, 0.0), 1.0);
-    current_fraction_ = std::max(current_fraction_, fraction);
-    return DoAdvance(fraction, /*exact=*/nullptr);
-  }
-
-  // Exact-arithmetic advancement to the rational window point num/den.
-  // Pace schedules are sets of such points; computing the release target
-  // as floor(num * total / den) in integers keeps the schedule exact even
-  // for paces whose reciprocals are not representable in binary (3, 7,
-  // 11, ...). The executors drive the source through this entry point.
+  // Releases rows so that each table has received the rational window
+  // point num/den of its data. Pace schedules are sets of such points;
+  // computing the release target as floor(num * total / den) in integers
+  // keeps the schedule exact even for paces whose reciprocals are not
+  // representable in binary (3, 7, 11, ...). Points must be
+  // non-decreasing across calls.
   Status AdvanceToStep(int64_t num, int64_t den) {
     if (den <= 0 || num < 0 || num > den) {
       return Status::InvalidArgument("bad window step " + std::to_string(num) +
@@ -99,7 +91,12 @@ class StreamSource {
     }
     Fraction f = Fraction::Make(num, den);
     double fraction = f.ToDouble();
-    ISHARE_RETURN_NOT_OK(CheckFraction(fraction));
+    if (fraction < current_fraction_ - 1e-12) {
+      return Status::InvalidArgument(
+          "stream cannot move backwards (at " +
+          std::to_string(current_fraction_) + ", asked " +
+          std::to_string(fraction) + ")");
+    }
     current_fraction_ = std::max(current_fraction_, fraction);
     return DoAdvance(fraction, &f);
   }
@@ -175,11 +172,11 @@ class StreamSource {
     int64_t released = 0;
   };
 
-  // Release-target computation for the floating-point path: floor with a
-  // documented relative tolerance of 1e-9 — products that are
-  // mathematically integral (pace boundaries) can land a few ulps on
-  // either side of the integer, so values within the tolerance snap to the
-  // nearest integer before flooring.
+  // Release-target computation for a warped (irrational) fraction: floor
+  // with a documented relative tolerance of 1e-9 — products that are
+  // mathematically integral can land a few ulps on either side of the
+  // integer, so values within the tolerance snap to the nearest integer
+  // before flooring.
   static int64_t FloorTarget(double fraction, int64_t total) {
     double x = fraction * static_cast<double>(total);
     int64_t nearest = std::llround(x);
@@ -199,39 +196,12 @@ class StreamSource {
     t.released = std::max(t.released, target);
   }
 
-  // The release schedule: subclasses perturb it. `exact` is non-null when
-  // the caller advanced to a rational point. `fraction` is already
-  // validated, clamped to [0, 1] and non-decreasing.
-  virtual Status DoAdvance(double fraction, const Fraction* exact) {
+  // The release schedule: subclasses perturb it. `exact` is the validated,
+  // non-decreasing window point (never null) and `fraction` its value.
+  virtual Status DoAdvance(double /*fraction*/, const Fraction* exact) {
     for (auto& [name, t] : tables_) {
       int64_t total = static_cast<int64_t>(t->rows.size());
-      int64_t target;
-      if (fraction >= 1.0) {
-        target = total;
-      } else if (exact != nullptr) {
-        target = exact->num * total / exact->den;
-      } else {
-        target = FloorTarget(fraction, total);
-      }
-      ReleaseTo(*t, target);
-    }
-    return Status::OK();
-  }
-
-  Status CheckFraction(double fraction) const {
-    if (std::isnan(fraction)) {
-      return Status::InvalidArgument("window fraction is NaN");
-    }
-    if (fraction < -1e-12 || fraction > 1.0 + 1e-9) {
-      return Status::OutOfRange("window fraction " +
-                                std::to_string(fraction) +
-                                " outside [0, 1]");
-    }
-    if (fraction < current_fraction_ - 1e-12) {
-      return Status::InvalidArgument(
-          "stream cannot move backwards (at " +
-          std::to_string(current_fraction_) + ", asked " +
-          std::to_string(fraction) + ")");
+      ReleaseTo(*t, exact->num * total / exact->den);
     }
     return Status::OK();
   }

@@ -297,34 +297,6 @@ TEST(ArrangeEligibility, ArrangedSharedWorkCountsEligibleBuildRows) {
 // The arranged-vs-private bit-exactness property
 // ---------------------------------------------------------------------------
 
-// Deterministic query family of arrangement-eligible shapes: bare scans
-// feeding joins/aggregates, so every operator is a candidate reader. No
-// MQO merge — each query stays its own subplan, and the ONLY sharing in
-// an arranged run flows through the catalog.
-QueryPlan MakeArrangeQuery(const Catalog& catalog, QueryId q, int shape) {
-  PlanBuilder b(&catalog, q);
-  PlanNodePtr root;
-  switch (shape % 4) {
-    case 0:
-      root = b.Aggregate(b.Scan("orders"), {"o_custkey"},
-                         {SumAgg(Col("o_amount"), "total"), CountAgg("n")});
-      break;
-    case 1:
-      root = b.Join(b.Scan("orders"), b.Scan("customer"), {"o_custkey"},
-                    {"c_custkey"});
-      break;
-    case 2:
-      root = b.Aggregate(b.Scan("customer"), {"c_region"}, {CountAgg("n")});
-      break;
-    default:
-      root = b.Aggregate(b.Scan("orders"), {},
-                         {MinAgg(Col("o_amount"), "lo"),
-                          MaxAgg(Col("o_amount"), "hi")});
-      break;
-  }
-  return QueryPlan{q, "aq" + std::to_string(q), root};
-}
-
 using ResultMap = std::unordered_map<Row, int64_t, RowHasher>;
 
 // Bit-exact scalar equality: the numeric tolerance of Value::operator== is
@@ -428,19 +400,10 @@ TEST(ArrangeEquivalence, ArrangedRunIsBitExactOverRandomWorkloads) {
   TestDb db(200, 12, 7);
   const int kSeeds = 100;
   for (int seed = 1; seed <= kSeeds; ++seed) {
-    Rng rng(static_cast<uint64_t>(seed));
-    int nq = static_cast<int>(2 + rng.UniformInt(0, 2));
-    std::vector<QueryPlan> qs;
-    for (int q = 0; q < nq; ++q) {
-      qs.push_back(MakeArrangeQuery(
-          db.catalog, q, static_cast<int>(rng.UniformInt(0, 3))));
-    }
-    SubplanGraph g = SubplanGraph::Build(qs);
-    PaceConfig paces(g.num_subplans());
-    // Distinct paces put the shared arrangement's readers at genuinely
-    // different versions, exercising mid-chain folds and laggard dedup.
-    for (int& p : paces) p = static_cast<int>(1 + rng.UniformInt(0, 3));
-    int threads = (seed % 4 == 0) ? 4 : 1;
+    ArrangeWorkload w = MakeArrangeWorkload(db.catalog, seed);
+    const SubplanGraph& g = w.graph;
+    const PaceConfig& paces = w.paces;
+    const int threads = w.threads;
 
     RunOutput priv =
         RunWorkload(&db, g, paces, /*arranged=*/false, threads);

@@ -38,36 +38,9 @@ using chaos::FaultSchedule;
 using chaos::Reaction;
 using chaos::ServiceLevel;
 using chaos::Supervisor;
-using chaos::SupervisorOptions;
 using recovery::CheckpointManager;
 using recovery::CheckpointManagerOptions;
 using recovery::MemoryCheckpointStore;
-
-// Same shared DAG as the crash/recovery suite: an aggregate feeding two
-// query roots, so the window has shared and private event points.
-std::vector<QueryPlan> MakeSharedDag(const Catalog& catalog) {
-  QuerySet both = QuerySet::FromIds({0, 1});
-  PlanNodePtr scan = PlanNode::MakeScan(catalog, "orders", both);
-  std::map<QueryId, ExprPtr> preds;
-  preds[1] = Gt(Col("o_amount"), Lit(50.0));
-  PlanNodePtr filt = PlanNode::MakeFilter(scan, std::move(preds), both);
-  PlanNodePtr agg = PlanNode::MakeAggregate(
-      filt, {"o_custkey"}, {SumAgg(Col("o_amount"), "total")}, both);
-  PlanNodePtr root0 = PlanNode::MakeProject(
-      agg, {{Col("o_custkey"), "k"}, {Col("total"), "total"}},
-      QuerySet::Single(0));
-  PlanNodePtr root1 = PlanNode::MakeAggregate(
-      agg, {}, {MaxAgg(Col("total"), "max_total")}, QuerySet::Single(1));
-  return {QueryPlan{0, "q0", root0}, QueryPlan{1, "q1", root1}};
-}
-
-// Zero slack for q0, ample slack for q1: gate 3's protective invariant
-// has something to protect, shedding has somewhere legal to land.
-std::vector<double> TightLooseConstraints(CostEstimator* est,
-                                          const PaceConfig& paces) {
-  PlanCost cost = est->Estimate(paces);
-  return {cost.query_final_work[0], 10.0 * cost.query_final_work[1]};
-}
 
 // Minimal Checkpointable for scripted Supervisor scenarios.
 class MiniState : public recovery::Checkpointable {
@@ -361,39 +334,50 @@ TEST(ChaosWorkerStall, InjectedStallsNeverChangeParallelResults) {
 // Supervisor: scripted scenarios over the policy spine
 // ---------------------------------------------------------------------------
 
+// The scripted scenarios run the Supervisor's fixed policy: the
+// checkpoint breaker trips after 2 failed boundaries, stays open 4 steps
+// and closes after 2 half-open successes; half-open probes every 2nd due
+// boundary; the 4th trip safe-stops. Every step is an epoch boundary, and
+// a failed boundary spends the manager's 4 store attempts, so a fault
+// armed with times = 4k fails k boundaries.
+
 TEST(ChaosSupervisor, RepeatedReTripsEscalateToSafeStop) {
   MemoryCheckpointStore store;
   CheckpointManagerOptions mopts;
   mopts.epoch_len = 1;
   mopts.overhead_budget = 0;
-  mopts.store_retry.max_attempts = 1;
   CheckpointManager mgr(&store, mopts);
-  SupervisorOptions sopts;
-  sopts.checkpoint_breaker = {1, 1, 1};
-  sopts.max_checkpoint_trips = 1;
-  Supervisor sup(sopts, &mgr);
+  Supervisor sup(&mgr);
   store.InjectWriteFault(Status::Unavailable("store down"), /*times=*/-1);
 
   MiniState state;
-  for (int64_t step = 1; step <= 3; ++step) {
+  for (int64_t step = 1; step <= 16; ++step) {
     state.value = step;
     ASSERT_TRUE(sup.OnStepComplete(step, state).ok());
   }
-  // Step 1 trips; step 2's half-open probe fails, re-trips past the
-  // budget, and the Supervisor stops feeding the proven-bad store.
+  // Fail@1, fail@2 → trip 1; each half-open probe (steps 6, 10, 14) fails
+  // and re-trips, the open boundaries between them are skipped, and the
+  // 4th trip at step 14 stops feeding the proven-bad store.
   EXPECT_TRUE(sup.safe_stopped());
   EXPECT_EQ(sup.level(), ServiceLevel::kSafeStop);
   EXPECT_EQ(sup.stats().safe_stops, 1);
-  EXPECT_EQ(sup.stats().checkpoint_failures, 2);
-  EXPECT_EQ(sup.checkpoint_breaker().trips(), 2);
+  EXPECT_EQ(sup.stats().checkpoint_failures, 5);
+  EXPECT_EQ(sup.stats().checkpoints_skipped_open, 9);
+  EXPECT_EQ(sup.checkpoint_breaker().trips(), 4);
   EXPECT_EQ(mgr.stats().checkpoints, 0);
   EXPECT_EQ(mgr.stats().last_commit_epoch, 0);
 
+  std::vector<int64_t> trip_steps;
+  for (const BreakerTransition& t : sup.breaker_transitions()) {
+    if (t.to == BreakerState::kOpen) trip_steps.push_back(t.step);
+  }
+  EXPECT_EQ(trip_steps, (std::vector<int64_t>{2, 6, 10, 14}));
+
   ASSERT_EQ(sup.ladder_log().size(), 2u);
   EXPECT_EQ(sup.ladder_log()[0].to, ServiceLevel::kCheckpointDegraded);
-  EXPECT_EQ(sup.ladder_log()[0].step, 1);
+  EXPECT_EQ(sup.ladder_log()[0].step, 2);
   EXPECT_EQ(sup.ladder_log()[1].to, ServiceLevel::kSafeStop);
-  EXPECT_EQ(sup.ladder_log()[1].step, 2);
+  EXPECT_EQ(sup.ladder_log()[1].step, 14);
 }
 
 TEST(ChaosSupervisor, BreakerRecoveryRestoresFullService) {
@@ -401,29 +385,26 @@ TEST(ChaosSupervisor, BreakerRecoveryRestoresFullService) {
   CheckpointManagerOptions mopts;
   mopts.epoch_len = 1;
   mopts.overhead_budget = 0;
-  mopts.store_retry.max_attempts = 1;  // one armed fault fails one boundary
   CheckpointManager mgr(&store, mopts);
-  SupervisorOptions sopts;
-  sopts.checkpoint_breaker = {2, 2, 2};
-  sopts.cadence_stretch = 1;  // probe every half-open boundary
-  Supervisor sup(sopts, &mgr);
-  store.InjectWriteFault(Status::Unavailable("flaky store"), /*times=*/2);
+  Supervisor sup(&mgr);
+  store.InjectWriteFault(Status::Unavailable("flaky store"), /*times=*/8);
 
   MiniState state;
-  for (int64_t step = 1; step <= 5; ++step) {
+  for (int64_t step = 1; step <= 9; ++step) {
     state.value = step;
     ASSERT_TRUE(sup.OnStepComplete(step, state).ok());
   }
-  // Fail@1, fail@2 → trip; open skips step 3 (track-only fallback);
-  // half-open probes at 4 and 5 succeed → closed, full service again.
+  // Fail@1, fail@2 → trip; open skips steps 3-5 (track-only fallback);
+  // half-open probes succeed at 6 and 8 (7 is stretched away) → closed,
+  // full service again, and step 9 checkpoints at the normal cadence.
   EXPECT_EQ(sup.level(), ServiceLevel::kFull);
   EXPECT_FALSE(sup.safe_stopped());
   EXPECT_EQ(sup.checkpoint_breaker().trips(), 1);
   EXPECT_EQ(sup.stats().checkpoint_failures, 2);
-  EXPECT_EQ(sup.stats().checkpoints_skipped_open, 1);
-  EXPECT_EQ(sup.stats().checkpoints_stretched, 0);
-  EXPECT_EQ(mgr.stats().checkpoints, 2);  // steps 4 and 5
-  EXPECT_EQ(mgr.stats().last_commit_epoch, 5);
+  EXPECT_EQ(sup.stats().checkpoints_skipped_open, 3);
+  EXPECT_EQ(sup.stats().checkpoints_stretched, 1);
+  EXPECT_EQ(mgr.stats().checkpoints, 3);  // steps 6, 8 and 9
+  EXPECT_EQ(mgr.stats().last_commit_epoch, 9);
   EXPECT_EQ(mgr.stats().consecutive_failures, 0);
 
   std::vector<BreakerTransition> trans = sup.breaker_transitions();
@@ -431,13 +412,15 @@ TEST(ChaosSupervisor, BreakerRecoveryRestoresFullService) {
   EXPECT_EQ(trans[0].to, BreakerState::kOpen);
   EXPECT_EQ(trans[0].step, 2);
   EXPECT_EQ(trans[1].to, BreakerState::kHalfOpen);
-  EXPECT_EQ(trans[1].step, 4);
+  EXPECT_EQ(trans[1].step, 6);
   EXPECT_EQ(trans[2].to, BreakerState::kClosed);
-  EXPECT_EQ(trans[2].step, 5);
+  EXPECT_EQ(trans[2].step, 8);
 
   ASSERT_EQ(sup.ladder_log().size(), 2u);
   EXPECT_EQ(sup.ladder_log()[0].to, ServiceLevel::kCheckpointDegraded);
+  EXPECT_EQ(sup.ladder_log()[0].step, 2);
   EXPECT_EQ(sup.ladder_log()[1].to, ServiceLevel::kFull);
+  EXPECT_EQ(sup.ladder_log()[1].step, 8);
 }
 
 TEST(ChaosSupervisor, HalfOpenCadenceStretchSkipsProbes) {
@@ -445,26 +428,23 @@ TEST(ChaosSupervisor, HalfOpenCadenceStretchSkipsProbes) {
   CheckpointManagerOptions mopts;
   mopts.epoch_len = 1;
   mopts.overhead_budget = 0;
-  mopts.store_retry.max_attempts = 1;
   CheckpointManager mgr(&store, mopts);
-  SupervisorOptions sopts;
-  sopts.checkpoint_breaker = {1, 1, 2};
-  sopts.cadence_stretch = 2;
-  Supervisor sup(sopts, &mgr);
-  store.InjectWriteFault(Status::Unavailable("one blip"), /*times=*/1);
+  Supervisor sup(&mgr);
+  store.InjectWriteFault(Status::Unavailable("outage"), /*times=*/8);
 
   MiniState state;
-  for (int64_t step = 1; step <= 4; ++step) {
+  for (int64_t step = 1; step <= 8; ++step) {
     state.value = step;
     ASSERT_TRUE(sup.OnStepComplete(step, state).ok());
   }
-  // Trip@1; half-open probes at 2 (success) and 4 (success → closed),
-  // while the boundary at 3 is stretched away.
+  // Trip@2, half-open from step 6: probes at 6 (success) and 8 (success →
+  // closed), while the boundary at 7 is stretched away without touching
+  // the store.
   EXPECT_EQ(sup.level(), ServiceLevel::kFull);
   EXPECT_EQ(sup.stats().checkpoints_stretched, 1);
   EXPECT_EQ(sup.checkpoint_breaker().trips(), 1);
   EXPECT_EQ(mgr.stats().checkpoints, 2);
-  EXPECT_EQ(mgr.stats().last_commit_epoch, 4);
+  EXPECT_EQ(store.CommittedEpochs(), (std::vector<int64_t>{6, 8}));
 }
 
 TEST(ChaosSupervisor, PermanentStoreErrorSafeStopsWithoutTripping) {
@@ -473,7 +453,7 @@ TEST(ChaosSupervisor, PermanentStoreErrorSafeStopsWithoutTripping) {
   mopts.epoch_len = 1;
   mopts.overhead_budget = 0;
   CheckpointManager mgr(&store, mopts);
-  Supervisor sup(SupervisorOptions{}, &mgr);
+  Supervisor sup(&mgr);
   // Internal = permanent: never retried, classified kFail.
   store.InjectWriteFault(Status::Internal("disk gone"), /*times=*/-1);
 
@@ -494,7 +474,7 @@ TEST(ChaosSupervisor, SourceStallsEnterCatchUpModeAndDeferCheckpoints) {
   mopts.epoch_len = 1;
   mopts.overhead_budget = 0;
   CheckpointManager mgr(&store, mopts);
-  Supervisor sup(SupervisorOptions{}, &mgr);  // source breaker {2, 2, 2}
+  Supervisor sup(&mgr);  // source breaker {2, 2, 2}
 
   MiniState state;
   sup.ObserveSourceProgress(1, 0.25, 0.2);  // data flowing
@@ -517,7 +497,7 @@ TEST(ChaosSupervisor, SustainedPressureWalksTheLadderDownAndBack) {
   CheckpointManagerOptions mopts;
   mopts.epoch_len = 0;  // isolate the memory axis
   CheckpointManager mgr(&store, mopts);
-  Supervisor sup(SupervisorOptions{}, &mgr);  // memory breaker {3, 2, 2}
+  Supervisor sup(&mgr);  // memory breaker {3, 2, 2}
 
   MiniState state;
   for (int64_t step = 1; step <= 3; ++step) {
@@ -550,7 +530,7 @@ TEST(ChaosSupervisor, FlowDeltasDriveDeferAndDropSignals) {
   CheckpointManagerOptions mopts;
   mopts.epoch_len = 0;
   CheckpointManager mgr(&store, mopts);
-  Supervisor sup(SupervisorOptions{}, &mgr);
+  Supervisor sup(&mgr);
 
   MiniState state;
   flow::FlowStats f;
@@ -692,26 +672,31 @@ TEST(ChaosHarness, ForeverOutageWalksToSafeStopWithCorrectAnswers) {
   TestDb db;
   SubplanGraph g = SubplanGraph::Build(MakeSharedDag(db.catalog));
   CostEstimator est(&g, &db.catalog);
-  PaceConfig paces = {4, 4, 8};  // 8 steps: boundaries at 2, 4, 6, 8
+  PaceConfig paces = {16, 16, 32};  // 32 steps: boundaries every 2 steps
   std::vector<double> abs = TightLooseConstraints(&est, paces);
 
   FaultSchedule sched;
   sched.events = {{ChaosLayer::kStoreTransient, 1, -1, 0}};
-  ChaosOptions copts;
-  copts.supervisor.checkpoint_breaker = {1, 1, 1};
-  copts.supervisor.max_checkpoint_trips = 1;
 
   Result<ChaosReport> rep =
-      RunChaos(&est, paces, abs, db.source, sched, copts);
+      RunChaos(&est, paces, abs, db.source, sched, ChaosOptions{});
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   // The ladder bottoms out but answers never degrade: persistence is the
-  // only casualty.
+  // only casualty. Boundaries 2 and 4 fail (trip 1); the half-open probes
+  // at 8, 12 and 16 fail and re-trip, and the 4th trip safe-stops.
   EXPECT_TRUE(rep->AllGatesPass()) << rep->mismatch;
   EXPECT_EQ(rep->final_level, ServiceLevel::kSafeStop);
   EXPECT_EQ(rep->supervisor.safe_stops, 1);
+  EXPECT_EQ(rep->supervisor.checkpoint_failures, 5);
   EXPECT_EQ(rep->recovery.checkpoints, 0);
+  int64_t trips = 0;
+  for (const BreakerTransition& t : rep->breakers) {
+    if (t.breaker == "checkpoint" && t.to == BreakerState::kOpen) ++trips;
+  }
+  EXPECT_EQ(trips, 4);
   ASSERT_FALSE(rep->ladder.empty());
   EXPECT_EQ(rep->ladder.back().to, ServiceLevel::kSafeStop);
+  EXPECT_EQ(rep->ladder.back().step, 16);
 }
 
 TEST(ChaosHarness, ManySeedComposedSweepHasZeroViolations) {

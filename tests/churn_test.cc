@@ -216,29 +216,30 @@ TEST(ChurnRuntime, UnsharedDepartureCarriesIncumbentState) {
 
 // Admission control: a registration arriving under a sustained arbiter
 // pressure spike is deferred (kResourceExhausted taxonomy, never a
-// failure), and once its retry budget is exhausted it is admitted on the
+// failure), and once its 4 retries are spent it is admitted on the
 // private rung. The window completes throughout.
 TEST(ChurnHarness, PressureDefersThenAdmitsUnshared) {
   TestDb db;
   FaultSchedule schedule;
   schedule.seed = 1;
-  // Phantom bytes at 120% of the budget for six steps, with one arrival
-  // landing in the middle of the outage.
+  // Phantom bytes at 120% of the budget for twenty steps, with one
+  // arrival landing at the start of the outage: its four deferrals back
+  // off 1 + 2 + 4 + 8 steps, all inside the spike.
   schedule.events.push_back(
-      {ChaosLayer::kMemoryPressure, /*step=*/1, /*count=*/6,
+      {ChaosLayer::kMemoryPressure, /*step=*/1, /*count=*/20,
        /*magnitude=*/1.2});
   schedule.events.push_back(
       {ChaosLayer::kQueryChurn, /*step=*/2, /*count=*/1, /*magnitude=*/0});
 
   ChurnHarnessOptions options;
+  options.max_pace = 24;  // a 24-step window
   options.budget_bytes = int64_t{1} << 22;
-  options.churn.max_admission_retries = 1;
   Result<ChurnReport> rep = RunChurn(&db.catalog, db.source, ProviderFor(db),
                                      {0, 1}, schedule, options);
   ASSERT_TRUE(rep.ok()) << rep.status().message();
   EXPECT_TRUE(rep->completed) << rep->mismatch;
-  EXPECT_GT(rep->stats.deferrals, 0);
-  EXPECT_GT(rep->stats.unshared_fallbacks, 0);
+  EXPECT_EQ(rep->stats.deferrals, 4);
+  EXPECT_EQ(rep->stats.unshared_fallbacks, 1);
   EXPECT_EQ(rep->stats.registrations, 3);
   EXPECT_TRUE(rep->AllGatesPass()) << rep->mismatch;
 }

@@ -18,31 +18,13 @@
 #include "ishare/cost/estimator.h"
 #include "ishare/harness/crash_harness.h"
 #include "ishare/recovery/checkpoint_store.h"
+#include "ishare/storage/perturbed_source.h"
 #include "test_util.h"
 
 namespace ishare {
 namespace {
 
 using recovery::MemoryCheckpointStore;
-
-// The shared DAG engine tests use everywhere: an aggregate feeding two
-// query roots (3 subplans), giving multi-consumer buffers and a step
-// schedule with both shared and private event points.
-std::vector<QueryPlan> MakeSharedDag(const Catalog& catalog) {
-  QuerySet both = QuerySet::FromIds({0, 1});
-  PlanNodePtr scan = PlanNode::MakeScan(catalog, "orders", both);
-  std::map<QueryId, ExprPtr> preds;
-  preds[1] = Gt(Col("o_amount"), Lit(50.0));
-  PlanNodePtr filt = PlanNode::MakeFilter(scan, std::move(preds), both);
-  PlanNodePtr agg = PlanNode::MakeAggregate(
-      filt, {"o_custkey"}, {SumAgg(Col("o_amount"), "total")}, both);
-  PlanNodePtr root0 = PlanNode::MakeProject(
-      agg, {{Col("o_custkey"), "k"}, {Col("total"), "total"}},
-      QuerySet::Single(0));
-  PlanNodePtr root1 = PlanNode::MakeAggregate(
-      agg, {}, {MaxAgg(Col("total"), "max_total")}, QuerySet::Single(1));
-  return {QueryPlan{0, "q0", root0}, QueryPlan{1, "q1", root1}};
-}
 
 SourceFactory MakeFactory(const TestDb& db) {
   const StreamSource* clean = &db.source;
@@ -245,16 +227,34 @@ TEST(CrashRecoveryAdaptive, CrashAfterEveryStepIsBitExact) {
 }
 
 TEST(CrashRecoveryAdaptive, CrashUnderTightConstraintsIsBitExact) {
-  // Tight constraints make the adaptive layer actually adapt (skips,
-  // catch-ups, possibly re-derivations); recovery must replay those
-  // decisions identically because they are work-based, never wall-clock.
+  // Tight constraints and a burst of half the window's data make the
+  // adaptive layer actually adapt (here: drift re-derivations); recovery
+  // must replay those decisions identically because they are work-based,
+  // never wall-clock.
   TestDb db(/*n_orders=*/200, /*n_customers=*/8);
   SubplanGraph g = SubplanGraph::Build(MakeSharedDag(db.catalog));
   CostEstimator est(&g, &db.catalog);
-  SourceFactory factory = MakeFactory(db);
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.events.push_back({FaultEvent::Kind::kBurst, 0.1, 0, 0.5, ""});
+  const StreamSource* clean = &db.source;
+  SourceFactory factory = [clean, plan]() -> std::unique_ptr<StreamSource> {
+    auto src = std::make_unique<PerturbedStreamSource>(plan);
+    CHECK(clean->CloneTablesInto(src.get()).ok());
+    return src;
+  };
   std::vector<double> abs(2, 50.0);  // hard to meet: adaptation kicks in
   AdaptivePolicy policy;
-  policy.min_drift_samples = 1;
+
+  // A direct run shows the default policy adapts on these inputs.
+  {
+    std::unique_ptr<StreamSource> src = factory();
+    AdaptiveExecutor exec(&est, src.get(), abs, policy);
+    Result<AdaptiveRunResult> run = exec.Run({4, 4, 4});
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const AdaptationStats& st = run->stats;
+    EXPECT_GT(st.skipped_execs + st.catchup_execs + st.rederivations, 0);
+  }
 
   for (int64_t step = 1; step <= 3; ++step) {
     MemoryCheckpointStore store;
@@ -582,6 +582,55 @@ TEST(CrashRecoveryChurn, RestoreRejectsMalformedPendingRegistration) {
     recovery::CheckpointReader r(bad);
     EXPECT_FALSE(b.Restore(&r).ok())
         << "value " << value << " at byte " << offset;
+  }
+}
+
+// A checkpoint whose max pace or pace-table entry is below 1 fails its
+// restore instead of aborting the process in the next epoch switch's
+// warm-started pace search.
+TEST(CrashRecoveryChurn, RestoreRejectsMalformedPaces) {
+  TestDb db;
+  churn::QueryProvider provider = [cat = &db.catalog](QueryId q) {
+    return ChurnCrashQuery(*cat, q);
+  };
+  StreamSource src_a;
+  ASSERT_TRUE(db.source.CloneTablesInto(&src_a).ok());
+  churn::ChurnRuntime a(&db.catalog, &src_a, provider);
+  DriveToChurnSnapshot(&a);
+  ASSERT_FALSE(HasFatalFailure());
+  recovery::CheckpointWriter w;
+  ASSERT_TRUE(a.Snapshot(&w).ok());
+  const std::string blob = w.Take();
+
+  // Blob layout: epoch, next id and max pace are the first three words;
+  // after the live and pending entries (RestoreRejectsMalformedPending-
+  // Registration) and an empty deregistration list come the pace count
+  // and the pace table, 8 bytes per word.
+  constexpr size_t kMaxPace = 16;
+  constexpr size_t kPaceCount = 136;
+  constexpr size_t kFirstPace = 144;
+  auto word = [&blob](size_t offset) {
+    recovery::CheckpointReader r(std::string_view(blob).substr(offset, 8));
+    return r.I64();
+  };
+  ASSERT_EQ(word(kMaxPace), 8) << "checkpoint layout moved";
+  ASSERT_EQ(word(kPaceCount), a.graph()->num_subplans())
+      << "checkpoint layout moved";
+  ASSERT_GE(word(kFirstPace), 1) << "checkpoint layout moved";
+
+  for (size_t offset : {kMaxPace, kFirstPace}) {
+    for (int64_t value : {int64_t{0}, int64_t{-1}}) {
+      recovery::CheckpointWriter pw;
+      pw.I64(value);
+      std::string bad = blob;
+      bad.replace(offset, 8, pw.Take());
+      StreamSource src_b;
+      ASSERT_TRUE(db.source.CloneTablesInto(&src_b).ok());
+      churn::ChurnRuntime b(&db.catalog, &src_b, provider);
+      recovery::CheckpointReader r(bad);
+      EXPECT_FALSE(b.Restore(&r).ok())
+          << "value " << value << " at byte " << offset;
+    }
   }
 }
 

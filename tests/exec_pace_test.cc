@@ -11,24 +11,6 @@
 namespace ishare {
 namespace {
 
-// q0: SELECT o_custkey, SUM(o_amount) FROM orders GROUP BY o_custkey
-// q1: SELECT MAX(total) over the same aggregate, restricted to amount > 50.
-std::vector<QueryPlan> MakeSharedDag(const Catalog& catalog) {
-  QuerySet both = QuerySet::FromIds({0, 1});
-  PlanNodePtr scan = PlanNode::MakeScan(catalog, "orders", both);
-  std::map<QueryId, ExprPtr> preds;
-  preds[1] = Gt(Col("o_amount"), Lit(50.0));
-  PlanNodePtr filt = PlanNode::MakeFilter(scan, std::move(preds), both);
-  PlanNodePtr agg = PlanNode::MakeAggregate(
-      filt, {"o_custkey"}, {SumAgg(Col("o_amount"), "total")}, both);
-  PlanNodePtr root0 = PlanNode::MakeProject(
-      agg, {{Col("o_custkey"), "k"}, {Col("total"), "total"}},
-      QuerySet::Single(0));
-  PlanNodePtr root1 = PlanNode::MakeAggregate(
-      agg, {}, {MaxAgg(Col("total"), "max_total")}, QuerySet::Single(1));
-  return {QueryPlan{0, "q0", root0}, QueryPlan{1, "q1", root1}};
-}
-
 using ResultMap = std::unordered_map<Row, int64_t, RowHasher>;
 
 ResultMap RunAndMaterialize(TestDb* db, const SubplanGraph& g,

@@ -170,12 +170,10 @@ TEST(ShedPolicyTest, QuotaIsMonotoneInPressure) {
 // ---------------------------------------------------------------------------
 
 TEST(RetryBoundaryTest, BackpressureNeverBurnsTheRetryBudget) {
-  recovery::RetryPolicy policy;
   int calls = 0;
   int attempts = 0;
   double backoff = 0;
   Status st = recovery::RetryTransient(
-      policy,
       [&] {
         ++calls;
         return Status::ResourceExhausted("buffer over high watermark");
@@ -192,14 +190,13 @@ TEST(RetryBoundaryTest, BackpressureNeverBurnsTheRetryBudget) {
   // Contrast: kUnavailable exhausts the whole attempt budget.
   calls = 0;
   st = recovery::RetryTransient(
-      policy,
       [&] {
         ++calls;
         return Status::Unavailable("partition handoff");
       },
       &attempts, &backoff);
   EXPECT_EQ(st.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(calls, policy.max_attempts);
+  EXPECT_EQ(calls, recovery::kMaxAttempts);
   EXPECT_GT(backoff, 0.0);
 }
 

@@ -45,6 +45,35 @@
 //   its shards in id order separated by ';'. base is, per table in name
 //   order, a hash of the shard's base log.
 //
+//   chaos <run-id> sched=<h> gates=<c,r,z,b> level=<n> sup=<...>
+//       ladder=<...> breakers=<...> recovery=<...> flow=<...>
+//       budget=<b> peak=<b> counters=<h>
+//   chaos <run-id> sched=<h>
+//
+//   One RunChaos window (default ChaosOptions) of the shared DAG
+//   (tests/test_util.h) under FaultSchedule::Random(seed): the composed
+//   sweep of chaos_test at paces {2,2,4} over 4 steps, and a long window
+//   at paces {16,16,32} over 32 steps. The second form pins a schedule
+//   alone, drawn with churn and shard events.
+//   sched      a hash of the seed and every event's layer, step, count
+//              and magnitude bits, the source plan's events included
+//   gates      the four ChaosReport gates (0/1); level: final_level
+//   sup        every SupervisorStats value, declaration order
+//   ladder     step:from>to:<cause hash> per ladder transition
+//   breakers   step:name:from>to:<cause hash> per breaker transition
+//   recovery   every non-timing RecoveryStats value, declaration order
+//              (the virtual store backoff as a hex float)
+//   flow       FlowStats counts, declaration order, then the per-query
+//              deferred and dropped tallies
+//   budget     budget_bytes; peak: peak_baseline
+//
+//   arrange <run-id> total=... counters=<h>
+//
+//   One AdaptiveExecutor window of arrange_test's random workloads
+//   (tests/test_util.h) with and without an ArrangementCatalog, with and
+//   without a track-only budget, at the workload's thread count; the
+//   fields are the exec line's.
+//
 // Usage:
 //   ishare_digest                       print every line
 //   ishare_digest --golden=<file>       check every line against <file>
@@ -70,12 +99,15 @@
 #include <utility>
 #include <vector>
 
+#include "ishare/arrange/arrangement.h"
+#include "ishare/chaos/fault_schedule.h"
 #include "ishare/common/hash.h"
 #include "ishare/common/parse.h"
 #include "ishare/common/rng.h"
 #include "ishare/cost/estimator.h"
 #include "ishare/exec/adaptive_executor.h"
 #include "ishare/flow/memory_budget.h"
+#include "ishare/harness/chaos_harness.h"
 #include "ishare/obs/obs.h"
 #include "ishare/opt/approaches.h"
 #include "ishare/shard/sharded_runtime.h"
@@ -404,18 +436,23 @@ std::string QueryRows(const AdaptiveExecutor& exec, int num_queries) {
 }
 
 // One window of `graph` over a fresh clone of `dataset`: the static
-// schedule when `catalog` is null, estimator-driven otherwise.
-std::string ExecLine(const std::string& id, const SubplanGraph& graph,
-                     const StreamSource& dataset, const PaceConfig& paces,
-                     int threads, bool track_budget, const Catalog* catalog,
+// schedule when `catalog` is null, estimator-driven otherwise; operators
+// share state through an arrangement catalog when `arranged`. `kind` is
+// the line's kind token.
+std::string ExecLine(const char* kind, const std::string& id,
+                     const SubplanGraph& graph, const StreamSource& dataset,
+                     const PaceConfig& paces, int threads, bool track_budget,
+                     bool arranged, const Catalog* catalog,
                      const std::vector<double>& constraints, int max_pace) {
   ResetObs();
   StreamSource src;
   CHECK(dataset.CloneTablesInto(&src).ok());
   flow::MemoryBudget budget;  // track-only: accounts, never limits
+  arrange::ArrangementCatalog arrangements;  // must outlive the executor
   ExecOptions opts;
   opts.sched.num_threads = threads;
   if (track_budget) opts.flow.budget = &budget;
+  if (arranged) opts.arrange.catalog = &arrangements;
   std::unique_ptr<CostEstimator> est;
   std::unique_ptr<AdaptiveExecutor> exec;
   if (catalog == nullptr) {
@@ -429,7 +466,8 @@ std::string ExecLine(const std::string& id, const SubplanGraph& graph,
   Result<AdaptiveRunResult> r = exec->Run(paces);
   CHECK(r.ok()) << id << ": " << r.status().ToString();
   ExecFields f = FieldsOf(*exec, *r);
-  return "exec " + id + " total=" + f.total + " final=" + f.final +
+  return std::string(kind) + " " + id + " total=" + f.total +
+         " final=" + f.final +
          " rows=" + QueryRows(*exec, graph.num_queries()) +
          " series=" + f.series + " fp=" + f.fp + " state=" + f.state +
          " counters=" + Hex(CountersHash());
@@ -444,8 +482,8 @@ std::string RandomPlanLine(int seed, int threads, bool track_budget) {
   std::string id = "randplan.s" + std::to_string(seed) + ".t" +
                    std::to_string(threads) +
                    (track_budget ? ".track" : ".nobudget");
-  return ExecLine(id, plan.graph, db.source, plan.paces, threads,
-                  track_budget, nullptr, {}, 0);
+  return ExecLine("exec", id, plan.graph, db.source, plan.paces, threads,
+                  track_budget, false, nullptr, {}, 0);
 }
 
 // The 22-query plan as perfbench's tpch22 optimizes it: iShare at r = 0.2,
@@ -464,9 +502,9 @@ std::string Tpch22Line(bool adaptive, int threads) {
   std::string id = std::string("tpch22.s1.sf0.01.J50.r0.2.iShare.") +
                    (adaptive ? "adaptive" : "static") + ".t" +
                    std::to_string(threads);
-  return ExecLine(id, plan.graph, db.source, plan.paces, threads, false,
-                  adaptive ? &db.catalog : nullptr, plan.abs_constraints,
-                  kMaxPace);
+  return ExecLine("exec", id, plan.graph, db.source, plan.paces, threads,
+                  false, false, adaptive ? &db.catalog : nullptr,
+                  plan.abs_constraints, kMaxPace);
 }
 
 enum class ShardFault { kNone, kStall, kCrash };
@@ -558,6 +596,132 @@ std::string ShardLine(int shards, int threads, ShardFault fault) {
          " counters=" + Hex(CountersHash());
 }
 
+// ---- chaos and arrange lines -------------------------------------------
+
+uint64_t ScheduleHash(const chaos::FaultSchedule& sched) {
+  uint64_t h = HashCombine(sched.seed, sched.source_plan.seed);
+  for (const FaultEvent& e : sched.source_plan.events) {
+    h = HashCombine(h, static_cast<uint64_t>(e.kind));
+    for (double d : {e.at, e.duration, e.magnitude}) h = HashCombine(h, Bits(d));
+    h = HashCombine(h, HashString(e.table));
+  }
+  for (const chaos::ChaosEvent& e : sched.events) {
+    h = HashCombine(h, static_cast<uint64_t>(e.layer));
+    h = HashCombine(h, static_cast<uint64_t>(e.step));
+    h = HashCombine(h, static_cast<uint64_t>(e.count));
+    h = HashCombine(h, Bits(e.magnitude));
+  }
+  return h;
+}
+
+enum class ChaosWindow { kSweep, kLong };
+
+// FaultSchedule::Random over MakeSharedDag's tables, as chaos_test's
+// sweep draws it; the long window spreads the events over 32 steps.
+chaos::FaultSchedule ChaosSchedule(ChaosWindow window, uint64_t seed) {
+  chaos::ChaosScheduleOptions sopts;
+  sopts.max_step = window == ChaosWindow::kSweep ? 4 : 32;
+  return chaos::FaultSchedule::Random(seed, sopts, {"orders", "customer"});
+}
+
+std::string ChaosLine(ChaosWindow window, uint64_t seed) {
+  static const TestDb db;
+  static const SubplanGraph graph =
+      SubplanGraph::Build(MakeSharedDag(db.catalog));
+  const PaceConfig paces = window == ChaosWindow::kSweep
+                               ? PaceConfig{2, 2, 4}
+                               : PaceConfig{16, 16, 32};
+  chaos::FaultSchedule sched = ChaosSchedule(window, seed);
+  ResetObs();
+  CostEstimator est(&graph, &db.catalog);
+  std::vector<double> abs = TightLooseConstraints(&est, paces);
+  Result<ChaosReport> rep =
+      RunChaos(&est, paces, abs, db.source, sched, ChaosOptions{});
+  CHECK(rep.ok()) << seed << ": " << rep.status().ToString();
+  const ChaosReport& r = *rep;
+
+  auto ints = [](int64_t v) { return std::to_string(v); };
+  const chaos::SupervisorStats& sv = r.supervisor;
+  std::vector<int64_t> sup = {sv.checkpoint_failures,
+                              sv.checkpoints_skipped_open,
+                              sv.checkpoints_stretched,
+                              sv.catchup_deferred,
+                              sv.defer_signals,
+                              sv.drop_signals,
+                              sv.stall_observations,
+                              sv.pressure_observations,
+                              sv.safe_stops};
+  std::string ladder = Join(r.ladder, ";", [](const chaos::LadderTransition& t) {
+    return std::to_string(t.step) + ":" +
+           std::to_string(static_cast<int>(t.from)) + ">" +
+           std::to_string(static_cast<int>(t.to)) + ":" +
+           Hex(HashString(t.cause));
+  });
+  std::string breakers =
+      Join(r.breakers, ";", [](const chaos::BreakerTransition& t) {
+        return std::to_string(t.step) + ":" + t.breaker + ":" +
+               std::to_string(static_cast<int>(t.from)) + ">" +
+               std::to_string(static_cast<int>(t.to)) + ":" +
+               Hex(HashString(t.cause));
+      });
+  const recovery::RecoveryStats& rs = r.recovery;
+  std::string recovery =
+      Join(std::vector<int64_t>{rs.checkpoints, rs.checkpoint_bytes,
+                                rs.torn_discarded, rs.restores,
+                                rs.budget_skipped, rs.store_retry_attempts},
+           ",", ints) +
+      "," + HexFloat(rs.store_retry_backoff_seconds) + "," +
+      ints(rs.consecutive_failures) + "," + ints(rs.last_commit_epoch);
+  const flow::FlowStats& fs = r.flow;
+  std::string flow =
+      Join(std::vector<int64_t>{fs.admitted_tuples, fs.dropped_tuples,
+                                fs.shed_deferred, fs.backpressure_events,
+                                fs.trims, fs.trimmed_tuples},
+           ",", ints) +
+      ";" + Join(fs.query_deferred, ",", ints) + ";" +
+      Join(fs.query_dropped, ",", ints);
+  std::string gates = Join(
+      std::vector<int64_t>{r.completed, r.results_match_baseline,
+                           r.zero_slack_never_shed, r.breakers_attributed},
+      ",", ints);
+  return std::string("chaos ") +
+         (window == ChaosWindow::kSweep ? "sweep" : "long") + ".s" +
+         std::to_string(seed) + " sched=" + Hex(ScheduleHash(sched)) +
+         " gates=" + gates +
+         " level=" + ints(static_cast<int>(r.final_level)) +
+         " sup=" + Join(sup, ",", ints) + " ladder=" + ladder +
+         " breakers=" + breakers + " recovery=" + recovery + " flow=" + flow +
+         " budget=" + ints(r.budget_bytes) + " peak=" + ints(r.peak_baseline) +
+         " counters=" + Hex(CountersHash());
+}
+
+// A schedule alone, drawn with churn and shard events: pins every
+// generator field the run lines leave at zero draws.
+std::string ChaosScheduleLine(uint64_t seed) {
+  chaos::ChaosScheduleOptions sopts;
+  sopts.churn_events = 3;
+  sopts.shard_events = 4;
+  sopts.num_shards_hint = 3;
+  chaos::FaultSchedule sched =
+      chaos::FaultSchedule::Random(seed, sopts, {"orders", "customer"});
+  return "chaos sched.s" + std::to_string(seed) +
+         " sched=" + Hex(ScheduleHash(sched));
+}
+
+// arrange_test's random workloads (tests/test_util.h).
+constexpr int kArrangeWorkloads = 100;
+
+std::string ArrangeLine(int seed, bool arranged, bool track_budget) {
+  static const TestDb db(200, 12, 7);
+  ArrangeWorkload w = MakeArrangeWorkload(db.catalog, seed);
+  std::string id = "arrange.s" + std::to_string(seed) + ".t" +
+                   std::to_string(w.threads) +
+                   (arranged ? ".catalog" : ".none") +
+                   (track_budget ? ".track" : ".nobudget");
+  return ExecLine("arrange", id, w.graph, db.source, w.paces, w.threads,
+                  track_budget, arranged, nullptr, {}, 0);
+}
+
 // ---- the corpus and the check ------------------------------------------
 
 // The fields a plan is judged by: everything after the approach token up
@@ -616,13 +780,33 @@ std::vector<Entry> Entries() {
       }
     }
   }
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    out.push_back(
+        {"chaos", [=] { return ChaosLine(ChaosWindow::kSweep, seed); }, ""});
+  }
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    out.push_back(
+        {"chaos", [=] { return ChaosLine(ChaosWindow::kLong, seed); }, ""});
+  }
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    out.push_back({"chaos", [=] { return ChaosScheduleLine(seed); }, ""});
+  }
+  for (int seed = 1; seed <= kArrangeWorkloads; ++seed) {
+    for (bool arranged : {true, false}) {
+      for (bool budget : {false, true}) {
+        out.push_back({"arrange",
+                       [=] { return ArrangeLine(seed, arranged, budget); },
+                       ""});
+      }
+    }
+  }
   return out;
 }
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--golden=<file>] [--stride=<k >= 1>] "
-               "[--kind=<opt|exec|shard>[,...]]\n",
+               "[--kind=<opt|exec|shard|chaos|arrange>[,...]]\n",
                argv0);
   return 2;
 }
@@ -642,7 +826,10 @@ int Main(int argc, char** argv) {
       for (size_t b = 0; b <= list.size();) {
         size_t e = std::min(list.find(',', b), list.size());
         std::string k = list.substr(b, e - b);
-        if (k != "opt" && k != "exec" && k != "shard") return Usage(argv[0]);
+        if (k != "opt" && k != "exec" && k != "shard" && k != "chaos" &&
+            k != "arrange") {
+          return Usage(argv[0]);
+        }
         kinds.insert(k);
         b = e + 1;
       }

@@ -85,26 +85,10 @@ TEST(SignatureTest, DifferentAggregatesDoNotMatch) {
   EXPECT_NE(s1->StructSignature(), s2->StructSignature());
 }
 
-// Builds the paper's Fig. 2-style shared DAG:
+// MakeSharedDag (test_util.h) is the paper's Fig. 2-style shared DAG:
 //   shared  = Aggregate(Filter(Scan(orders)))           queries {0,1}
 //   q0 root = Project(shared)                           queries {0}
 //   q1 root = Aggregate(shared)                         queries {1}
-std::vector<QueryPlan> MakeSharedDag(const Catalog& catalog) {
-  QuerySet both = QuerySet::FromIds({0, 1});
-  PlanNodePtr scan = PlanNode::MakeScan(catalog, "orders", both);
-  std::map<QueryId, ExprPtr> preds;
-  preds[1] = Gt(Col("o_amount"), Lit(50.0));  // marking select for q1
-  PlanNodePtr filt = PlanNode::MakeFilter(scan, std::move(preds), both);
-  PlanNodePtr agg = PlanNode::MakeAggregate(
-      filt, {"o_custkey"}, {SumAgg(Col("o_amount"), "total")}, both);
-
-  PlanNodePtr root0 = PlanNode::MakeProject(
-      agg, {{Col("o_custkey"), "o_custkey"}, {Col("total"), "total"}},
-      QuerySet::Single(0));
-  PlanNodePtr root1 = PlanNode::MakeAggregate(
-      agg, {}, {MaxAgg(Col("total"), "max_total")}, QuerySet::Single(1));
-  return {QueryPlan{0, "q0", root0}, QueryPlan{1, "q1", root1}};
-}
 
 TEST(SubplanGraphTest, CutsAtMultiParentNodes) {
   TestDb db;

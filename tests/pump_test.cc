@@ -74,7 +74,7 @@ TEST(RowPumpTest, FilterPipelineCopiesEachTupleOnce) {
   std::vector<std::unique_ptr<DeltaBuffer>> no_children;
   DeltaBuffer output(sp.root->output_schema, "subplan_0");
   SubplanExecutor exec(sp, &source, no_children, &output, ExecOptions());
-  ASSERT_TRUE(source.AdvanceTo(1.0).ok());
+  ASSERT_TRUE(source.AdvanceToStep(1, 1).ok());
 
   const int64_t before = Allocs();
   Result<ExecRecord> rec = exec.RunExecution();
@@ -159,7 +159,7 @@ TEST(RowPumpTest, JoinBuildMovesRowsIntoItsStore) {
   std::vector<std::unique_ptr<DeltaBuffer>> no_children;
   DeltaBuffer output(sp.root->output_schema, "subplan_0");
   SubplanExecutor exec(sp, &source, no_children, &output, ExecOptions());
-  ASSERT_TRUE(source.AdvanceTo(1.0).ok());
+  ASSERT_TRUE(source.AdvanceToStep(1, 1).ok());
 
   const int64_t before = Allocs();
   Result<ExecRecord> rec = exec.RunExecution();

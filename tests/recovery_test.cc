@@ -37,8 +37,9 @@ using recovery::DecodedCheckpoint;
 using recovery::EncodeCheckpoint;
 using recovery::FileCheckpointStore;
 using recovery::MemoryCheckpointStore;
-using recovery::RetryPolicy;
+using recovery::BackoffSeconds;
 using recovery::RetryTransient;
+using recovery::ShouldRetry;
 
 // ---------------------------------------------------------------------------
 // Serializer
@@ -307,15 +308,14 @@ TEST(FileStoreTest, CommitIsRenameAndStagedFilesAreIgnored) {
 // ---------------------------------------------------------------------------
 
 TEST(RetryPolicyTest, ShouldRetryOnlyTransientWithinBudget) {
-  RetryPolicy p;
-  p.max_attempts = 3;
   Status transient = Status::Unavailable("flaky");
   Status permanent = Status::Internal("bug");
-  EXPECT_TRUE(p.ShouldRetry(transient, 1));
-  EXPECT_TRUE(p.ShouldRetry(transient, 2));
-  EXPECT_FALSE(p.ShouldRetry(transient, 3));  // budget exhausted
-  EXPECT_FALSE(p.ShouldRetry(permanent, 1));
-  EXPECT_FALSE(p.ShouldRetry(Status::OK(), 1));
+  EXPECT_TRUE(ShouldRetry(transient, 1));
+  EXPECT_TRUE(ShouldRetry(transient, 2));
+  EXPECT_TRUE(ShouldRetry(transient, 3));
+  EXPECT_FALSE(ShouldRetry(transient, 4));  // the 4-attempt budget is spent
+  EXPECT_FALSE(ShouldRetry(permanent, 1));
+  EXPECT_FALSE(ShouldRetry(Status::OK(), 1));
 }
 
 TEST(RetryPolicyTest, BackoffIsDeterministicBoundedAndGrows) {
@@ -324,20 +324,18 @@ TEST(RetryPolicyTest, BackoffIsDeterministicBoundedAndGrows) {
   const double expected[] = {0.001, 0.002, 0.004, 0.008, 0.016,
                              0.032, 0.064, 0.100, 0.100, 0.100};
   for (int attempt = 1; attempt <= 10; ++attempt) {
-    EXPECT_DOUBLE_EQ(RetryPolicy::BackoffSeconds(attempt),
-                     expected[attempt - 1])
+    EXPECT_DOUBLE_EQ(BackoffSeconds(attempt), expected[attempt - 1])
         << "attempt " << attempt;
   }
-  EXPECT_DOUBLE_EQ(RetryPolicy::BackoffSeconds(1000), 0.100);
+  EXPECT_DOUBLE_EQ(BackoffSeconds(1000), 0.100);
+  // Non-positive attempts clamp to the first backoff.
+  EXPECT_EQ(BackoffSeconds(0), BackoffSeconds(1));
 }
 
 TEST(RetryTransientTest, SucceedsAfterTransientFailures) {
-  RetryPolicy p;
-  p.max_attempts = 4;
   int calls = 0, attempts = 0;
   double backoff = 0;
   Status st = RetryTransient(
-      p,
       [&calls]() {
         ++calls;
         return calls < 3 ? Status::Unavailable("flaky") : Status::OK();
@@ -346,13 +344,12 @@ TEST(RetryTransientTest, SucceedsAfterTransientFailures) {
   EXPECT_TRUE(st.ok());
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(attempts, 3);
-  EXPECT_GT(backoff, 0.0);
+  EXPECT_DOUBLE_EQ(backoff, 0.001 + 0.002);
 }
 
 TEST(RetryTransientTest, PermanentErrorFailsImmediately) {
-  RetryPolicy p;
   int calls = 0;
-  Status st = RetryTransient(p, [&calls]() {
+  Status st = RetryTransient([&calls]() {
     ++calls;
     return Status::Internal("bug");
   });
@@ -361,67 +358,33 @@ TEST(RetryTransientTest, PermanentErrorFailsImmediately) {
 }
 
 TEST(RetryTransientTest, ExhaustedBudgetReturnsLastTransientError) {
-  RetryPolicy p;
-  p.max_attempts = 3;
   int calls = 0;
-  Status st = RetryTransient(p, [&calls]() {
+  Status st = RetryTransient([&calls]() {
     ++calls;
-    return Status::Unavailable("still down");
+    return calls < 4 ? Status::Unavailable("still down")
+                     : Status::Unavailable("last");
   });
   EXPECT_EQ(st.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(st.message(), "last");
+  EXPECT_EQ(calls, 4);
 }
 
 TEST(RetryTransientTest, MaxAttemptBoundaryIsExact) {
   // The off-by-one contract pinned down: against a persistent transient
-  // fault, RetryTransient makes exactly EffectiveMaxAttempts() calls and
-  // accrues exactly one fewer backoffs (no backoff after the final try).
-  for (int budget = 1; budget <= 5; ++budget) {
-    RetryPolicy p;
-    p.max_attempts = budget;
-    int calls = 0, attempts = 0;
-    double backoff = 0;
-    Status st = RetryTransient(
-        p,
-        [&calls]() {
-          ++calls;
-          return Status::Unavailable("never up");
-        },
-        &attempts, &backoff);
-    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << "budget " << budget;
-    EXPECT_EQ(calls, budget);
-    EXPECT_EQ(attempts, budget);
-    double expected = 0;
-    for (int a = 1; a < budget; ++a) expected += p.BackoffSeconds(a);
-    EXPECT_DOUBLE_EQ(backoff, expected) << "budget " << budget;
-  }
-}
-
-TEST(RetryTransientTest, NonPositiveBudgetStillMakesTheInitialAttempt) {
-  // max_attempts < 1 must mean "one try, zero retries" — never "no call"
-  // and never an unbounded loop.
-  for (int budget : {0, -1, -100}) {
-    RetryPolicy p;
-    p.max_attempts = budget;
-    EXPECT_EQ(p.EffectiveMaxAttempts(), 1);
-    EXPECT_FALSE(p.ShouldRetry(Status::Unavailable("x"), 1));
-    int calls = 0;
-    double backoff = 0;
-    Status st = RetryTransient(
-        p,
-        [&calls]() {
-          ++calls;
-          return Status::Unavailable("down");
-        },
-        nullptr, &backoff);
-    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << "budget " << budget;
-    EXPECT_EQ(calls, 1) << "budget " << budget;
-    EXPECT_EQ(backoff, 0.0) << "no backoff after the only try";
-    // BackoffSeconds clamps non-positive attempts instead of feeding a
-    // zero exponent garbage.
-    EXPECT_GT(p.BackoffSeconds(0), 0.0);
-    EXPECT_EQ(p.BackoffSeconds(0), p.BackoffSeconds(1));
-  }
+  // fault, RetryTransient makes exactly kMaxAttempts (4) calls and accrues
+  // exactly one fewer backoffs (no backoff after the final try).
+  int calls = 0, attempts = 0;
+  double backoff = 0;
+  Status st = RetryTransient(
+      [&calls]() {
+        ++calls;
+        return Status::Unavailable("never up");
+      },
+      &attempts, &backoff);
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(attempts, 4);
+  EXPECT_DOUBLE_EQ(backoff, 0.001 + 0.002 + 0.004);
 }
 
 // ---------------------------------------------------------------------------
@@ -667,7 +630,6 @@ TEST(CheckpointManagerTest, HealthSignalsTrackFailuresAndCommits) {
   CheckpointManagerOptions opts;
   opts.epoch_len = 1;
   opts.overhead_budget = 0;
-  opts.store_retry.max_attempts = 1;  // every injected fault is fatal
   CheckpointManager mgr(&store, opts);
   CounterState state;
 
@@ -678,7 +640,9 @@ TEST(CheckpointManagerTest, HealthSignalsTrackFailuresAndCommits) {
   EXPECT_EQ(mgr.stats().consecutive_failures, 0);
   EXPECT_EQ(mgr.stats().last_commit_epoch, 1);
 
-  store.InjectWriteFault(Status::Unavailable("outage"), 2);
+  // Each failed checkpoint spends the 4-attempt retry budget on Stage:
+  // eight faulty calls fail exactly two checkpoints.
+  store.InjectWriteFault(Status::Unavailable("outage"), 8);
   EXPECT_FALSE(mgr.Checkpoint(2, state).ok());
   EXPECT_EQ(mgr.stats().consecutive_failures, 1);
   EXPECT_FALSE(mgr.Checkpoint(3, state).ok());
@@ -759,13 +723,11 @@ TEST(ExecutorRetryTest, TransientBaseFaultsAreRetriedToSuccess) {
   auto clean_result = MaterializeResult(*clean.query_output(0), 0);
 
   db.source.Reset();
-  ExecOptions opts;
-  opts.retry.max_attempts = 4;
-  AdaptiveExecutor exec(&g, &db.source, opts);
-  // Two consecutive transient failures, then the buffer recovers; the
-  // default policy has budget for both.
+  AdaptiveExecutor exec(&g, &db.source);
+  // Three consecutive transient failures, then the buffer recovers: the
+  // 4-attempt budget retries all three.
   db.source.buffer("orders")->InjectFault(
-      Status::Unavailable("partition moving"), 2);
+      Status::Unavailable("partition moving"), 3);
   Result<AdaptiveRunResult> r = exec.Run({4});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->run.total_work, clean_run.total_work);
@@ -781,11 +743,11 @@ TEST(ExecutorRetryTest, ExhaustedTransientBudgetFailsRun) {
   SubplanGraph g = SubplanGraph::Build({QueryPlan{0, "q0", agg}});
 
   db.source.Reset();
-  ExecOptions opts;
-  opts.retry.max_attempts = 2;
-  AdaptiveExecutor exec(&g, &db.source, opts);
+  AdaptiveExecutor exec(&g, &db.source);
+  // Four consecutive transient failures spend the 4-attempt budget of
+  // the first consume.
   db.source.buffer("orders")->InjectFault(
-      Status::Unavailable("long outage"), 10);
+      Status::Unavailable("long outage"), 4);
   Result<AdaptiveRunResult> r = exec.Run({2});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);

@@ -72,13 +72,14 @@ TEST(ErrorSpine, InjectedFaultSurfacesAndClears) {
 TEST(ErrorSpine, StreamSourceRejectsBadFractions) {
   StreamSource src;
   src.AddTable("t", OneCol(), MakeRows(10));
-  EXPECT_EQ(src.AdvanceTo(std::nan("")).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(src.AdvanceTo(1.5).code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(src.AdvanceTo(-0.2).code(), StatusCode::kOutOfRange);
-  ASSERT_TRUE(src.AdvanceTo(0.5).ok());
+  ASSERT_TRUE(src.AdvanceToStep(1, 2).ok());
   // Backwards advancement is a contract violation, not a crash.
-  EXPECT_EQ(src.AdvanceTo(0.2).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(src.AdvanceToStep(1, 5).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(src.AdvanceToStep(0, 1).code(), StatusCode::kInvalidArgument);
   // The failed calls released nothing extra.
+  EXPECT_EQ(src.buffer("t")->size(), 5);
+  // The same point again is not backwards.
+  EXPECT_TRUE(src.AdvanceToStep(2, 4).ok());
   EXPECT_EQ(src.buffer("t")->size(), 5);
 }
 
@@ -171,20 +172,6 @@ TEST_P(PaceBoundary, StepTargetsAreExactIntegerFloors) {
   }
 }
 
-TEST_P(PaceBoundary, DoublePathAgreesWithExactPathAtBoundaries) {
-  int pace = GetParam();
-  for (int64_t total : {30, 97, 1000}) {
-    StreamSource src;
-    DeltaBuffer* buf =
-        src.AddTable("t", OneCol(), MakeRows(static_cast<int>(total)));
-    for (int i = 1; i <= pace; ++i) {
-      ASSERT_TRUE(src.AdvanceTo(static_cast<double>(i) / pace).ok());
-      EXPECT_EQ(buf->size(), i * total / pace)
-          << "pace " << pace << " step " << i << " total " << total;
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(NonDyadicPaces, PaceBoundary,
                          ::testing::Values(3, 7, 11));
 
@@ -211,7 +198,7 @@ TEST(PerturbedSource, SameSeedReleasesIdenticalStreams) {
   // Replays after Reset() are identical too (reorder permutations cached).
   int64_t before = a.buffer("t")->size();
   a.Reset();
-  ASSERT_TRUE(a.AdvanceTo(1.0).ok());
+  ASSERT_TRUE(a.AdvanceToStep(1, 1).ok());
   EXPECT_EQ(a.buffer("t")->size(), before);
 }
 
@@ -232,7 +219,7 @@ TEST(PerturbedSource, EveryFaultKindStillReleasesAllAtTrigger) {
     DeltaBuffer* buf = src.AddTable("t", OneCol(), MakeRows(101));
     int64_t prev = 0;
     for (int i = 1; i <= 10; ++i) {
-      ASSERT_TRUE(src.AdvanceTo(i / 10.0).ok());
+      ASSERT_TRUE(src.AdvanceToStep(i, 10).ok());
       EXPECT_GE(buf->size(), prev);  // releases are monotone
       prev = buf->size();
     }
@@ -266,7 +253,7 @@ TEST(PerturbedSource, InvalidPlanSurfacesOnAdvance) {
   EXPECT_EQ(plan.Validate().code(), StatusCode::kOutOfRange);
   PerturbedStreamSource src(plan);
   src.AddTable("t", OneCol(), MakeRows(10));
-  EXPECT_EQ(src.AdvanceTo(0.5).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(src.AdvanceToStep(1, 2).code(), StatusCode::kOutOfRange);
 }
 
 TEST(PerturbedSource, ReorderNeverMovesDeleteBeforeInsert) {
@@ -286,7 +273,7 @@ TEST(PerturbedSource, ReorderNeverMovesDeleteBeforeInsert) {
     deltas.emplace_back(Row{Value(int64_t{i})}, QuerySet::Single(0), -1);
   }
   DeltaBuffer* buf = src.AddTableDeltas("t", OneCol(), std::move(deltas));
-  ASSERT_TRUE(src.AdvanceTo(1.0).ok());
+  ASSERT_TRUE(src.AdvanceToStep(1, 1).ok());
   int64_t net = 0;
   for (const DeltaTuple& t : buf->log()) {
     net += t.weight;
@@ -406,26 +393,29 @@ TEST(AdaptiveDegradation, SkipsOnlySlackSubplansAndStaysCorrect) {
   AdaptiveExecutor batch(&g, &db->source);
   batch.Run(PaceConfig(g.num_subplans(), 1)).value();
   auto base0 = MaterializeResult(*batch.query_output(0), 0);
+  auto base1 = MaterializeResult(*batch.query_output(1), 1);
 
-  // A heavy burst early in the window with generous constraints: the
-  // executor may skip intermediate executions but results must not change.
+  // Half the window bursts in at 5% under tight constraints: catch-ups of
+  // the protective subplans push observed work past twice the
+  // drift-corrected pro-rata budget, so the default policy skips slack
+  // subplans' scheduled executions — and results must not change.
   FaultPlan plan;
   plan.seed = 5;
-  plan.events.push_back({FaultEvent::Kind::kBurst, 0.15, 0, 0.5, ""});
+  plan.events.push_back({FaultEvent::Kind::kBurst, 0.05, 0, 0.5, ""});
   PerturbedStreamSource psrc(plan);
   ASSERT_TRUE(db->source.CloneTablesInto(&psrc).ok());
 
   std::vector<double> abs =
-      AbsoluteConstraints({qa, qb}, db->catalog, {5.0, 5.0});
+      AbsoluteConstraints({qa, qb}, db->catalog, {0.15, 0.15});
   CostEstimator est(&g, &db->catalog);
-  AdaptivePolicy policy;
-  policy.overload_factor = 1.1;  // aggressive degradation
-  policy.min_drift_samples = 1;
-  AdaptiveExecutor exec(&est, &psrc, abs, policy);
-  auto r = exec.Run(PaceConfig(g.num_subplans(), 8));
+  AdaptiveExecutor exec(&est, &psrc, abs, AdaptivePolicy());
+  auto r = exec.Run(PaceConfig(g.num_subplans(), 16));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(r->stats.skipped_execs, 0);
   EXPECT_TRUE(
       ResultsNear(MaterializeResult(*exec.query_output(0), 0), base0));
+  EXPECT_TRUE(
+      ResultsNear(MaterializeResult(*exec.query_output(1), 1), base1));
 }
 
 }  // namespace

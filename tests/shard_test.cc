@@ -1,8 +1,8 @@
 // Sharded execution tests (DESIGN.md §14): hash partitioner edge cases,
-// exchange delivery and drain order, the kShardUnavailable classification,
-// group-consistent crash recovery and its checkpoint validation, the
-// slackness straggler policy, and a 100-seed sharded-vs-unsharded
-// equivalence property at one and four threads.
+// exchange delivery and drain order, group-consistent crash recovery and
+// its checkpoint validation, the slackness straggler policy, and a
+// 100-seed sharded-vs-unsharded equivalence property at one and four
+// threads.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "ishare/chaos/fault_schedule.h"
-#include "ishare/chaos/supervisor.h"
 #include "ishare/harness/result_compare.h"
 #include "ishare/harness/shard_harness.h"
 #include "ishare/recovery/serializer.h"
@@ -46,49 +45,8 @@ std::vector<DeltaTuple> FullLog(const StreamSource& dataset,
                                 const std::string& table) {
   StreamSource probe;
   CHECK(dataset.CloneTablesInto(&probe).ok());
-  CHECK(probe.AdvanceTo(1.0).ok());
+  CHECK(probe.AdvanceToStep(1, 1).ok());
   return probe.buffer(table)->log();
-}
-
-// ---------------------------------------------------------------------------
-// Satellite 1: status taxonomy — shard faults are neither transient nor
-// backpressure, and classify as kDegrade.
-
-TEST(ShardStatusTest, ShardFaultClassification) {
-  Status sf = Status::ShardUnavailable("shard 2 gone");
-  EXPECT_TRUE(sf.IsShardFault());
-  EXPECT_FALSE(sf.IsTransient());
-  EXPECT_FALSE(sf.IsRetryableBackpressure());
-  EXPECT_NE(sf.ToString().find("ShardUnavailable"), std::string::npos);
-  EXPECT_EQ(chaos::ClassifyFailure(sf), chaos::Reaction::kDegrade);
-
-  // The rest of the taxonomy stays pairwise disjoint.
-  Status tr = Status::Unavailable("blip");
-  EXPECT_TRUE(tr.IsTransient());
-  EXPECT_FALSE(tr.IsShardFault());
-  EXPECT_EQ(chaos::ClassifyFailure(tr), chaos::Reaction::kRetry);
-
-  Status bp = Status::ResourceExhausted("full");
-  EXPECT_TRUE(bp.IsRetryableBackpressure());
-  EXPECT_FALSE(bp.IsShardFault());
-  EXPECT_EQ(chaos::ClassifyFailure(bp), chaos::Reaction::kDefer);
-}
-
-TEST(ShardStatusTest, CrashWithRecoveryDisabledSurfacesShardUnavailable) {
-  TestDb db(40, 8, 5);
-  auto plans = MakeShardQueries(db.catalog);
-  ShardOptions so;
-  so.num_shards = 2;
-  so.plan = BroadcastCustomer();
-  so.recover_on_crash = false;
-  ShardedRuntime rt(&db.catalog, db.source, plans, {1e18, 1e18}, so);
-  ASSERT_TRUE(rt.init_status().ok()) << rt.init_status().ToString();
-  ASSERT_TRUE(rt.BeginWindow(4).ok());
-  ASSERT_TRUE(rt.RunRound().ok());
-  ASSERT_TRUE(rt.InjectCrash(1).ok());
-  Status st = rt.RunRound();
-  EXPECT_EQ(st.code(), StatusCode::kShardUnavailable);
-  EXPECT_TRUE(st.IsShardFault());
 }
 
 // ---------------------------------------------------------------------------
@@ -271,7 +229,6 @@ TEST(ExchangeTest, ShardSourceAdvancesOnlyToExactPoints) {
   EXPECT_EQ(fab.DeliverUpTo(Fraction{1, 0}).code(),
             StatusCode::kInvalidArgument);
   ExchangeShardSource src(&fab, 0);
-  EXPECT_EQ(src.AdvanceTo(0.5).code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(src.AdvanceToStep(1, 1).ok());
   EXPECT_EQ(src.buffer("orders")->size(), fab.OwnedRows("orders", 0));
 }

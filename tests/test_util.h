@@ -5,13 +5,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "ishare/catalog/catalog.h"
 #include "ishare/common/rng.h"
+#include "ishare/cost/estimator.h"
 #include "ishare/mqo/mqo_optimizer.h"
 #include "ishare/plan/builder.h"
 #include "ishare/plan/subplan_graph.h"
@@ -62,6 +65,93 @@ class TestDb {
   Catalog catalog;
   StreamSource source;
 };
+
+// The shared DAG engine tests use everywhere: an aggregate feeding two
+// query roots (3 subplans), giving multi-consumer buffers and a step
+// schedule with both shared and private event points.
+//   q0: SELECT o_custkey, SUM(o_amount) FROM orders GROUP BY o_custkey
+//   q1: SELECT MAX(total) over the same aggregate, restricted to
+//       amount > 50.
+inline std::vector<QueryPlan> MakeSharedDag(const Catalog& catalog) {
+  QuerySet both = QuerySet::FromIds({0, 1});
+  PlanNodePtr scan = PlanNode::MakeScan(catalog, "orders", both);
+  std::map<QueryId, ExprPtr> preds;
+  preds[1] = Gt(Col("o_amount"), Lit(50.0));
+  PlanNodePtr filt = PlanNode::MakeFilter(scan, std::move(preds), both);
+  PlanNodePtr agg = PlanNode::MakeAggregate(
+      filt, {"o_custkey"}, {SumAgg(Col("o_amount"), "total")}, both);
+  PlanNodePtr root0 = PlanNode::MakeProject(
+      agg, {{Col("o_custkey"), "k"}, {Col("total"), "total"}},
+      QuerySet::Single(0));
+  PlanNodePtr root1 = PlanNode::MakeAggregate(
+      agg, {}, {MaxAgg(Col("total"), "max_total")}, QuerySet::Single(1));
+  return {QueryPlan{0, "q0", root0}, QueryPlan{1, "q1", root1}};
+}
+
+// Zero slack for q0, ample slack for q1 of MakeSharedDag: the chaos
+// harness's protective invariant has something to protect, shedding has
+// somewhere legal to land.
+inline std::vector<double> TightLooseConstraints(CostEstimator* est,
+                                                 const PaceConfig& paces) {
+  PlanCost cost = est->Estimate(paces);
+  return {cost.query_final_work[0], 10.0 * cost.query_final_work[1]};
+}
+
+// Deterministic query family of arrangement-eligible shapes: bare scans
+// feeding joins/aggregates, so every operator is a candidate reader. No
+// MQO merge — each query stays its own subplan, and the ONLY sharing in
+// an arranged run flows through the catalog.
+inline QueryPlan MakeArrangeQuery(const Catalog& catalog, QueryId q,
+                                  int shape) {
+  PlanBuilder b(&catalog, q);
+  PlanNodePtr root;
+  switch (shape % 4) {
+    case 0:
+      root = b.Aggregate(b.Scan("orders"), {"o_custkey"},
+                         {SumAgg(Col("o_amount"), "total"), CountAgg("n")});
+      break;
+    case 1:
+      root = b.Join(b.Scan("orders"), b.Scan("customer"), {"o_custkey"},
+                    {"c_custkey"});
+      break;
+    case 2:
+      root = b.Aggregate(b.Scan("customer"), {"c_region"}, {CountAgg("n")});
+      break;
+    default:
+      root = b.Aggregate(b.Scan("orders"), {},
+                         {MinAgg(Col("o_amount"), "lo"),
+                          MaxAgg(Col("o_amount"), "hi")});
+      break;
+  }
+  return QueryPlan{q, "aq" + std::to_string(q), root};
+}
+
+// One random workload of the arranged-vs-private property and the
+// equivalence digest, over TestDb(200, 12, 7): 2-4 MakeArrangeQuery
+// queries of random shapes, each its own subplan, at random paces in
+// [1, 4] (distinct paces put a shared arrangement's readers at different
+// versions), all drawn from Rng(seed); every 4th seed runs on 4 threads.
+struct ArrangeWorkload {
+  SubplanGraph graph;
+  PaceConfig paces;
+  int threads = 1;
+};
+
+inline ArrangeWorkload MakeArrangeWorkload(const Catalog& catalog, int seed) {
+  Rng rng(static_cast<uint64_t>(seed));
+  int nq = static_cast<int>(2 + rng.UniformInt(0, 2));
+  std::vector<QueryPlan> qs;
+  for (int q = 0; q < nq; ++q) {
+    qs.push_back(
+        MakeArrangeQuery(catalog, q, static_cast<int>(rng.UniformInt(0, 3))));
+  }
+  ArrangeWorkload out;
+  out.graph = SubplanGraph::Build(qs);
+  out.paces.resize(static_cast<size_t>(out.graph.num_subplans()));
+  for (int& p : out.paces) p = static_cast<int>(1 + rng.UniformInt(0, 3));
+  out.threads = (seed % 4 == 0) ? 4 : 1;
+  return out;
+}
 
 // One random shared TPC-H plan of the scheduler property and the
 // equivalence digest: 2-4 random queries of the 22, merged by MQO, with

@@ -26,7 +26,7 @@ class TpchSemantics : public ::testing::Test {
   // Raw rows of a base table (reads the fully released stream).
   static std::vector<Row> Rows(const std::string& table) {
     Db()->Reset();
-    CHECK(Db()->source.AdvanceTo(1.0).ok());
+    CHECK(Db()->source.AdvanceToStep(1, 1).ok());
     std::vector<Row> out;
     for (const DeltaTuple& t : Db()->source.buffer(table)->log()) {
       out.push_back(t.row);
