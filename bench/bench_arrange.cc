@@ -107,8 +107,7 @@ struct RunOutput {
 };
 
 RunOutput RunPopulation(SalesDb* db, const SubplanGraph& g,
-                        const PaceConfig& paces, bool arranged, int threads,
-                        int64_t chain_threshold) {
+                        const PaceConfig& paces, bool arranged, int threads) {
   obs::Registry().Reset();
   obs::GlobalTracer().Reset();
   StreamSource src;
@@ -118,10 +117,7 @@ RunOutput RunPopulation(SalesDb* db, const SubplanGraph& g,
   ExecOptions opts;
   opts.flow.budget = &budget;
   opts.sched.num_threads = threads;
-  if (arranged) {
-    opts.arrange.catalog = &cat;
-    opts.arrange.chain_compact_threshold = chain_threshold;
-  }
+  if (arranged) opts.arrange.catalog = &cat;
   AdaptiveExecutor exec(&g, &src, opts);
   auto t0 = std::chrono::steady_clock::now();
   Result<AdaptiveRunResult> r = exec.Run(paces);
@@ -162,7 +158,6 @@ int Main(int argc, char** argv) {
 
   const int n_orders = cfg.quick ? 400 : 2000;
   const int n_customers = cfg.quick ? 24 : 64;
-  const int64_t chain_threshold = 64;
   SalesDb db(n_orders, n_customers, cfg.seed);
 
   std::vector<int> populations = {8, 32};
@@ -182,15 +177,14 @@ int Main(int argc, char** argv) {
     // structure to exploit (uniform paces would fold trivially).
     for (int i = 0; i < g.num_subplans(); ++i) paces[i] = 1 + (i % 4);
     for (int threads : {1, 4}) {
-      RunOutput priv = RunPopulation(&db, g, paces, /*arranged=*/false,
-                                     threads, chain_threshold);
-      RunOutput arr = RunPopulation(&db, g, paces, /*arranged=*/true,
-                                    threads, chain_threshold);
+      RunOutput priv =
+          RunPopulation(&db, g, paces, /*arranged=*/false, threads);
+      RunOutput arr = RunPopulation(&db, g, paces, /*arranged=*/true, threads);
       bool exact = arr.fingerprint == priv.fingerprint &&
                    SameResults(arr.results, priv.results);
       exact_ok = exact_ok && exact;
       CHECK_GT(arr.arrangements, 0);  // the comparison must not be vacuous
-      bool bounded = arr.max_chain <= chain_threshold;
+      bool bounded = arr.max_chain <= arrange::kChainCompactThreshold;
       chain_ok = chain_ok && bounded;
       double reduction =
           priv.state_bytes_per_query > 0

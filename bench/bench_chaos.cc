@@ -5,14 +5,14 @@
 //      Supervisor (breaker bookkeeping, ladder updates, per-step
 //      observations) must cost <= 5% wall time over the same window with
 //      a bare CheckpointManager hook — the supervision layer is pure
-//      bookkeeping until something actually fails. Runs are interleaved
-//      and compared by median, with a small absolute floor so the gate is
-//      meaningful on windows that finish in microseconds.
+//      bookkeeping until something actually fails. Measured over
+//      back-to-back pairs that alternate which hook runs first; the gate
+//      reads the median per-pair ratio, with a 2 ms floor on the median
+//      per-pair difference (PairedOverhead, bench_util.h).
 //   2. Chaos sweep: randomized composed fault schedules through the chaos
 //      harness; every seed must pass all four gates (completion, baseline
 //      equivalence, zero-slack protection, breaker attribution).
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -29,11 +29,6 @@ namespace ishare {
 namespace {
 
 const char* PassFail(bool b) { return b ? "PASS" : "FAIL"; }
-
-double Median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  return xs[xs.size() / 2];
-}
 
 // One fault-free window over `g`, checkpointing every other step, timed.
 // `supervised` routes the after-step hook through a Supervisor (with the
@@ -77,30 +72,29 @@ int Main(int argc, char** argv) {
   PaceConfig paces(g.num_subplans(), cfg.quick ? 8 : 12);
 
   // ---- Gate 1: supervision overhead on a fault-free window --------------
-  const int reps = cfg.quick ? 5 : 9;
-  std::vector<double> bare, sup;
-  // Warm both paths once (allocator, page cache), then interleave so
-  // machine drift hits both samples alike.
+  // An even pair count, so each side runs first in half the pairs;
+  // EXPERIMENTS.md has the --quick count's resolution.
+  const int pairs = cfg.quick ? 24 : 32;
+  // Warm both paths once (allocator, page cache) before timing.
   TimedWindow(g, db.source, paces, /*supervised=*/false);
   TimedWindow(g, db.source, paces, /*supervised=*/true);
-  for (int i = 0; i < reps; ++i) {
-    bare.push_back(TimedWindow(g, db.source, paces, /*supervised=*/false));
-    sup.push_back(TimedWindow(g, db.source, paces, /*supervised=*/true));
-  }
-  double bare_med = Median(bare);
-  double sup_med = Median(sup);
-  double overhead = bare_med > 0 ? (sup_med - bare_med) / bare_med : 0.0;
+  const PairedOverhead timing = TimePairs(
+      pairs,
+      [&] { return TimedWindow(g, db.source, paces, /*supervised=*/false); },
+      [&] { return TimedWindow(g, db.source, paces, /*supervised=*/true); });
   // The 5% gate, with a 2ms absolute floor so micro-windows where one
   // scheduler hiccup exceeds the whole budget cannot flake the bench.
-  bool overhead_ok =
-      sup_med - bare_med <= std::max(0.05 * bare_med, 0.002);
+  const bool overhead_ok = timing.Within(1.05, 0.002);
 
-  std::printf("\n== supervision overhead (fault-free, %d reps) ==\n", reps);
+  std::printf("\n== supervision overhead (fault-free, %d pairs) ==\n", pairs);
   TextTable ot({"hook", "median_s", "overhead"});
-  ot.AddRow({"bare manager", TextTable::Num(bare_med, 5), "-"});
-  ot.AddRow({"supervisor", TextTable::Num(sup_med, 5),
-             TextTable::Num(100.0 * overhead, 2) + "%"});
+  ot.AddRow({"bare manager", TextTable::Num(Median(timing.base_seconds), 5),
+             "-"});
+  ot.AddRow({"supervisor", TextTable::Num(Median(timing.measured_seconds), 5),
+             TextTable::Num(100.0 * (timing.ratio - 1.0), 2) + "%"});
   ot.Print();
+  std::printf("median pair ratio %.4f, median difference %.5fs\n",
+              timing.ratio, timing.diff_seconds);
 
   // ---- Gate 2: composed-fault sweep through the chaos harness -----------
   CostEstimator est(&g, &db.catalog);

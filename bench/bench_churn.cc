@@ -5,16 +5,16 @@
 //      ChurnRuntime (boundary checks, admission queues, epoch
 //      bookkeeping) must cost <= 5% wall time over the same merged plan
 //      run through a bare AdaptiveExecutor — the churn layer is pure
-//      bookkeeping until membership actually changes. Interleaved reps,
-//      compared by median, with an absolute floor against micro-window
-//      flake.
+//      bookkeeping until membership actually changes. Measured over
+//      back-to-back pairs that alternate which side runs first; the
+//      gate reads the median per-pair ratio, with a 2 ms floor on the
+//      median per-pair difference (PairedOverhead, bench_util.h).
 //   2. 1k-query stress: ~1000 registrations pushed through the runtime
 //      as chaos-scheduled arrival/departure storms under memory
 //      pressure, across many windows. The gate is survival: every
 //      window completes OK (deferral and unshared fallback are allowed;
 //      crashes and errors are not).
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -31,11 +31,6 @@ namespace ishare {
 namespace {
 
 const char* PassFail(bool b) { return b ? "PASS" : "FAIL"; }
-
-double Median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  return xs[xs.size() / 2];
-}
 
 // The three-query family both overhead paths execute. Pure function of
 // the id, as the churn runtime requires.
@@ -100,29 +95,29 @@ int Main(int argc, char** argv) {
   const int max_pace = cfg.quick ? 8 : 12;
 
   // ---- Gate 1: churn-layer overhead on a churn-free window --------------
-  const int reps = cfg.quick ? 5 : 9;
-  std::vector<double> bare, churned;
-  // Warm both paths once, then interleave so machine drift hits both
-  // samples alike.
+  // An even pair count, so each side runs first in half the pairs;
+  // EXPERIMENTS.md has the --quick count's resolution.
+  const int pairs = cfg.quick ? 48 : 64;
+  // Warm both paths once before timing.
   TimedBareWindow(db, max_pace);
   TimedChurnWindow(db, max_pace);
-  for (int i = 0; i < reps; ++i) {
-    bare.push_back(TimedBareWindow(db, max_pace));
-    churned.push_back(TimedChurnWindow(db, max_pace));
-  }
-  double bare_med = Median(bare);
-  double churn_med = Median(churned);
-  double overhead = bare_med > 0 ? (churn_med - bare_med) / bare_med : 0.0;
+  const PairedOverhead timing =
+      TimePairs(pairs, [&] { return TimedBareWindow(db, max_pace); },
+                [&] { return TimedChurnWindow(db, max_pace); });
   // The 5% gate, with a 2ms absolute floor so micro-windows where one
   // scheduler hiccup exceeds the whole budget cannot flake the bench.
-  bool overhead_ok = churn_med - bare_med <= std::max(0.05 * bare_med, 0.002);
+  const bool overhead_ok = timing.Within(1.05, 0.002);
 
-  std::printf("\n== churn-layer overhead (churn-free, %d reps) ==\n", reps);
+  std::printf("\n== churn-layer overhead (churn-free, %d pairs) ==\n", pairs);
   TextTable ot({"driver", "median_s", "overhead"});
-  ot.AddRow({"bare executor", TextTable::Num(bare_med, 5), "-"});
-  ot.AddRow({"churn runtime", TextTable::Num(churn_med, 5),
-             TextTable::Num(100.0 * overhead, 2) + "%"});
+  ot.AddRow({"bare executor", TextTable::Num(Median(timing.base_seconds), 5),
+             "-"});
+  ot.AddRow({"churn runtime",
+             TextTable::Num(Median(timing.measured_seconds), 5),
+             TextTable::Num(100.0 * (timing.ratio - 1.0), 2) + "%"});
   ot.Print();
+  std::printf("median pair ratio %.4f, median difference %.5fs\n",
+              timing.ratio, timing.diff_seconds);
 
   // ---- Gate 2: 1k-registration stress under chaos churn storms ----------
   // Fresh runtime per window round (ids restart small each round); each

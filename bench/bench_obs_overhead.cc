@@ -36,12 +36,6 @@ double RunOnce(TpchDb* db, const std::vector<QueryPlan>& queries,
       .count();
 }
 
-double Median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  const size_t n = xs.size();
-  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
-
 int Main(int argc, char** argv) {
   BenchConfig cfg = BenchConfig::Parse(argc, argv);
   PrintHeader("Observability overhead — instrumented vs disabled", cfg);
@@ -66,30 +60,22 @@ int Main(int argc, char** argv) {
   obs::SetEnabled(false);
   RunOnce(&db, queries, cfg, &sink);
 
-  std::vector<double> on_secs, off_secs, ratios, diffs;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const bool on_first = rep % 2 == 0;
-    double secs[2] = {0, 0};  // [disabled, enabled]
-    for (bool enabled : {on_first, !on_first}) {
-      obs::SetEnabled(enabled);
-      secs[enabled ? 1 : 0] = RunOnce(&db, queries, cfg, &sink);
-    }
-    on_secs.push_back(secs[1]);
-    off_secs.push_back(secs[0]);
-    ratios.push_back(secs[0] > 0 ? secs[1] / secs[0] : 1.0);
-    diffs.push_back(secs[1] - secs[0]);
-  }
+  auto run = [&](bool enabled) {
+    obs::SetEnabled(enabled);
+    return RunOnce(&db, queries, cfg, &sink);
+  };
+  const PairedOverhead timing = TimePairs(
+      kReps, [&] { return run(false); }, [&] { return run(true); });
   obs::SetEnabled(true);
 
-  const double ratio = Median(ratios);
-  const double diff = Median(diffs);
   const double kMaxRatio = 1.03;
   const double kAbsFloorSeconds = 0.010;
-  const bool pass = ratio <= kMaxRatio || diff <= kAbsFloorSeconds;
+  const bool pass = timing.Within(kMaxRatio, kAbsFloorSeconds);
 
   TextTable t({"mode", "median_seconds", "min_seconds", "max_seconds"});
   for (const auto& [mode, secs] :
-       {std::pair{"obs enabled", &on_secs}, {"obs disabled", &off_secs}}) {
+       {std::pair{"obs enabled", &timing.measured_seconds},
+        {"obs disabled", &timing.base_seconds}}) {
     t.AddRow({mode, TextTable::Num(Median(*secs), 4),
               TextTable::Num(*std::min_element(secs->begin(), secs->end()),
                              4),
@@ -100,7 +86,8 @@ int Main(int argc, char** argv) {
   std::printf(
       "\nmedian pair ratio %.4f over %d pairs (limit %.2f; median "
       "difference %.4fs, floor %.3fs): %s\n",
-      ratio, kReps, kMaxRatio, diff, kAbsFloorSeconds, pass ? "PASS" : "FAIL");
+      timing.ratio, kReps, kMaxRatio, timing.diff_seconds, kAbsFloorSeconds,
+      pass ? "PASS" : "FAIL");
   std::printf("(checksum %.1f)\n", sink);
 
   int json_rc = FinishBench(cfg, "bench_obs_overhead", {});

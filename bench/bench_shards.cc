@@ -2,16 +2,16 @@
 // workload, exiting non-zero unless all hold.
 //
 //   1. Scaling / bit-exactness: the sharded group at N in {1,2,4} shards
-//      and {1,4} executor threads must merge to results equivalent to the
-//      serial unsharded baseline — sharding and parallelism are invisible
-//      in the answers, at any shape.
+//      and {1,4} executor threads must answer with results equivalent to
+//      the serial unsharded baseline — sharding and parallelism are
+//      invisible in the answers, at any shape.
 //   2. Straggler cycle: a within-slack stall is absorbed (zero shedding,
 //      zero escalation); a beyond-slack stall escalates through the
 //      degradation ladder and still completes without a safe-stop.
 //   3. Kill-one-shard chaos cycle: randomized schedules of shard stalls
 //      and crashes (plus memory pressure) across several seeds — every
-//      injected crash must produce a real group recovery and the merged
-//      results must stay bit-exact with the baseline.
+//      injected crash must produce a real group recovery and the summed
+//      answers must stay bit-exact with the baseline.
 
 #include <chrono>
 #include <cstdio>

@@ -170,6 +170,58 @@ inline int FinishBench(const BenchConfig& cfg, const std::string& bench_name,
   return 0;
 }
 
+// Median of `xs`: the mean of the two middle values when the count is even.
+inline double Median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const size_t n = xs.size();
+  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
+}
+
+// Wall-clock overhead of one code path over another on a shared host:
+// back-to-back pairs of one run per side, alternating which side runs
+// first, so drift within a pair lands on both sides alike. A host that
+// slows down for a while then moves both halves of a pair, not one
+// side's samples. The gate reads the median of the per-pair ratios; the
+// median per-pair difference gives it an absolute floor against timer
+// noise on short runs.
+struct PairedOverhead {
+  std::vector<double> base_seconds, measured_seconds;
+  double ratio = 1.0;         // median per-pair measured / base
+  double diff_seconds = 0.0;  // median per-pair measured - base
+
+  // True when the median ratio is at most `max_ratio`, or the median
+  // per-pair difference is at most `floor_seconds`.
+  bool Within(double max_ratio, double floor_seconds) const {
+    return ratio <= max_ratio || diff_seconds <= floor_seconds;
+  }
+};
+
+// Times `pairs` pairs (even, so each side runs first in half of them; the
+// measured side first in even-numbered pairs). Each callable runs its side
+// once and returns the seconds it took.
+template <typename BaseFn, typename MeasuredFn>
+PairedOverhead TimePairs(int pairs, BaseFn&& base, MeasuredFn&& measured) {
+  PairedOverhead out;
+  std::vector<double> ratios, diffs;
+  for (int p = 0; p < pairs; ++p) {
+    double b = 0, m = 0;
+    if (p % 2 == 0) {
+      m = measured();
+      b = base();
+    } else {
+      b = base();
+      m = measured();
+    }
+    out.base_seconds.push_back(b);
+    out.measured_seconds.push_back(m);
+    ratios.push_back(b > 0 ? m / b : 1.0);
+    diffs.push_back(m - b);
+  }
+  out.ratio = Median(ratios);
+  out.diff_seconds = Median(diffs);
+  return out;
+}
+
 // Merges per-approach results (across constraint levels) for Table 1-style
 // missed-latency aggregation.
 inline std::vector<ExperimentResult> MergeByApproach(

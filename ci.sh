@@ -7,7 +7,7 @@
 #   ./ci.sh noobs     -> same with ISHARE_OBS_ENABLED=OFF (obs compiled out)
 #   ./ci.sh bench     -> quick benchmark gates (non-zero on failure)
 #   ./ci.sh digest    -> every equivalence digest line (opt, exec, shard,
-#                        chaos, arrange) vs tests/golden/digest.txt
+#                        chaos, arrange, retract) vs tests/golden/digest.txt
 #   ./ci.sh docs      -> markdown link check
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -30,10 +30,10 @@ case "$mode" in
     # crash_recovery_test), and the churn property sweep whose
     # 4-thread seeds rebuild engines mid-window around the worker pool
     # (churn_test), and the sharded-group property whose 4-thread seeds
-    # run every shard's executor on a pool while the group merges their
-    # outputs (shard_test), and the shared-arrangement property whose
-    # 4-thread seeds advance one mutex-guarded arrangement from several
-    # subplans in the same wave (arrange_test). Running the whole serial
+    # run every shard's executor on a pool (shard_test), and the
+    # shared-arrangement properties whose 4-thread seeds advance one
+    # mutex-guarded arrangement from several subplans in the same wave
+    # (arrange_test). Running the whole serial
     # suite under tsan would cost ~10x wall clock without exercising a
     # single cross-thread access.
     cmake --preset tsan

@@ -670,11 +670,11 @@ Arrangement* ArrangementCatalog::Find(const std::string& signature) const {
   return it == by_sig_.end() ? nullptr : it->second.get();
 }
 
-int64_t ArrangementCatalog::CompactAtBoundary(int64_t chain_threshold) {
+int64_t ArrangementCatalog::CompactAtBoundary() {
   std::lock_guard<std::mutex> lock(mu_);
   int64_t folded = 0;
   for (auto& [sig, arr] : by_sig_) {
-    folded += arr->Compact(chain_threshold);
+    folded += arr->Compact(kChainCompactThreshold);
   }
   obs::MetricsRegistry& reg = obs::Registry();
   reg.GetCounter("arrange.compact.runs").Add(1);

@@ -339,6 +339,11 @@ void WriteAccums(recovery::CheckpointWriter* w,
 size_t ReadAccums(recovery::CheckpointReader* r,
                   std::vector<AccumCell>* accums);
 
+// Lazy compaction at a pace boundary folds a key's version chain into its
+// base only once the chain exceeds this many entries; zero-slack readers
+// switch the whole arrangement to eager folding regardless.
+inline constexpr int64_t kChainCompactThreshold = 64;
+
 // Registry of arrangements keyed by query-set-independent signature, with
 // budget publication (`arr:` components), obs counters (`arrange.*`), and
 // deterministic whole-catalog checkpointing. Owned by the harness/test and
@@ -357,9 +362,10 @@ class ArrangementCatalog {
   // nullptr when the signature has no arrangement.
   Arrangement* Find(const std::string& signature) const;
 
-  // Compacts every arrangement (called at pace boundaries) and publishes
-  // budget components + obs gauges. Returns total chain entries folded.
-  int64_t CompactAtBoundary(int64_t chain_threshold);
+  // Compacts every arrangement at kChainCompactThreshold (called at pace
+  // boundaries) and publishes budget components + obs gauges. Returns
+  // total chain entries folded.
+  int64_t CompactAtBoundary();
 
   // Attaches the memory arbiter; each arrangement publishes an
   // "arr:<signature>" component. Idempotent for the same budget.

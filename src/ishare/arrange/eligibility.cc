@@ -69,27 +69,4 @@ ArrangementSpec AggGroupsSpec(const PlanNode* node) {
   return spec;
 }
 
-double ArrangedSharedWork(const PlanNode* root, const Catalog& catalog) {
-  if (root == nullptr) return 0;
-  double work = 0;
-  if (root->kind == PlanKind::kJoin) {
-    for (int side = 0; side < 2; ++side) {
-      if (!EligibleJoinBuild(root, side)) continue;
-      const PlanNode* scan = root->children[static_cast<size_t>(side)].get();
-      if (catalog.HasTable(scan->table_name)) {
-        work += catalog.GetStats(scan->table_name).row_count;
-      }
-    }
-  } else if (EligibleAgg(root)) {
-    const PlanNode* scan = root->children[0].get();
-    if (catalog.HasTable(scan->table_name)) {
-      work += catalog.GetStats(scan->table_name).row_count;
-    }
-  }
-  for (const PlanNodePtr& c : root->children) {
-    work += ArrangedSharedWork(c.get(), catalog);
-  }
-  return work;
-}
-
 }  // namespace ishare::arrange

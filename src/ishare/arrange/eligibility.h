@@ -12,7 +12,6 @@
 #include <string>
 
 #include "ishare/arrange/arrangement.h"
-#include "ishare/catalog/catalog.h"
 #include "ishare/plan/plan.h"
 
 namespace ishare::arrange {
@@ -31,15 +30,6 @@ bool EligibleAgg(const PlanNode* node);
 // mixes land on the same arrangement.
 ArrangementSpec JoinBuildSpec(const PlanNode* node, int side);
 ArrangementSpec AggGroupsSpec(const PlanNode* node);
-
-// Cost-model term for the decomposer's sharing benefit (DESIGN.md §15.6):
-// build work over `root` that a shared arrangement absorbs once globally —
-// the base-table tuples applied to each eligible site. Every clone of a
-// split pays this in the private cost model, but with arrangements enabled
-// only the first reader applies it (the rest dedup-skip), so the term is
-// subtracted from every partition's partial total work: sharing benefit
-// shrinks by exactly the build work unsharing no longer duplicates.
-double ArrangedSharedWork(const PlanNode* root, const Catalog& catalog);
 
 }  // namespace ishare::arrange
 

@@ -48,10 +48,8 @@ constexpr int64_t kCadenceStretch = 2;
 constexpr int kMaxCheckpointTrips = 3;
 }  // namespace
 
-Supervisor::Supervisor(recovery::CheckpointManager* mgr,
-                       flow::MemoryBudget* budget)
+Supervisor::Supervisor(recovery::CheckpointManager* mgr)
     : mgr_(mgr),
-      budget_(budget),
       checkpoint_breaker_("checkpoint", kCheckpointBreaker),
       source_breaker_("source", kSourceBreaker),
       memory_breaker_("memory", kMemoryBreaker) {

@@ -97,8 +97,7 @@ struct SupervisorStats {
 // bare CheckpointManager::OnStepComplete call.
 class Supervisor {
  public:
-  explicit Supervisor(recovery::CheckpointManager* mgr,
-                      flow::MemoryBudget* budget = nullptr);
+  explicit Supervisor(recovery::CheckpointManager* mgr);
 
   // ---- per-step observations (all optional, call before OnStepComplete)
   // Window advanced to `window_fraction` while the source had released
@@ -137,7 +136,6 @@ class Supervisor {
   void UpdateLadder(int64_t step);
 
   recovery::CheckpointManager* mgr_;
-  flow::MemoryBudget* budget_;
 
   CircuitBreaker checkpoint_breaker_;
   CircuitBreaker source_breaker_;

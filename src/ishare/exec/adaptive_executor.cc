@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 
 #include "ishare/arrange/arrangement.h"
 #include "ishare/flow/shedding.h"
@@ -12,6 +13,20 @@
 namespace ishare {
 
 namespace {
+
+// Reads one checkpoint word that must lie in [lo, hi], failing the reader
+// otherwise. The range is checked on the int64 before it narrows to int,
+// so an out-of-range word cannot wrap into a valid-looking value.
+int ReadIntInRange(recovery::CheckpointReader* r, int64_t lo, int64_t hi,
+                   const char* what) {
+  const int64_t v = r->I64();
+  if (r->ok() && (v < lo || v > hi)) {
+    r->Fail(std::string("checkpoint ") + what + " " + std::to_string(v) +
+            " outside [" + std::to_string(lo) + ", " + std::to_string(hi) +
+            "]");
+  }
+  return r->ok() ? static_cast<int>(v) : 0;
+}
 
 constexpr double kEps = 1e-9;
 // Drift and overload decisions need at least this many observed
@@ -652,8 +667,7 @@ Status AdaptiveExecutor::StepOnce() {
   // Boundary compaction (DESIGN.md §15.4): every reader has finished its
   // EndExecution for this step, so sub-minimum chain prefixes are dead.
   if (opts_.arrange.catalog != nullptr) {
-    opts_.arrange.catalog->CompactAtBoundary(
-        opts_.arrange.chain_compact_threshold);
+    opts_.arrange.catalog->CompactAtBoundary();
   }
   PublishStateBytesPerQuery(opts_.flow.budget, graph_->num_queries());
   ws_.last_point = f;
@@ -782,8 +796,9 @@ Status AdaptiveExecutor::Restore(recovery::CheckpointReader* r) {
             std::to_string(graph_->num_subplans()) + " subplans");
     return r->status();
   }
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
   PaceConfig paces(np);
-  for (int& p : paces) p = static_cast<int>(r->I64());
+  for (int& p : paces) p = ReadIntInRange(r, 1, kIntMax, "pace");
   if (!r->ok()) return r->status();
   Status st = ValidatePaceConfig(*graph_, paces);
   if (!st.ok()) {
@@ -833,7 +848,8 @@ Status AdaptiveExecutor::Restore(recovery::CheckpointReader* r) {
   ws_.sched_execs = r->I64();
   ws_.observed_total = r->F64();
   AdaptationStats& stats = ws_.out.stats;
-  stats.rederivations = static_cast<int>(r->I64());
+  stats.rederivations =
+      ReadIntInRange(r, 0, kMaxRederivations, "rederivation count");
   stats.skipped_execs = r->I64();
   stats.catchup_execs = r->I64();
   stats.drift_ratio = r->F64();
@@ -851,7 +867,7 @@ Status AdaptiveExecutor::Restore(recovery::CheckpointReader* r) {
       return r->status();
     }
     PaceConfig pc(len);
-    for (int& p : pc) p = static_cast<int>(r->I64());
+    for (int& p : pc) p = ReadIntInRange(r, 1, kIntMax, "pace-history entry");
     stats.pace_history.push_back(std::move(pc));
   }
   flow::FlowStats& fs = ws_.out.flow;

@@ -236,12 +236,9 @@ class AdaptiveExecutor : public recovery::Checkpointable {
   // events.
   sched::WorkerPool* worker_pool() const { return pool_.get(); }
 
-  // Live flow-control ledger and drop log of the window in flight; the
-  // chaos Supervisor polls these per step to derive defer/shed activity.
+  // Live flow-control ledger of the window in flight; the chaos
+  // Supervisor polls it per step to derive defer/shed activity.
   const flow::FlowStats& flow_stats() const { return ws_.out.flow; }
-  const std::vector<ShedDropEvent>& drop_log() const {
-    return ws_.out.drop_log;
-  }
 
   // Checkpointable (DESIGN.md §8): pace table + drift state + remaining
   // event points + adaptation stats + the execution substrate. Restore

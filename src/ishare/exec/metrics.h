@@ -82,20 +82,15 @@ struct ExecOptions {
   // it. Results are bit-exact either way.
   sched::SchedulerOptions sched;
 
-  // Shared arrangements (DESIGN.md §15). All fields are inert until
-  // `catalog` is set: with a catalog, eligible HashJoinOp build sides and
-  // AggregateOp group maps read the catalog's shared versioned
-  // arrangements instead of arrangements of their own. Results stay
-  // bit-exact either way; nullptr gives every operator its own.
+  // Shared arrangements (DESIGN.md §15). With a catalog, eligible
+  // HashJoinOp build sides and AggregateOp group maps read the catalog's
+  // shared versioned arrangements instead of arrangements of their own.
+  // Results stay bit-exact either way; nullptr gives every operator its
+  // own.
   struct ArrangeOptions {
     // Shared arrangement catalog. Not owned; must outlive the executors
     // (and, under churn, the engine rebuilds that re-attach to it).
     arrange::ArrangementCatalog* catalog = nullptr;
-
-    // Lazy compaction folds a key's version chain into its base only once
-    // the chain exceeds this many entries; zero-slack readers switch the
-    // whole arrangement to eager folding regardless.
-    int64_t chain_compact_threshold = 64;
 
     bool enabled() const { return catalog != nullptr; }
   };

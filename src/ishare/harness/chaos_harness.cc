@@ -93,7 +93,7 @@ Result<ChaosReport> RunChaos(CostEstimator* estimator,
 
   recovery::MemoryCheckpointStore store;
   recovery::CheckpointManager mgr(&store, options.checkpoint);
-  chaos::Supervisor supervisor(&mgr, &bounded);
+  chaos::Supervisor supervisor(&mgr);
 
   chaos::ChaosInjector::Targets targets;
   targets.store = &store;

@@ -31,15 +31,6 @@ std::vector<std::string> QueryOutputs(const AdaptiveExecutor& exec,
   return out;
 }
 
-int DeadlinesMissed(const std::vector<double>& final_work,
-                    const std::vector<double>& goals) {
-  int missed = 0;
-  for (size_t q = 0; q < final_work.size() && q < goals.size(); ++q) {
-    if (final_work[q] > goals[q]) ++missed;
-  }
-  return missed;
-}
-
 // Fills the *_identical verdicts of `rep` from the baseline and the
 // run under test. Exact (bitwise) comparisons throughout: recovery that
 // is only approximately right is wrong.
@@ -47,7 +38,7 @@ void CompareRuns(const std::vector<std::string>& base_outputs,
                  const std::string& base_fp, const RunResult& base_run,
                  const std::vector<std::string>& test_outputs,
                  const std::string& test_fp, const RunResult& test_run,
-                 const CrashRecoveryOptions& options, CrashRunReport* rep) {
+                 CrashRunReport* rep) {
   rep->results_identical = true;
   for (size_t q = 0; q < base_outputs.size(); ++q) {
     if (base_outputs[q] != test_outputs[q]) {
@@ -73,16 +64,6 @@ void CompareRuns(const std::vector<std::string>& base_outputs,
     rep->mismatch = "work totals differ (baseline total " +
                     std::to_string(base_run.total_work) + ", recovered " +
                     std::to_string(test_run.total_work) + ")";
-  }
-
-  rep->baseline_deadlines_missed =
-      DeadlinesMissed(base_run.query_final_work, options.final_work_goals);
-  rep->recovered_deadlines_missed =
-      DeadlinesMissed(test_run.query_final_work, options.final_work_goals);
-  rep->deadlines_identical =
-      rep->baseline_deadlines_missed == rep->recovered_deadlines_missed;
-  if (!rep->deadlines_identical && rep->mismatch.empty()) {
-    rep->mismatch = "missed-deadline counts differ";
   }
 }
 
@@ -167,7 +148,7 @@ Result<CrashRunReport> RunImpl(int num_queries, const ExecFactory& make_exec,
       rep.recovery = mgr.stats();
       CompareRuns(base_outputs, base_fp, base_run,
                   QueryOutputs(*exec, num_queries), exec->StateFingerprint(),
-                  res->run, options, &rep);
+                  res->run, &rep);
       return rep;
     }
     if (!IsInjectedCrash(res.status())) return res.status();
@@ -202,7 +183,7 @@ Result<CrashRunReport> RunImpl(int num_queries, const ExecFactory& make_exec,
   rep.recovery = mgr.stats();
   CompareRuns(base_outputs, base_fp, base_run,
               QueryOutputs(*exec, num_queries), exec->StateFingerprint(),
-              res->run, options, &rep);
+              res->run, &rep);
   return rep;
 }
 

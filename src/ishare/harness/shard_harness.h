@@ -4,10 +4,11 @@
 // execution protocol's hard invariants:
 //
 //   1. completed: the group run returns OK under every schedule;
-//   2. bit_exact: every query's merged group result is equivalent to a
-//      fresh serial, unbudgeted, unsharded AdaptiveExecutor run over the
-//      same dataset (the N=1 baseline) — sharding, exchange, stragglers
-//      and recovery are invisible in the results;
+//   2. bit_exact: every query's result (the sum of the shards' answers)
+//      is equivalent to a fresh serial, unbudgeted, unsharded
+//      AdaptiveExecutor run over the same dataset (the N=1 baseline) —
+//      sharding, exchange, stragglers and recovery are invisible in the
+//      results;
 //   3. recovery_consistent: when a kShardCrash landed, the group actually
 //      performed a recovery (all shards restored to the last consistent
 //      epoch, or the window rerun when none committed) and gate 2 still

@@ -7,7 +7,6 @@
 #include <limits>
 #include <sstream>
 
-#include "ishare/arrange/eligibility.h"
 #include "ishare/obs/obs.h"
 
 namespace ishare {
@@ -286,16 +285,6 @@ Decomposer::PartitionEval Decomposer::EvaluatePartition(
     inputs.push_back(RestrictSimInput(in, part));
   }
 
-  // Shared-arrangement cost term (DESIGN.md §15.6): with a catalog, the
-  // build work of arrangement-eligible sites is paid once globally, not
-  // once per clone, so it leaves every partition's partial total work.
-  // Net effect on the sharing benefit w_i + w_j - w_merged: it shrinks by
-  // the build work that unsharing would no longer duplicate.
-  double arranged_discount =
-      exec_.arrange.enabled()
-          ? arrange::ArrangedSharedWork(tree.get(), *catalog_)
-          : 0.0;
-
   // The partition's tree is compiled at the first pace the memo does not
   // hold and reused for the rest of the pace loop.
   std::unique_ptr<CompiledSubplan> model;
@@ -322,7 +311,7 @@ Decomposer::PartitionEval Decomposer::EvaluatePartition(
   for (int pace = std::max(1, start_pace); pace <= opts_.max_pace; ++pace) {
     auto [wpt, wf] = simulate(pace);
     ev.selected_pace = pace;
-    ev.partial_total_work = std::max(0.0, wpt - arranged_discount);
+    ev.partial_total_work = wpt;
     if (wf <= min_s + kEps) return ev;
   }
   return ev;  // constraint unreachable: laziest-possible at max pace

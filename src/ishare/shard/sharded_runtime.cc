@@ -11,8 +11,9 @@ namespace ishare::shard {
 
 namespace {
 // Bumped whenever the group blob layout changes (shard blobs carry the
-// executor's own version inside).
-constexpr uint32_t kShardCheckpointVersion = 1;
+// executor's own version inside). Version 2 dropped the merged result
+// buffers and the merge consumer offset on every shard's root buffers.
+constexpr uint32_t kShardCheckpointVersion = 2;
 }  // namespace
 
 ShardedRuntime::ShardedRuntime(const Catalog* catalog,
@@ -44,19 +45,9 @@ ShardedRuntime::ShardedRuntime(const Catalog* catalog,
   mgr_ = std::make_unique<recovery::CheckpointManager>(
       opts_.store != nullptr ? opts_.store : owned_store_.get(),
       opts_.checkpoint);
-  supervisor_ = std::make_unique<chaos::Supervisor>(mgr_.get(),
-                                                    opts_.exec.flow.budget);
+  supervisor_ = std::make_unique<chaos::Supervisor>(mgr_.get());
 
-  // Per-shard health breakers; straggler escalations count as failures.
-  constexpr chaos::BreakerOptions kShardBreaker{/*failure_threshold=*/2,
-                                                /*open_steps=*/2,
-                                                /*success_threshold=*/2};
   const size_t n = static_cast<size_t>(opts_.num_shards);
-  breakers_.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    breakers_.push_back(std::make_unique<chaos::CircuitBreaker>(
-        "shard" + std::to_string(s), kShardBreaker));
-  }
   crashed_.assign(n, false);
   stalled_until_.assign(n, 0);
   escalated_.assign(n, false);
@@ -65,18 +56,15 @@ ShardedRuntime::ShardedRuntime(const Catalog* catalog,
 }
 
 Status ShardedRuntime::BuildShards() {
-  const int n = opts_.num_shards;
   // Teardown in dependency order: executors reference estimators, graphs
-  // and sources; merge consumer ids die with the buffers they index.
+  // and sources.
   execs_.clear();
   estimators_.clear();
   graphs_.clear();
   sources_.clear();
-  merge_consumers_.clear();
-  group_out_.clear();
   fabric_.ResetDelivery();
 
-  for (int s = 0; s < n; ++s) {
+  for (int s = 0; s < opts_.num_shards; ++s) {
     sources_.push_back(std::make_unique<ExchangeShardSource>(&fabric_, s));
     graphs_.push_back(
         std::make_unique<SubplanGraph>(SubplanGraph::Build(plans_)));
@@ -88,39 +76,6 @@ Status ShardedRuntime::BuildShards() {
         opts_.policy, opts_.exec));
   }
   num_queries_ = graphs_[0]->num_queries();
-
-  // Merge consumers immediately after construction, ascending (shard,
-  // query): the registration order is part of the checkpoint layout
-  // (offset counts must match across snapshot and restore).
-  merge_consumers_.resize(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    merge_consumers_[static_cast<size_t>(s)].assign(
-        static_cast<size_t>(num_queries_), -1);
-    for (QueryId q = 0; q < num_queries_; ++q) {
-      DeltaBuffer* root = execs_[static_cast<size_t>(s)]->query_output(q);
-      if (root == nullptr) {
-        return Status::Internal("query " + std::to_string(q) +
-                                " has no root buffer on shard " +
-                                std::to_string(s));
-      }
-      merge_consumers_[static_cast<size_t>(s)][static_cast<size_t>(q)] =
-          root->RegisterConsumer();
-    }
-  }
-
-  group_out_.reserve(static_cast<size_t>(num_queries_));
-  for (QueryId q = 0; q < num_queries_; ++q) {
-    const DeltaBuffer* proto = execs_[0]->query_output(q);
-    auto buf = std::make_unique<DeltaBuffer>(proto->schema(),
-                                             "shard:q" + std::to_string(q));
-    // No consumers on purpose: merged results are materialized out of
-    // band (QueryResult), and a consumer-less buffer never trims — the
-    // same contract query roots have inside the executor.
-    if (opts_.exec.flow.budget != nullptr) {
-      buf->AttachBudget(opts_.exec.flow.budget);
-    }
-    group_out_.push_back(std::move(buf));
-  }
   return Status::OK();
 }
 
@@ -194,31 +149,8 @@ Status ShardedRuntime::RunRound() {
     }
   }
 
-  ISHARE_RETURN_NOT_OK(MergeOutputs());
   DetectStragglers();
   return Supervise();
-}
-
-Status ShardedRuntime::MergeOutputs() {
-  // Deterministic merge order: ascending query, ascending shard id. With
-  // aligned partition keys the per-shard streams are disjoint, so this
-  // fixed interleaving gives the group buffer one canonical append order
-  // regardless of which shard ran (or caught up) first this round.
-  for (QueryId q = 0; q < num_queries_; ++q) {
-    for (int s = 0; s < opts_.num_shards; ++s) {
-      DeltaBuffer* root = execs_[static_cast<size_t>(s)]->query_output(q);
-      ISHARE_ASSIGN_OR_RETURN(
-          DeltaSpan span,
-          root->ConsumeNew(
-              merge_consumers_[static_cast<size_t>(s)][static_cast<size_t>(
-                  q)]));
-      for (const DeltaTuple& t : span) {
-        group_out_[static_cast<size_t>(q)]->Append(t);
-        ++stats_.merged_tuples;
-      }
-    }
-  }
-  return Status::OK();
 }
 
 void ShardedRuntime::DetectStragglers() {
@@ -230,7 +162,6 @@ void ShardedRuntime::DetectStragglers() {
         std::max<int64_t>(0, lead - e->completed_steps());
     if (!e->HasPendingSteps() || lag == 0) {
       escalated_[static_cast<size_t>(s)] = false;
-      breakers_[static_cast<size_t>(s)]->RecordSuccess(round_);
       continue;
     }
     any_lag = true;
@@ -254,9 +185,6 @@ void ShardedRuntime::DetectStragglers() {
     } else {
       ++stats_.straggler_escalations;
       escalated_[static_cast<size_t>(s)] = true;
-      breakers_[static_cast<size_t>(s)]->RecordFailure(
-          round_, "straggler lag " + std::to_string(lag) + " > allowance " +
-                      std::to_string(allowance));
     }
   }
   if (any_lag) ++stats_.straggler_observations;
@@ -307,10 +235,12 @@ Result<ShardRunResult> ShardedRuntime::FinishWindow() {
   for (auto& e : execs_) {
     ISHARE_ASSIGN_OR_RETURN(AdaptiveRunResult r, e->CompleteWindow());
     out.shards.push_back(std::move(r));
+    // CompleteWindow finalizes per-query aggregates, so the roots are
+    // complete only now.
+    for (QueryId q = 0; q < num_queries_; ++q) {
+      stats_.merged_tuples += e->query_output(q)->size();
+    }
   }
-  // CompleteWindow finalizes per-query aggregates; collect anything it
-  // appended after the last round's merge.
-  ISHARE_RETURN_NOT_OK(MergeOutputs());
   window_active_ = false;
 
   out.stats = stats_;
@@ -318,7 +248,6 @@ Result<ShardRunResult> ShardedRuntime::FinishWindow() {
   out.supervisor = supervisor_->stats();
   out.ladder_log = supervisor_->ladder_log();
   out.final_level = supervisor_->level();
-  for (const auto& b : breakers_) out.breaker_trips += b->trips();
   out.checkpoints = mgr_->stats().checkpoints;
   for (const AdaptiveRunResult& r : out.shards) {
     out.dropped_tuples += r.flow.dropped_tuples;
@@ -360,7 +289,16 @@ Result<std::unordered_map<Row, int64_t, RowHasher>> ShardedRuntime::
   if (q < 0 || q >= num_queries_) {
     return Status::InvalidArgument("no query " + std::to_string(q));
   }
-  return MaterializeResult(*group_out_[static_cast<size_t>(q)], q);
+  // Materialized results are sums of weights per row, so the shards'
+  // answers add up whatever order their tuples were appended in.
+  std::unordered_map<Row, int64_t, RowHasher> out;
+  for (const auto& e : execs_) {
+    for (auto& [row, count] : MaterializeResult(*e->query_output(q), q)) {
+      out[row] += count;
+    }
+  }
+  std::erase_if(out, [](const auto& rc) { return rc.second == 0; });
+  return out;
 }
 
 Status ShardedRuntime::Recover() {
@@ -401,7 +339,6 @@ Status ShardedRuntime::Snapshot(recovery::CheckpointWriter* w) const {
     w->I64(p.den);
   }
   for (int64_t su : stalled_until_) w->I64(su);
-  for (const auto& buf : group_out_) buf->Snapshot(w);
   for (const auto& e : execs_) ISHARE_RETURN_NOT_OK(e->Snapshot(w));
   return Status::OK();
 }
@@ -450,7 +387,6 @@ Status ShardedRuntime::Restore(recovery::CheckpointReader* r) {
   // it had consumed at checkpoint time already releasable.
   if (max_pos.num > 0) ISHARE_RETURN_NOT_OK(fabric_.DeliverUpTo(max_pos));
 
-  for (auto& buf : group_out_) ISHARE_RETURN_NOT_OK(buf->Restore(r));
   for (auto& e : execs_) ISHARE_RETURN_NOT_OK(e->Restore(r));
 
   round_ = round;
@@ -480,7 +416,6 @@ void ShardedRuntime::PublishObs(const ShardRunResult& result) const {
       .Add(result.stats.straggler_absorbed);
   reg.GetCounter("shard.straggler.escalations")
       .Add(result.stats.straggler_escalations);
-  reg.GetCounter("shard.breaker.trips").Add(result.breaker_trips);
   reg.GetCounter("shard.recovery.recoveries").Add(result.stats.recoveries);
   reg.GetCounter("shard.recovery.restarts").Add(result.stats.restarts);
   reg.GetCounter("shard.recovery.epochs").Add(result.checkpoints);

@@ -7,22 +7,20 @@
 //     hash (broadcast for unlisted tables),
 //   - N shard runtimes, each a full AdaptiveExecutor (own SubplanGraph,
 //     own CostEstimator, own ExchangeShardSource) that may fan out on its
-//     own sched::WorkerPool,
-//   - one result-merge exchange: at every round boundary the new deltas
-//     of each query root are drained shard-by-shard in ascending shard id
-//     (the deterministic merge order) into a bounded per-query group
-//     output buffer,
-//   - one supervised group checkpoint line: every shard and the merge
-//     buffers serialize into ONE checkpoint blob committed through the
-//     two-phase store, so a group epoch is all-shards-or-none by
-//     construction. Crash of any shard restores the WHOLE group to the
-//     last committed epoch (healthy shards roll back too — that is the
-//     consistent cut), or reruns from scratch when no epoch committed.
+//     own sched::WorkerPool. Each shard writes its query roots' deltas
+//     once, into its own root buffers; QueryResult(q) sums the shards'
+//     materializations of q, read in place (no merged copy is kept),
+//   - one supervised group checkpoint line: every shard serializes into
+//     ONE checkpoint blob committed through the two-phase store, so a
+//     group epoch is all-shards-or-none by construction. Crash of any
+//     shard restores the WHOLE group to the last committed epoch (healthy
+//     shards roll back too — that is the consistent cut), or reruns the
+//     window from its start when no epoch committed.
 //
 // Driver model: rounds. Round r runs one event point on every live shard
 // (ascending shard id; executors may be internally parallel, the driver
-// is single-threaded and deterministic), then does boundary work: result
-// merge, straggler detection, supervision/checkpoint.
+// is single-threaded and deterministic), then does boundary work:
+// straggler detection, supervision/checkpoint.
 //
 // Straggler policy (the paper's slackness, DESIGN.md §6, applied across
 // shards): a shard whose completed steps lag the group leader is compared
@@ -32,12 +30,11 @@
 // per round, results untouched, zero tuples shed. Beyond it the shard is
 // *escalated*: burst catch-up of four extra steps per round (its own
 // AdaptiveExecutor degradation machinery sees the burst and may merge
-// intermediate executions — results stay exact by pace invariance) plus
-// a failure recorded against its health breaker, while the chaos
-// Supervisor's source breaker sees the group's minimum data fraction
-// stall and walks the existing degradation ladder (kFull → kDeferred →
-// ...). Stragglers never safe-stop: safe-stop is
-// reserved for the persistence axis (DESIGN.md §11).
+// intermediate executions — results stay exact by pace invariance),
+// while the chaos Supervisor's source breaker sees the group's minimum
+// data fraction stall and walks the existing degradation ladder (kFull →
+// kDeferred → ...). Stragglers never safe-stop: safe-stop is reserved for
+// the persistence axis (DESIGN.md §11).
 
 #ifndef ISHARE_SHARD_SHARDED_RUNTIME_H_
 #define ISHARE_SHARD_SHARDED_RUNTIME_H_
@@ -48,7 +45,6 @@
 #include <vector>
 
 #include "ishare/catalog/catalog.h"
-#include "ishare/chaos/breaker.h"
 #include "ishare/chaos/supervisor.h"
 #include "ishare/common/status.h"
 #include "ishare/cost/estimator.h"
@@ -94,7 +90,9 @@ struct ShardOptions {
 // shard.* observability series at FinishWindow).
 struct ShardGroupStats {
   int64_t rounds = 0;
-  int64_t merged_tuples = 0;          // result-merge exchange tuples
+  // Result tuples the shards' query roots hold when the window finishes,
+  // summed over shards and queries.
+  int64_t merged_tuples = 0;
   int64_t straggler_observations = 0; // boundaries with a lagging shard
   int64_t straggler_lag_steps = 0;    // cumulative lag observed
   int64_t straggler_absorbed = 0;     // lag boundaries within slack
@@ -111,8 +109,7 @@ struct ShardRunResult {
   chaos::SupervisorStats supervisor;
   std::vector<chaos::LadderTransition> ladder_log;
   chaos::ServiceLevel final_level = chaos::ServiceLevel::kFull;
-  int64_t breaker_trips = 0;  // per-shard health breakers, summed
-  int64_t checkpoints = 0;    // committed group epochs
+  int64_t checkpoints = 0;  // committed group epochs
   // Total tuples shed across every shard (flow drop ledger). The
   // within-slack straggler gate requires this to be zero.
   int64_t dropped_tuples = 0;
@@ -139,8 +136,8 @@ class ShardedRuntime : public recovery::Checkpointable {
   // Opens the trigger window at uniform pace `max_pace` on every shard.
   Status BeginWindow(int max_pace);
   // One group round: step every live shard once (stragglers more, stalled
-  // shards not at all), then merge, detect stragglers, supervise, and
-  // checkpoint on epoch boundaries. Recovers first when a shard crashed.
+  // shards not at all), then detect stragglers, supervise, and checkpoint
+  // on epoch boundaries. Recovers first when a shard crashed.
   Status RunRound();
   bool HasPendingRounds() const;
   Result<ShardRunResult> FinishWindow();
@@ -166,13 +163,14 @@ class ShardedRuntime : public recovery::Checkpointable {
   }
   recovery::CheckpointManager* checkpoint_manager() { return mgr_.get(); }
 
-  // Merged result of query q (the group output buffer, materialized).
+  // Result of query q: the sum of every shard's materialized root buffer
+  // of q, rows whose counts sum to zero dropped.
   Result<std::unordered_map<Row, int64_t, RowHasher>> QueryResult(
       QueryId q) const;
 
   // ---- Checkpointable (DESIGN.md §8/§14) --------------------------------
   // One blob for the whole group: round counter, shard window positions,
-  // merge buffers, every shard executor. Snapshot at a round boundary
+  // stall deadlines, every shard executor. Snapshot at a round boundary
   // only; Restore rebuilds fresh shard substrates, pre-delivers the
   // exchange to the group's maximum checkpointed position (so every
   // replayed base log covers its checkpointed offsets), then restores
@@ -181,8 +179,7 @@ class ShardedRuntime : public recovery::Checkpointable {
   Status Restore(recovery::CheckpointReader* r) override;
 
  private:
-  Status BuildShards();     // fresh sources/executors/merge consumers
-  Status MergeOutputs();    // result-merge exchange, ascending shard id
+  Status BuildShards();     // fresh sources/graphs/estimators/executors
   void DetectStragglers();  // boundary straggler policy
   Status Supervise();       // observations + supervised group checkpoint
   Status Recover();         // group recovery to the last committed epoch
@@ -209,12 +206,6 @@ class ShardedRuntime : public recovery::Checkpointable {
   std::vector<std::unique_ptr<SubplanGraph>> graphs_;
   std::vector<std::unique_ptr<CostEstimator>> estimators_;
   std::vector<std::unique_ptr<AdaptiveExecutor>> execs_;
-  // merge_consumers_[s][q]: this runtime's consumer id on shard s's root
-  // buffer of query q. Registered immediately after executor construction
-  // so snapshot/restore see identical registration counts.
-  std::vector<std::vector<int>> merge_consumers_;
-  std::vector<std::unique_ptr<DeltaBuffer>> group_out_;  // per query
-  std::vector<std::unique_ptr<chaos::CircuitBreaker>> breakers_;
 
   std::vector<bool> crashed_;
   std::vector<int64_t> stalled_until_;  // round before which shard skips

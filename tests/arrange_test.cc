@@ -5,15 +5,15 @@
 //    (a reader at the minimum version pins the bound; detach unpins;
 //    zero-slack or reader-free arrangements fold eagerly; slack-full
 //    readers fold lazily only past the chain threshold),
-//  - eligibility + cost term: specs are query-set independent (two
-//    queries over the same base build produce the same signature), a
-//    filter between scan and operator disqualifies, and the decomposer's
-//    ArrangedSharedWork discount counts exactly the eligible build rows,
-//  - the property: across 100 seeded random shared workloads, a run with
-//    an ArrangementCatalog is bit-identical (results, state fingerprint,
-//    curated metrics) to a run without one, serial and 4-threaded,
-//  - the executor's chain threshold: a lower one folds more and leaves
-//    shorter chains, with identical results,
+//  - eligibility: specs are query-set independent (two queries over the
+//    same base build produce the same signature), and a filter between
+//    scan and operator disqualifies,
+//  - the property: across 100 seeded random shared workloads, insert-only
+//    and with deletes and updates, a run with an ArrangementCatalog is
+//    bit-identical (results, state fingerprint, curated metrics) to a run
+//    without one, serial and 4-threaded,
+//  - the executor's chain threshold: boundary compaction keeps chains
+//    within kChainCompactThreshold, with the catalog-free run's results,
 //  - the shed fork: a shared join side or aggregate that loses a batch
 //    forks into an arrangement of its own, then matches a catalog-less
 //    operator fed the same batches and stops pinning compaction,
@@ -274,25 +274,6 @@ TEST(ArrangeEligibility, SpecsAreQuerySetIndependent) {
   EXPECT_TRUE(arrange::EligibleJoinBuild(half.get(), 1));
 }
 
-TEST(ArrangeEligibility, ArrangedSharedWorkCountsEligibleBuildRows) {
-  TestDb db;  // orders: 60 rows, customer: 10 rows
-  PlanBuilder b(&db.catalog, 0);
-  PlanNodePtr agg = b.Aggregate(b.Scan("orders"), {"o_custkey"},
-                                {SumAgg(Col("o_amount"), "t")});
-  EXPECT_DOUBLE_EQ(arrange::ArrangedSharedWork(agg.get(), db.catalog), 60.0);
-
-  PlanNodePtr join = b.Join(b.Scan("orders"), b.Scan("customer"),
-                            {"o_custkey"}, {"c_custkey"});
-  EXPECT_DOUBLE_EQ(arrange::ArrangedSharedWork(join.get(), db.catalog), 70.0);
-
-  PlanNodePtr filtered = b.Aggregate(
-      b.ScanFiltered("orders", Gt(Col("o_amount"), Lit(10.0))),
-      {"o_custkey"}, {CountAgg("n")});
-  EXPECT_DOUBLE_EQ(arrange::ArrangedSharedWork(filtered.get(), db.catalog),
-                   0.0);
-  EXPECT_DOUBLE_EQ(arrange::ArrangedSharedWork(nullptr, db.catalog), 0.0);
-}
-
 // ---------------------------------------------------------------------------
 // The arranged-vs-private bit-exactness property
 // ---------------------------------------------------------------------------
@@ -395,19 +376,18 @@ RunOutput RunWorkload(TestDb* db, const SubplanGraph& g,
   return out;
 }
 
-TEST(ArrangeEquivalence, ArrangedRunIsBitExactOverRandomWorkloads) {
-  obs::SetEnabled(true);
-  TestDb db(200, 12, 7);
+// The arranged-vs-private property over the 100 random workloads of
+// MakeArrangeWorkload, run over `db`.
+void ExpectArrangedMatchesPrivate(TestDb* db) {
   const int kSeeds = 100;
   for (int seed = 1; seed <= kSeeds; ++seed) {
-    ArrangeWorkload w = MakeArrangeWorkload(db.catalog, seed);
+    ArrangeWorkload w = MakeArrangeWorkload(db->catalog, seed);
     const SubplanGraph& g = w.graph;
     const PaceConfig& paces = w.paces;
     const int threads = w.threads;
 
-    RunOutput priv =
-        RunWorkload(&db, g, paces, /*arranged=*/false, threads);
-    RunOutput arr = RunWorkload(&db, g, paces, /*arranged=*/true, threads);
+    RunOutput priv = RunWorkload(db, g, paces, /*arranged=*/false, threads);
+    RunOutput arr = RunWorkload(db, g, paces, /*arranged=*/true, threads);
 
     // Guard against vacuity: some reader must actually have attached.
     // Not one per query — a slow-paced query whose first execution lands
@@ -425,6 +405,21 @@ TEST(ArrangeEquivalence, ArrangedRunIsBitExactOverRandomWorkloads) {
     EXPECT_EQ(arr.counters, priv.counters)
         << "seed " << seed << " threads " << threads;
   }
+}
+
+TEST(ArrangeEquivalence, ArrangedRunIsBitExactOverRandomWorkloads) {
+  obs::SetEnabled(true);
+  TestDb db(200, 12, 7);
+  ExpectArrangedMatchesPrivate(&db);
+}
+
+TEST(ArrangeEquivalence, ArrangedRunIsBitExactOverRetractingWorkloads) {
+  // The same workloads over an orders stream that deletes and updates
+  // rows: join buckets swap-remove and aggregate groups retract through
+  // the shared arrangements.
+  obs::SetEnabled(true);
+  TestDb db(200, 12, 7, /*retractions=*/true);
+  ExpectArrangedMatchesPrivate(&db);
 }
 
 TEST(ArrangeEquivalence, UniformPacesAttachEveryQuery) {
@@ -473,9 +468,12 @@ TEST(ArrangeEquivalence, StateBytesPerQueryGaugePublishes) {
 
 TEST(ArrangeEquivalence, ChainCompactThresholdBoundsChainsNotResults) {
   // Four identical aggregate readers in lockstep share one arrangement.
-  // Their slack is full, so compaction is lazy and the threshold alone
-  // decides which chains fold at a boundary.
-  TestDb db;
+  // Their slack is full, so compaction is lazy and kChainCompactThreshold
+  // alone decides which chains fold at a boundary. About 100 orders per
+  // key over six executions grow most chains past it by the fourth
+  // boundary, which folds those and leaves the shorter ones; the results
+  // are the catalog-free run's.
+  TestDb db(2400, 24, 42);
   std::vector<QueryPlan> qs;
   for (int q = 0; q < 4; ++q) {
     qs.push_back(MakeArrangeQuery(db.catalog, q, 0));
@@ -486,33 +484,39 @@ TEST(ArrangeEquivalence, ChainCompactThresholdBoundsChainsNotResults) {
     int64_t folded = 0;
     int64_t max_chain = 0;
   };
-  auto run = [&](int64_t threshold) {
+  auto run = [&](bool arranged) {
     StreamSource src;
     CHECK(db.source.CloneTablesInto(&src).ok());
     ArrangementCatalog cat;  // declared before the executor: must outlive it
     ExecOptions opts;
-    opts.arrange.catalog = &cat;
-    opts.arrange.chain_compact_threshold = threshold;
+    if (arranged) opts.arrange.catalog = &cat;
     AdaptiveExecutor exec(&g, &src, opts);
-    CHECK(exec.Run(PaceConfig(g.num_subplans(), 6)).ok());
     Outcome out;
+    // The longest chain any step's boundary compaction left behind.
+    exec.set_after_step_hook([&](int64_t) {
+      for (const std::string& sig : cat.Signatures()) {
+        out.max_chain =
+            std::max(out.max_chain, cat.Find(sig)->MaxChainLength());
+      }
+      return Status::OK();
+    });
+    CHECK(exec.Run(PaceConfig(g.num_subplans(), 6)).ok());
     for (QueryId q = 0; q < g.num_queries(); ++q) {
       out.results.push_back(MaterializeResult(*exec.query_output(q), q));
     }
     for (const std::string& sig : cat.Signatures()) {
-      const Arrangement* a = cat.Find(sig);
-      out.folded += a->folded_total();
-      out.max_chain = std::max(out.max_chain, a->MaxChainLength());
+      out.folded += cat.Find(sig)->folded_total();
     }
     return out;
   };
-  Outcome tight = run(1);
-  Outcome loose = run(int64_t{1} << 30);
-  EXPECT_GT(tight.folded, loose.folded);
-  EXPECT_LT(tight.max_chain, loose.max_chain);
-  ASSERT_EQ(tight.results.size(), loose.results.size());
-  for (size_t q = 0; q < loose.results.size(); ++q) {
-    EXPECT_TRUE(ExactSameResults(tight.results[q], loose.results[q]))
+  Outcome arr = run(true);
+  Outcome priv = run(false);
+  EXPECT_GT(arr.folded, 0);
+  EXPECT_GT(arr.max_chain, 0);  // lazy: short chains wait
+  EXPECT_LE(arr.max_chain, arrange::kChainCompactThreshold);
+  ASSERT_EQ(arr.results.size(), priv.results.size());
+  for (size_t q = 0; q < priv.results.size(); ++q) {
+    EXPECT_TRUE(ExactSameResults(arr.results[q], priv.results[q]))
         << "query " << q;
   }
 }
@@ -571,6 +575,12 @@ void ExpectSameWork(const PhysOp& a, const PhysOp& b) {
   EXPECT_EQ(a.work().state, b.work().state);
 }
 
+// Compacts every arrangement of `cat` at threshold 0, so lazy readers'
+// chains fold too, up to the minimum attached reader version.
+void FoldEveryChain(const ArrangementCatalog& cat) {
+  for (const std::string& sig : cat.Signatures()) cat.Find(sig)->Compact(0);
+}
+
 // Operator `a` (queries {0, 1}) shares the catalog arrangement with `b`
 // (query 2). One of a's batches is shed: from then on `a` must behave
 // exactly like `p`, the same operator without a catalog, fed only the
@@ -607,12 +617,12 @@ TEST(ArrangeFork, DiscardForksASharedAggregate) {
   step(&b, Orders(0, 8, qb));
   step(&b, Orders(8, 12, qb));  // the batch `a` loses
   EXPECT_EQ(shared->num_attached(), 2);
-  cat.CompactAtBoundary(0);
+  FoldEveryChain(cat);
   EXPECT_EQ(shared->base_version(), 8);  // pinned by `a`
 
   a.OnInputDiscarded();
   EXPECT_EQ(shared->num_attached(), 1);
-  cat.CompactAtBoundary(0);
+  FoldEveryChain(cat);
   EXPECT_EQ(shared->base_version(), 12);
 
   EXPECT_TRUE(SameBatch(step(&a, Orders(12, 16, qa, {2, 4})),
@@ -669,7 +679,7 @@ TEST(ArrangeFork, DiscardForksSharedJoinSides) {
   a.OnInputDiscarded();
   EXPECT_EQ(orders->num_attached(), 1);
   EXPECT_EQ(customers->num_attached(), 1);
-  cat.CompactAtBoundary(0);
+  FoldEveryChain(cat);
   EXPECT_EQ(orders->base_version(), 12);
 
   EXPECT_TRUE(SameBatch(a.Process(0, Orders(12, 16, qa, {2, 3})),

@@ -2,7 +2,7 @@
 // step, in any phase (after a step, mid-step, or between checkpoint stage
 // and commit), followed by restore-from-checkpoint and delta replay, must
 // reproduce the uninterrupted run bit for bit — per-query output logs,
-// executor state fingerprints, work totals, and missed-deadline counts.
+// executor state fingerprints and work totals.
 
 #include <gtest/gtest.h>
 
@@ -39,7 +39,6 @@ void ExpectEquivalent(const CrashRunReport& rep, const std::string& where) {
   EXPECT_TRUE(rep.results_identical) << where << ": " << rep.mismatch;
   EXPECT_TRUE(rep.state_identical) << where << ": " << rep.mismatch;
   EXPECT_TRUE(rep.work_identical) << where << ": " << rep.mismatch;
-  EXPECT_TRUE(rep.deadlines_identical) << where << ": " << rep.mismatch;
   ASSERT_TRUE(rep.Equivalent()) << where << ": " << rep.mismatch;
 }
 
@@ -183,23 +182,70 @@ TEST(CrashRecoveryStatic, CorruptedNewestEpochFallsBackToOlder) {
   }
 }
 
-TEST(CrashRecoveryStatic, DeadlineCountsSurviveRecovery) {
-  TestDb db(/*n_orders=*/120, /*n_customers=*/6);
+TEST(CrashRecoveryStatic, RestoreRejectsOutOfRangeWords) {
+  // Paces, pace-history entries and the rederivation count are int64
+  // words that narrow to int. Each is range-checked before the cast, so a
+  // pace of 2^32 + 3 fails the restore instead of restoring as pace 3,
+  // below its parent's pace of 4.
+  TestDb db;
   SubplanGraph g = SubplanGraph::Build(MakeSharedDag(db.catalog));
-  SourceFactory factory = MakeFactory(db);
+  StreamSource src_a;
+  ASSERT_TRUE(db.source.CloneTablesInto(&src_a).ok());
+  AdaptiveExecutor a(&g, &src_a);
+  ASSERT_TRUE(a.BeginWindow({2, 2, 4}).ok());
+  recovery::CheckpointWriter w;
+  ASSERT_TRUE(a.Snapshot(&w).ok());
+  const std::string blob = w.Take();
 
-  // Goals straddling the actual final work: one query misses, one meets.
-  MemoryCheckpointStore store;
-  CrashRecoveryOptions opts;
-  opts.store = &store;
-  opts.plan = {CrashPhase::kAfterStep, 3, 0};
-  opts.final_work_goals = {1e-3, 1e12};
-  Result<CrashRunReport> rep =
-      RunCrashRecoveryStatic(g, {2, 2, 4}, factory, opts);
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  EXPECT_EQ(rep->baseline_deadlines_missed, 1);
-  EXPECT_EQ(rep->recovered_deadlines_missed, 1);
-  ExpectEquivalent(*rep, "deadline goals");
+  // Blob layout: the pace count, then subplan 0's pace at byte 8 and the
+  // rest of the pace table, the drift ratio, the zero-slack flags, the
+  // window position, the event points and five window words; the
+  // rederivation count follows. Walk it to find that word's offset.
+  constexpr size_t kFirstPace = 8;
+  recovery::CheckpointReader walk(blob);
+  for (uint64_t i = 0, n = walk.U64(); i < n; ++i) walk.I64();
+  walk.F64();
+  for (uint64_t i = 0, n = walk.U64(); i < n; ++i) walk.I64();
+  walk.I64();
+  walk.I64();
+  for (uint64_t i = 0, n = walk.U64(); i < n; ++i) {
+    walk.I64();
+    walk.I64();
+  }
+  for (int i = 0; i < 5; ++i) walk.I64();
+  ASSERT_TRUE(walk.ok());
+  const size_t rederivations = blob.size() - walk.remaining();
+  auto word = [&blob](size_t offset) {
+    recovery::CheckpointReader r(std::string_view(blob).substr(offset, 8));
+    return r.I64();
+  };
+  ASSERT_EQ(word(kFirstPace), 2) << "checkpoint layout moved";
+  ASSERT_EQ(word(rederivations), 0) << "checkpoint layout moved";
+
+  const std::vector<std::pair<size_t, int64_t>> patches = {
+      {kFirstPace, (int64_t{1} << 32) + 3},
+      {kFirstPace, 0},
+      {rederivations, -1},
+  };
+  for (const auto& [offset, value] : patches) {
+    recovery::CheckpointWriter pw;
+    pw.I64(value);
+    std::string bad = blob;
+    bad.replace(offset, 8, pw.Take());
+    StreamSource src_b;
+    ASSERT_TRUE(db.source.CloneTablesInto(&src_b).ok());
+    AdaptiveExecutor b(&g, &src_b);
+    recovery::CheckpointReader r(bad);
+    EXPECT_FALSE(b.Restore(&r).ok())
+        << "value " << value << " at byte " << offset;
+  }
+
+  // The untouched blob still restores.
+  StreamSource src_c;
+  ASSERT_TRUE(db.source.CloneTablesInto(&src_c).ok());
+  AdaptiveExecutor c(&g, &src_c);
+  recovery::CheckpointReader r(blob);
+  EXPECT_TRUE(c.Restore(&r).ok()) << r.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -74,6 +74,12 @@
 //   without a track-only budget, at the workload's thread count; the
 //   fields are the exec line's.
 //
+//   retract <run-id> total=... counters=<h>
+//
+//   The arrange lines' runs over the retracting TestDb, whose orders
+//   stream deletes and updates rows, so join buckets and aggregate groups
+//   see retractions through the arrangements.
+//
 // Usage:
 //   ishare_digest                       print every line
 //   ishare_digest --golden=<file>       check every line against <file>
@@ -708,17 +714,22 @@ std::string ChaosScheduleLine(uint64_t seed) {
          " sched=" + Hex(ScheduleHash(sched));
 }
 
-// arrange_test's random workloads (tests/test_util.h).
+// arrange_test's random workloads (tests/test_util.h), over the
+// insert-only TestDb (kind "arrange") or the retracting one ("retract").
 constexpr int kArrangeWorkloads = 100;
 
-std::string ArrangeLine(int seed, bool arranged, bool track_budget) {
-  static const TestDb db(200, 12, 7);
+std::string ArrangeLine(bool retractions, int seed, bool arranged,
+                        bool track_budget) {
+  static const TestDb insert_only(200, 12, 7);
+  static const TestDb retracting(200, 12, 7, /*retractions=*/true);
+  const TestDb& db = retractions ? retracting : insert_only;
+  const char* kind = retractions ? "retract" : "arrange";
   ArrangeWorkload w = MakeArrangeWorkload(db.catalog, seed);
-  std::string id = "arrange.s" + std::to_string(seed) + ".t" +
+  std::string id = std::string(kind) + ".s" + std::to_string(seed) + ".t" +
                    std::to_string(w.threads) +
                    (arranged ? ".catalog" : ".none") +
                    (track_budget ? ".track" : ".nobudget");
-  return ExecLine("arrange", id, w.graph, db.source, w.paces, w.threads,
+  return ExecLine(kind, id, w.graph, db.source, w.paces, w.threads,
                   track_budget, arranged, nullptr, {}, 0);
 }
 
@@ -791,12 +802,17 @@ std::vector<Entry> Entries() {
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     out.push_back({"chaos", [=] { return ChaosScheduleLine(seed); }, ""});
   }
-  for (int seed = 1; seed <= kArrangeWorkloads; ++seed) {
-    for (bool arranged : {true, false}) {
-      for (bool budget : {false, true}) {
-        out.push_back({"arrange",
-                       [=] { return ArrangeLine(seed, arranged, budget); },
-                       ""});
+  for (bool retractions : {false, true}) {
+    for (int seed = 1; seed <= kArrangeWorkloads; ++seed) {
+      for (bool arranged : {true, false}) {
+        for (bool budget : {false, true}) {
+          out.push_back({retractions ? "retract" : "arrange",
+                         [=] {
+                           return ArrangeLine(retractions, seed, arranged,
+                                              budget);
+                         },
+                         ""});
+        }
       }
     }
   }
@@ -806,7 +822,7 @@ std::vector<Entry> Entries() {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--golden=<file>] [--stride=<k >= 1>] "
-               "[--kind=<opt|exec|shard|chaos|arrange>[,...]]\n",
+               "[--kind=<opt|exec|shard|chaos|arrange|retract>[,...]]\n",
                argv0);
   return 2;
 }
@@ -827,7 +843,7 @@ int Main(int argc, char** argv) {
         size_t e = std::min(list.find(',', b), list.size());
         std::string k = list.substr(b, e - b);
         if (k != "opt" && k != "exec" && k != "shard" && k != "chaos" &&
-            k != "arrange") {
+            k != "arrange" && k != "retract") {
           return Usage(argv[0]);
         }
         kinds.insert(k);

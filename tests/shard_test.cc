@@ -346,7 +346,7 @@ TEST(ShardStragglerTest, BeyondSlackEscalatesThroughLadderWithoutSafeStop) {
   EXPECT_TRUE(r.AllGatesPass()) << r.mismatch;
   EXPECT_GE(r.stats.straggler_escalations, 1);
   EXPECT_FALSE(r.safe_stopped);
-  // The per-shard health breaker saw repeated beyond-slack boundaries.
+  // The stalled shard lagged across repeated beyond-slack boundaries.
   EXPECT_GE(r.stats.straggler_lag_steps, 2);
 }
 
@@ -392,8 +392,10 @@ TEST(ShardRecoveryTest, CrashBeforeFirstEpochFallsBackToRerun) {
 }
 
 TEST(ShardRecoveryTest, RestoreRefusesOutOfRangePaceAndPositions) {
-  // A group blob whose pace or shard position is out of range fails the
-  // restore with a status before the exchange delivers anything.
+  // A group blob whose pace or shard position is out of range, or whose
+  // version word is not the current one (version 1 still carried merged
+  // result buffers), fails the restore with a status before the exchange
+  // delivers anything.
   TestDb db(60, 10, 6);
   ShardOptions so;
   so.num_shards = 2;
@@ -418,6 +420,7 @@ TEST(ShardRecoveryTest, RestoreRefusesOutOfRangePaceAndPositions) {
     return b;
   };
   const std::vector<std::pair<std::string, std::string>> cases = {
+      {"version 1", patched(0, uint32_t{1})},
       {"pace 0", patched(20, uint32_t{0})},
       {"den 0", patched(32, int64_t{0})},
       {"num den+1", patched(24, den + 1)},

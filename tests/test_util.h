@@ -27,9 +27,12 @@ namespace ishare {
 // A small deterministic sales dataset used across engine tests:
 //   orders(o_id, o_custkey, o_amount)
 //   customer(c_custkey, c_region)
+// With `retractions` the orders stream also deletes and updates rows
+// (RetractingOrders); the rows inserted, and the catalog, stay the same.
 class TestDb {
  public:
-  explicit TestDb(int n_orders = 60, int n_customers = 10, uint64_t seed = 42) {
+  explicit TestDb(int n_orders = 60, int n_customers = 10, uint64_t seed = 42,
+                  bool retractions = false) {
     Rng rng(seed);
     Schema orders({{"o_id", DataType::kInt64},
                    {"o_custkey", DataType::kInt64},
@@ -58,8 +61,41 @@ class TestDb {
               .AddTable("customer", customer,
                         ComputeTableStats(customer, customer_rows))
               .ok());
-    source.AddTable("orders", orders, std::move(order_rows));
+    if (retractions) {
+      source.AddTableDeltas("orders", orders,
+                            RetractingOrders(order_rows, seed));
+    } else {
+      source.AddTable("orders", orders, std::move(order_rows));
+    }
     source.AddTable("customer", customer, std::move(customer_rows));
+  }
+
+  // The orders stream of a retracting TestDb: every order is inserted in
+  // id order, and kRetractLag inserts later every 5th order is deleted and
+  // every 7th other one updated (-1, then +1 with a new amount). Deletes
+  // then reach join buckets and aggregate groups throughout the window.
+  static std::vector<DeltaTuple> RetractingOrders(const std::vector<Row>& rows,
+                                                  uint64_t seed) {
+    constexpr size_t kRetractLag = 16;
+    Rng rng(seed ^ 0x5eedULL);
+    std::vector<DeltaTuple> out;
+    auto retract = [&](size_t j) {
+      if (j % 5 != 0 && j % 7 != 0) return;
+      out.emplace_back(rows[j], QuerySet(), -1);
+      if (j % 5 == 0) return;
+      Row updated = rows[j];
+      updated[2] = Value(rng.UniformDouble(1.0, 100.0));
+      out.emplace_back(std::move(updated), QuerySet(), 1);
+    };
+    for (size_t i = 0; i < rows.size(); ++i) {
+      out.emplace_back(rows[i], QuerySet(), 1);
+      if (i >= kRetractLag) retract(i - kRetractLag);
+    }
+    for (size_t j = rows.size() - std::min(rows.size(), kRetractLag);
+         j < rows.size(); ++j) {
+      retract(j);
+    }
+    return out;
   }
 
   Catalog catalog;
